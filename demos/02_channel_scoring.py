@@ -16,9 +16,9 @@ the attention logits, so it can live at 2 bits.
 import numpy as np
 
 from kvmix import (
+    PlantedSpec,
     QueryAccumulator,
     assign_precision,
-    generate_planted_instance,
     salience_score,
     sensitivity_score,
 )
@@ -26,9 +26,9 @@ from kvmix import (
 # Build a synthetic workload with planted structure: 4 channels get
 # 10x key ranges (scale outliers), 4 other channels get 10x query
 # magnitudes, and the two sets are disjoint (overlap=0).
-inst = generate_planted_instance(
-    dim=32, length=64, n_outlier_scale=4, n_outlier_query=4, overlap=0, seed=0
-)
+inst = PlantedSpec(
+    dim=32, length=64, n_outlier_scale=4, n_outlier_query=4, overlap=0
+).materialize(seed=0)
 print("scale-outlier channels:", inst.planted.scale_channels)
 print("query-outlier channels:", inst.planted.query_channels)
 

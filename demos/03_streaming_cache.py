@@ -11,7 +11,7 @@ the sequence (the attention sink) are never quantized at all.
 
 import numpy as np
 
-from kvmix import CacheConfig, MixedKVCache, generate_planted_instance
+from kvmix import CacheConfig, MixedKVCache, PlantedSpec
 
 config = CacheConfig(
     dim=32,
@@ -21,9 +21,9 @@ config = CacheConfig(
     tau_full=4.0,
     tau_mid=1.0,
 )
-inst = generate_planted_instance(
-    dim=32, length=96, n_outlier_scale=4, n_outlier_query=4, overlap=0, seed=1
-)
+inst = PlantedSpec(
+    dim=32, length=96, n_outlier_scale=4, n_outlier_query=4, overlap=0
+).materialize(seed=1)
 
 cache = MixedKVCache(config)
 for t in range(inst.length):

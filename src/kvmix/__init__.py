@@ -37,7 +37,6 @@ from .attention import (
     attention_error,
     attention_exact,
     decode_simulation,
-    generate_planted_instance,
 )
 from .cache import CacheConfig, KeyBlock, MixedKVCache, ValueBlock
 from .errors import (
@@ -63,10 +62,7 @@ from .io import (
 from .policies import (
     AllocationPolicy,
     PolicyKind,
-    error_only_assignment,
-    fixed_uniform_assignment,
     resolve_assignment,
-    salience_topk_assignment,
 )
 from .quant import (
     BitWidth,
@@ -81,10 +77,8 @@ from .quant import (
 from .salience import (
     PrecisionAssignment,
     QueryAccumulator,
-    aggregate_gqa_importance,
     apply_rope,
     assign_precision,
-    importance_score,
     salience_score,
     sensitivity_score,
 )
@@ -94,7 +88,6 @@ from .search import (
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
-    pareto_search,
     select_under_budget,
     threshold_grid,
 )
@@ -130,7 +123,6 @@ __all__ = [
     "UndefinedMetric",
     "UnsupportedFormat",
     "ValueBlock",
-    "aggregate_gqa_importance",
     "apply_rope",
     "assign_precision",
     "attention_error",
@@ -139,21 +131,15 @@ __all__ = [
     "decode_simulation",
     "dequantize_group",
     "dump_from_instance",
-    "error_only_assignment",
     "evaluate_candidate",
     "evaluate_grid",
-    "fixed_uniform_assignment",
-    "generate_planted_instance",
-    "importance_score",
     "instance_from_dump",
     "pack_codes",
     "pareto_frontier",
-    "pareto_search",
     "quantization_error_bound",
     "quantize_group",
     "resolve_assignment",
     "salience_score",
-    "salience_topk_assignment",
     "select_under_budget",
     "sensitivity_score",
     "threshold_grid",

@@ -13,7 +13,7 @@ would: each step appends one (k, v, q) row to the cache, then attends the
 new query over the reconstructed prefix. Errors are aggregated over all
 steps into a FidelityReport.
 
-generate_planted_instance() builds synthetic workloads with a controlled
+PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
 channels that are scale outliers only are damped, planting the
 decorrelated regime in which large keys do not matter (their queries are
@@ -32,7 +32,6 @@ import numpy as np
 from .cache import CacheConfig, MixedKVCache
 from .errors import InvalidInput, UndefinedMetric
 from .policies import AllocationPolicy
-from .salience import apply_rope
 
 __all__ = [
     "AttentionInstance",
@@ -41,7 +40,6 @@ __all__ = [
     "FidelityReport",
     "attention_exact",
     "attention_error",
-    "generate_planted_instance",
     "decode_simulation",
 ]
 
@@ -166,68 +164,17 @@ def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
     return q @ (k - kh).T
 
 
-def generate_planted_instance(
-    dim: int,
-    length: int,
-    n_outlier_scale: int,
-    n_outlier_query: int,
-    overlap: int,
-    seed: int,
-    *,
-    value_dim: int | None = None,
-    scale_boost: float = 10.0,
-    query_boost: float = 10.0,
-    query_damp: float = 0.1,
-) -> AttentionInstance:
-    """Synthesize a Gaussian workload with planted outlier channels.
+@dataclass(frozen=True)
+class PlantedSpec:
+    """Parameters of a Gaussian workload with planted outlier channels.
 
     `n_outlier_scale` key channels get roughly scale_boost times the base
     range; `n_outlier_query` query channels get roughly query_boost times
     the base magnitude; exactly `overlap` channels belong to both sets.
     Queries on scale-outlier-only channels are damped by `query_damp`
-    (large keys paired with small queries). Deterministic in `seed`.
+    (large keys paired with small queries). materialize(seed) builds the
+    instance, deterministically in the seed.
     """
-    if dim < 1 or length < 1:
-        raise InvalidInput("dim and length must be positive")
-    if min(n_outlier_scale, n_outlier_query, overlap) < 0:
-        raise InvalidInput("outlier counts must be non-negative")
-    if overlap > min(n_outlier_scale, n_outlier_query):
-        raise InvalidInput("overlap cannot exceed either outlier count")
-    if n_outlier_scale + n_outlier_query - overlap > dim:
-        raise InvalidInput("outlier sets do not fit in the channel count")
-    if min(scale_boost, query_boost, query_damp) <= 0:
-        raise InvalidInput("boost and damp factors must be positive")
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(dim)
-    shared = perm[:overlap]
-    scale_channels = np.sort(np.concatenate([shared, perm[overlap:n_outlier_scale]]))
-    query_channels = np.sort(
-        np.concatenate(
-            [shared, perm[n_outlier_scale : n_outlier_scale + n_outlier_query - overlap]]
-        )
-    )
-    scale_only = np.setdiff1d(scale_channels, query_channels)
-
-    keys = rng.normal(size=(length, dim))
-    keys[:, scale_channels] *= scale_boost
-    queries = rng.normal(size=(length, dim))
-    queries[:, query_channels] *= query_boost
-    queries[:, scale_only] *= query_damp
-    values = rng.normal(size=(length, dim if value_dim is None else value_dim))
-    return AttentionInstance(
-        queries,
-        keys,
-        values,
-        planted=PlantedChannels(
-            scale_channels=scale_channels, query_channels=query_channels
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class PlantedSpec:
-    """Deferred planted-instance parameters; materialized per seed."""
 
     dim: int
     length: int
@@ -239,18 +186,43 @@ class PlantedSpec:
     query_boost: float = 10.0
     query_damp: float = 0.1
 
+    def __post_init__(self):
+        if self.dim < 1 or self.length < 1:
+            raise InvalidInput("dim and length must be positive")
+        if min(self.n_outlier_scale, self.n_outlier_query, self.overlap) < 0:
+            raise InvalidInput("outlier counts must be non-negative")
+        if self.overlap > min(self.n_outlier_scale, self.n_outlier_query):
+            raise InvalidInput("overlap cannot exceed either outlier count")
+        if self.n_outlier_scale + self.n_outlier_query - self.overlap > self.dim:
+            raise InvalidInput("outlier sets do not fit in the channel count")
+        if min(self.scale_boost, self.query_boost, self.query_damp) <= 0:
+            raise InvalidInput("boost and damp factors must be positive")
+
     def materialize(self, seed: int) -> AttentionInstance:
-        return generate_planted_instance(
-            self.dim,
-            self.length,
-            self.n_outlier_scale,
-            self.n_outlier_query,
-            self.overlap,
-            seed,
-            value_dim=self.value_dim,
-            scale_boost=self.scale_boost,
-            query_boost=self.query_boost,
-            query_damp=self.query_damp,
+        dim, ns, overlap = self.dim, self.n_outlier_scale, self.overlap
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(dim)
+        shared = perm[:overlap]
+        scale_channels = np.sort(np.concatenate([shared, perm[overlap:ns]]))
+        query_channels = np.sort(
+            np.concatenate([shared, perm[ns : ns + self.n_outlier_query - overlap]])
+        )
+        scale_only = np.setdiff1d(scale_channels, query_channels)
+
+        keys = rng.normal(size=(self.length, dim))
+        keys[:, scale_channels] *= self.scale_boost
+        queries = rng.normal(size=(self.length, dim))
+        queries[:, query_channels] *= self.query_boost
+        queries[:, scale_only] *= self.query_damp
+        value_dim = dim if self.value_dim is None else self.value_dim
+        values = rng.normal(size=(self.length, value_dim))
+        return AttentionInstance(
+            queries,
+            keys,
+            values,
+            planted=PlantedChannels(
+                scale_channels=scale_channels, query_channels=query_channels
+            ),
         )
 
 
@@ -260,7 +232,6 @@ def decode_simulation(
     policy: AllocationPolicy,
     steps: int | None = None,
     seed: int = 0,
-    rotate: bool = False,
     return_cache: bool = False,
 ):
     """Replay a sequence through the cache and measure attention fidelity.
@@ -270,8 +241,7 @@ def decode_simulation(
     the row (k_t, v_t, q_t) enters the cache, then q_t attends over the
     reconstructed prefix [0, t] and over the exact prefix; logit and
     output errors accumulate across steps. Source tensors are taken as
-    already rotated; rotate=True applies the rotary map at each row's
-    position first (queries and keys only).
+    already rotated (see apply_rope).
 
     Under the FULL_PRECISION policy value quantization is disabled too,
     so the run is lossless end to end. With return_cache=True the final
@@ -294,12 +264,7 @@ def decode_simulation(
     if config.heads_per_kv_group != 1:
         raise InvalidInput("the decode simulation drives a single query head")
 
-    queries, keys = inst.queries, inst.keys
-    if rotate:
-        positions = np.arange(inst.length)
-        queries = apply_rope(queries, positions, config.rope_theta)
-        keys = apply_rope(keys, positions, config.rope_theta)
-    values = inst.values
+    queries, keys, values = inst.queries, inst.keys, inst.values
 
     cache = MixedKVCache(config, policy)
     sq_logit = 0.0

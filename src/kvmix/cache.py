@@ -32,15 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidInput,
-    InvalidThresholds,
-    NothingToFlush,
-    UndefinedMetric,
-)
+from .errors import InvalidInput, NothingToFlush, UndefinedMetric
 from .policies import AllocationPolicy, PolicyKind, resolve_assignment
 from .quant import BitWidth, QuantizedGroup, dequantize_group, quantize_group
-from .salience import PrecisionAssignment, QueryAccumulator, sensitivity_score
+from .salience import (
+    PrecisionAssignment,
+    QueryAccumulator,
+    check_thresholds,
+    sensitivity_score,
+)
 
 __all__ = ["CacheConfig", "KeyBlock", "ValueBlock", "MixedKVCache"]
 
@@ -57,9 +57,6 @@ class CacheConfig:
     tau_full, tau_mid   salience thresholds for the 16/4/2-bit tiers
     value_bits          value storage width; FULL disables value quantization
     heads_per_kv_group  query heads feeding one KV head (GQA)
-    window_importance   score importance from the current block's queries
-                        only, instead of the running sequence-wide mean
-    rope_theta          base for the rotary position transform
     """
 
     dim: int
@@ -71,8 +68,6 @@ class CacheConfig:
     tau_mid: float = 0.5
     value_bits: BitWidth = BitWidth.UINT2
     heads_per_kv_group: int = 1
-    window_importance: bool = False
-    rope_theta: float = 10000.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -92,20 +87,12 @@ class CacheConfig:
             )
         if self.sink_len < 0:
             raise InvalidInput("sink_len must be non-negative")
-        tau_full, tau_mid = float(self.tau_full), float(self.tau_mid)
-        if np.isnan(tau_full) or np.isnan(tau_mid):
-            raise InvalidThresholds("thresholds must not be NaN")
-        if tau_mid > tau_full:
-            raise InvalidThresholds(
-                f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
-            )
+        tau_full, tau_mid = check_thresholds(self.tau_full, self.tau_mid)
         object.__setattr__(self, "tau_full", tau_full)
         object.__setattr__(self, "tau_mid", tau_mid)
         object.__setattr__(self, "value_bits", BitWidth(int(self.value_bits)))
         if self.heads_per_kv_group < 1:
             raise InvalidInput("heads_per_kv_group must be positive")
-        if not self.rope_theta > 0:
-            raise InvalidInput("rope_theta must be positive")
 
     @property
     def thresholds(self) -> tuple[float, float]:
@@ -201,7 +188,6 @@ class MixedKVCache:
             or self.policy.kind == PolicyKind.FULL_PRECISION
         )
         self._running = QueryAccumulator(config.dim)
-        self._window = QueryAccumulator(config.dim)
         self._key_blocks: list[KeyBlock] = []
         self._value_blocks: list[ValueBlock] = []
         self._res_keys: list[np.ndarray] = []
@@ -274,6 +260,8 @@ class MixedKVCache:
         (heads_per_kv_group, dim) when several query heads share this KV
         head; every head's row feeds the importance statistics. An
         explicit `position` is checked against the append counter.
+        When the flush this append triggers fails, the cache is left as it
+        was before the call and the error propagates.
         """
         if position is not None and position != self.num_tokens:
             raise InvalidInput(
@@ -282,12 +270,19 @@ class MixedKVCache:
         k = self._check_row(k_row, self.config.dim, "k_row")
         v = self._check_row(v_row, self.config.value_dim, "v_row")
         q = self._check_query(q_row)
+        flushing = len(self._res_keys) + 1 == self.config.residual_len
+        saved = self._running.copy() if flushing else None
         self._running.add(q)
-        self._window.add(q)
         self._res_keys.append(k)
         self._res_values.append(v)
-        if len(self._res_keys) == self.config.residual_len:
-            self.flush()
+        if flushing:
+            try:
+                self.flush()
+            except BaseException:
+                self._running = saved
+                self._res_keys.pop()
+                self._res_values.pop()
+                raise
 
     def extend(self, keys, values, queries) -> None:
         """Feed a block of tokens row by row (flushing at capacity).
@@ -312,8 +307,9 @@ class MixedKVCache:
         """Freeze the residual buffer into immutable block storage.
 
         Splits off any sink-region rows first, then scores and quantizes
-        the rest under the active policy. Raises NothingToFlush when the
-        residual buffer is empty.
+        the rest under the active policy. Every block is built before any
+        is stored, so a flush that raises leaves the cache unchanged.
+        Raises NothingToFlush when the residual buffer is empty.
         """
         if not self._res_keys:
             raise NothingToFlush("residual buffer is empty")
@@ -321,13 +317,15 @@ class MixedKVCache:
         values = np.array(self._res_values, dtype=np.float64)
         start = self._flushed_tokens
         length = keys.shape[0]
+        key_blocks: list[KeyBlock] = []
+        value_blocks: list[ValueBlock] = []
 
         sink_cut = min(max(self.config.sink_len - start, 0), length)
         if sink_cut > 0:
-            self._key_blocks.append(
+            key_blocks.append(
                 KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut])
             )
-            self._value_blocks.append(
+            value_blocks.append(
                 ValueBlock(
                     start=start,
                     length=sink_cut,
@@ -337,20 +335,24 @@ class MixedKVCache:
             )
 
         if sink_cut < length:
-            self._freeze_scored(
+            key_block, value_block = self._freeze_scored(
                 keys[sink_cut:], values[sink_cut:], start + sink_cut
             )
+            key_blocks.append(key_block)
+            value_blocks.append(value_block)
 
+        self._key_blocks.extend(key_blocks)
+        self._value_blocks.extend(value_blocks)
         self._res_keys.clear()
         self._res_values.clear()
-        self._window = QueryAccumulator(self.config.dim)
         self._flushed_tokens += length
 
-    def _freeze_scored(self, keys: np.ndarray, values: np.ndarray, start: int) -> None:
+    def _freeze_scored(
+        self, keys: np.ndarray, values: np.ndarray, start: int
+    ) -> tuple[KeyBlock, ValueBlock]:
         length = keys.shape[0]
         sensitivity = sensitivity_score(keys, BitWidth.UINT2)
-        acc = self._window if self.config.window_importance else self._running
-        importance = acc.importance()
+        importance = self._running.importance()
         assignment = resolve_assignment(
             self.policy, importance, sensitivity, self.config.thresholds
         )
@@ -364,25 +366,21 @@ class MixedKVCache:
                 quantize_group(column[lo:hi], width)
                 for lo, hi in _token_runs(length, self.config.group_size)
             )
-        self._key_blocks.append(
-            KeyBlock(
-                start=start,
-                length=length,
-                assignment=assignment,
-                outlier_channels=outliers,
-                outlier_columns=keys[:, outliers].copy(),
-                groups=groups,
-            )
+        key_block = KeyBlock(
+            start=start,
+            length=length,
+            assignment=assignment,
+            outlier_channels=outliers,
+            outlier_columns=keys[:, outliers].copy(),
+            groups=groups,
         )
 
         if self._value_pass_through:
-            self._value_blocks.append(
-                ValueBlock(
-                    start=start,
-                    length=length,
-                    dim=self.config.value_dim,
-                    values_exact=values.copy(),
-                )
+            value_block = ValueBlock(
+                start=start,
+                length=length,
+                dim=self.config.value_dim,
+                values_exact=values.copy(),
             )
         else:
             rows = tuple(
@@ -392,14 +390,13 @@ class MixedKVCache:
                 )
                 for row in values
             )
-            self._value_blocks.append(
-                ValueBlock(
-                    start=start,
-                    length=length,
-                    dim=self.config.value_dim,
-                    rows=rows,
-                )
+            value_block = ValueBlock(
+                start=start,
+                length=length,
+                dim=self.config.value_dim,
+                rows=rows,
             )
+        return key_block, value_block
 
     # -- reconstruction -----------------------------------------------
 

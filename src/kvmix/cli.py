@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .attention import PlantedSpec, decode_simulation, generate_planted_instance
+from .attention import PlantedSpec, decode_simulation
 from .cache import CacheConfig
 from .errors import (
     BudgetInfeasible,
@@ -46,7 +46,12 @@ from .io import (
 )
 from .policies import AllocationPolicy
 from .quant import BitWidth
-from .salience import assign_precision, sensitivity_score
+from .salience import (
+    QueryAccumulator,
+    assign_precision,
+    salience_score,
+    sensitivity_score,
+)
 from .search import SearchSpec, evaluate_grid, pareto_frontier, select_under_budget
 
 __all__ = ["main", "build_parser"]
@@ -82,16 +87,38 @@ _STATS_COLUMNS = [
 
 def _parse_pair(text: str, what: str) -> tuple[float, float]:
     parts = text.split(",")
+    message = f"{what} must be two comma-separated numbers, got {text!r}"
     if len(parts) != 2:
-        raise InvalidInput(f"{what} must be two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+        raise InvalidInput(message)
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError:
+        raise InvalidInput(message) from None
 
 
 def _parse_int_tuple(text: str, n: int, what: str) -> tuple[int, ...]:
     parts = text.split(",")
+    message = f"{what} must be {n} comma-separated integers, got {text!r}"
     if len(parts) != n:
-        raise InvalidInput(f"{what} must be {n} comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+        raise InvalidInput(message)
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:
+        raise InvalidInput(message) from None
+
+
+def _planted_spec(args) -> PlantedSpec:
+    """The synthetic workload of `run` and `search`: --dim, --length, --outliers."""
+    ns, nq, ov = _parse_int_tuple(args.outliers, 3, "--outliers")
+    if args.seeds < 1:
+        raise InvalidInput("--seeds must be positive")
+    return PlantedSpec(
+        dim=args.dim,
+        length=args.length,
+        n_outlier_scale=ns,
+        n_outlier_query=nq,
+        overlap=ov,
+    )
 
 
 def _make_policy(name: str, budget: tuple[int, int] | None) -> AllocationPolicy:
@@ -197,16 +224,7 @@ def _run_instances(args):
     if args.dump is not None:
         inst = instance_from_dump(_load_dump(args.dump))
         return [(0, inst)]
-    ns, nq, ov = _parse_int_tuple(args.outliers, 3, "--outliers")
-    spec = PlantedSpec(
-        dim=args.dim,
-        length=args.length,
-        n_outlier_scale=ns,
-        n_outlier_query=nq,
-        overlap=ov,
-    )
-    if args.seeds < 1:
-        raise InvalidInput("--seeds must be positive")
+    spec = _planted_spec(args)
     return [(seed, spec.materialize(seed)) for seed in range(args.seeds)]
 
 
@@ -274,19 +292,8 @@ def _cmd_search(args) -> int:
         instances = (inst,)
         seeds = (0,)
     else:
-        ns, nq, ov = _parse_int_tuple(args.outliers, 3, "--outliers")
-        if args.seeds < 1:
-            raise InvalidInput("--seeds must be positive")
+        instances = (_planted_spec(args),)
         config = _config_from_args(args, args.dim, args.dim)
-        instances = (
-            PlantedSpec(
-                dim=args.dim,
-                length=args.length,
-                n_outlier_scale=ns,
-                n_outlier_query=nq,
-                overlap=ov,
-            ),
-        )
         seeds = tuple(range(args.seeds))
     spec = SearchSpec(
         config=config,
@@ -340,12 +347,12 @@ def _cmd_stats(args) -> int:
     if args.dump is not None:
         inst = instance_from_dump(_load_dump(args.dump))
     else:
-        dim, length, ns, nq, ov = _parse_int_tuple(args.planted, 5, "--planted")
-        inst = generate_planted_instance(dim, length, ns, nq, ov, args.seed)
+        planted = _parse_int_tuple(args.planted, 5, "--planted")
+        inst = PlantedSpec(*planted).materialize(args.seed)
 
-    importance = np.abs(inst.queries).mean(axis=0)
+    importance = QueryAccumulator(inst.dim).add(inst.queries).importance()
     sensitivity = sensitivity_score(inst.keys, BitWidth.UINT2)
-    salience = importance * sensitivity
+    salience = salience_score(importance, sensitivity)
     assignment = assign_precision(salience, tau_full, tau_mid)
     if importance.std() == 0.0 or sensitivity.std() == 0.0:
         pearson = float("nan")
@@ -391,7 +398,7 @@ def main(argv=None) -> int:
     except BudgetInfeasible as exc:
         print(f"error: budget-infeasible: {exc}", file=sys.stderr)
         return 1
-    except (InvalidInput, ValueError) as exc:
+    except InvalidInput as exc:
         print(f"error: invalid-config: {exc}", file=sys.stderr)
         return 2
     except KVMixError as exc:

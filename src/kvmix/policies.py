@@ -30,9 +30,6 @@ from .salience import PrecisionAssignment, assign_precision, salience_score
 __all__ = [
     "PolicyKind",
     "AllocationPolicy",
-    "fixed_uniform_assignment",
-    "error_only_assignment",
-    "salience_topk_assignment",
     "resolve_assignment",
 ]
 
@@ -98,25 +95,13 @@ class AllocationPolicy:
         return cls(PolicyKind.FULL_PRECISION)
 
 
-def fixed_uniform_assignment(n_channels: int, bits) -> PrecisionAssignment:
-    """Every channel at the same quantized width (2 or 4 bits)."""
-    if n_channels < 1:
-        raise InvalidInput("need at least one channel")
-    width = BitWidth(int(bits))
-    if width == BitWidth.FULL:
-        raise InvalidInput("fixed-uniform width must be 2 or 4")
-    return PrecisionAssignment(np.full(n_channels, int(width), dtype=np.uint8))
-
-
 def _topk_assignment(scores, budget: tuple[int, int]) -> PrecisionAssignment:
     vec = np.asarray(scores, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise InvalidInput("scores must be a non-empty 1-D vector")
     if not np.all(np.isfinite(vec)):
         raise InvalidInput("scores contain non-finite elements")
-    n_full, n_mid = (int(n) for n in budget)
-    if n_full < 0 or n_mid < 0:
-        raise InvalidInput("budget counts must be non-negative")
+    n_full, n_mid = budget
     if n_full + n_mid > vec.size:
         raise InvalidInput(
             f"budget {n_full}+{n_mid} exceeds the {vec.size} available channels"
@@ -128,16 +113,6 @@ def _topk_assignment(scores, budget: tuple[int, int]) -> PrecisionAssignment:
     bits[order[:n_full]] = 16
     bits[order[n_full : n_full + n_mid]] = 4
     return PrecisionAssignment(bits)
-
-
-def error_only_assignment(sensitivity, budget: tuple[int, int]) -> PrecisionAssignment:
-    """Top-k by sensitivity alone (query-blind magnitude ranking)."""
-    return _topk_assignment(sensitivity, budget)
-
-
-def salience_topk_assignment(salience, budget: tuple[int, int]) -> PrecisionAssignment:
-    """Top-k by the query-aware salience score."""
-    return _topk_assignment(salience, budget)
 
 
 def resolve_assignment(
@@ -155,7 +130,7 @@ def resolve_assignment(
     if policy.kind == PolicyKind.FULL_PRECISION:
         return PrecisionAssignment(np.full(sens.size, 16, dtype=np.uint8))
     if policy.kind == PolicyKind.FIXED_UNIFORM:
-        return fixed_uniform_assignment(sens.size, policy.bits)
+        return PrecisionAssignment(np.full(sens.size, int(policy.bits), dtype=np.uint8))
     if policy.kind == PolicyKind.ERROR_ONLY:
         scores = sens
     else:

@@ -133,8 +133,9 @@ def _round_half_away(y: np.ndarray) -> np.ndarray:
 def quantize_group(values, bits) -> QuantizedGroup:
     """Quantize a non-empty 1-D group of finite reals to `bits`-bit codes.
 
-    Raises InvalidInput for an empty group, non-finite elements, or a bit
-    width other than 2 or 4.
+    Raises InvalidInput for an empty group, non-finite elements, a bit
+    width other than 2 or 4, or a range too wide for float64: one whose
+    max - min, or whose top decoded level, overflows.
     """
     width = _require_quant_width(bits)
     x = np.asarray(values, dtype=np.float64)
@@ -148,6 +149,8 @@ def quantize_group(values, bits) -> QuantizedGroup:
     zero_point = float(x.min())
     levels = 2 ** int(width) - 1
     scale = (float(x.max()) - zero_point) / levels
+    if not math.isfinite(levels * scale + zero_point):
+        raise InvalidInput("group range overflows float64")
     if scale == 0.0:
         codes = np.zeros(x.size, dtype=np.uint8)
     else:

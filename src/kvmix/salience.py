@@ -38,11 +38,9 @@ from .quant import BitWidth
 __all__ = [
     "QueryAccumulator",
     "PrecisionAssignment",
-    "importance_score",
     "sensitivity_score",
     "salience_score",
     "assign_precision",
-    "aggregate_gqa_importance",
     "apply_rope",
 ]
 
@@ -122,17 +120,13 @@ class QueryAccumulator:
         return dup
 
 
-def importance_score(accumulator: QueryAccumulator) -> np.ndarray:
-    """Importance vector of an accumulator (mean |Q| per channel)."""
-    return accumulator.importance()
-
-
 def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
     """Per-channel quantization step (max - min) / (2**bits - 1).
 
     `key_block` is T x D (at least one row). By convention the reference
     bit width is 2 regardless of the tier a channel later lands in, so
     that the score reflects the worst quantization the channel could get.
+    Raises InvalidInput when a channel's range overflows float64.
     """
     width = BitWidth(int(bits))
     if width == BitWidth.FULL:
@@ -141,7 +135,11 @@ def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
     if keys.shape[0] == 0 or keys.size == 0:
         raise InvalidInput("key block must contain at least one row")
     levels = 2 ** int(width) - 1
-    return (keys.max(axis=0) - keys.min(axis=0)) / levels
+    with np.errstate(over="ignore"):
+        span = keys.max(axis=0) - keys.min(axis=0)
+    if not np.all(np.isfinite(span)):
+        raise InvalidInput("key block has a channel range that overflows float64")
+    return span / levels
 
 
 def salience_score(importance, sensitivity) -> np.ndarray:
@@ -155,6 +153,22 @@ def salience_score(importance, sensitivity) -> np.ndarray:
     if np.any(imp < 0) or np.any(sens < 0):
         raise InvalidInput("scores are non-negative by construction")
     return imp * sens
+
+
+def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
+    """Validate a (tau_full, tau_mid) pair and return it as floats.
+
+    Raises InvalidThresholds for a NaN threshold or tau_mid > tau_full
+    (the tiers would overlap). Infinite thresholds are legal sentinels.
+    """
+    tau_full, tau_mid = float(tau_full), float(tau_mid)
+    if math.isnan(tau_full) or math.isnan(tau_mid):
+        raise InvalidThresholds("thresholds must not be NaN")
+    if tau_mid > tau_full:
+        raise InvalidThresholds(
+            f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
+        )
+    return tau_full, tau_mid
 
 
 @dataclass(frozen=True)
@@ -178,14 +192,7 @@ class PrecisionAssignment:
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
         if self.thresholds is not None:
-            tau_full, tau_mid = (float(t) for t in self.thresholds)
-            if math.isnan(tau_full) or math.isnan(tau_mid):
-                raise InvalidThresholds("thresholds must not be NaN")
-            if tau_mid > tau_full:
-                raise InvalidThresholds(
-                    f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
-                )
-            object.__setattr__(self, "thresholds", (tau_full, tau_mid))
+            object.__setattr__(self, "thresholds", check_thresholds(*self.thresholds))
 
     @property
     def dim(self) -> int:
@@ -228,46 +235,11 @@ def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssi
         raise InvalidInput("salience must be a non-empty 1-D vector")
     if not np.all(np.isfinite(scores)):
         raise InvalidInput("salience contains non-finite elements")
-    tau_full = float(tau_full)
-    tau_mid = float(tau_mid)
-    if math.isnan(tau_full) or math.isnan(tau_mid):
-        raise InvalidThresholds("thresholds must not be NaN")
-    if tau_mid > tau_full:
-        raise InvalidThresholds(
-            f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
-        )
+    tau_full, tau_mid = check_thresholds(tau_full, tau_mid)
     bits = np.full(scores.shape, 2, dtype=np.uint8)
     bits[scores > tau_mid] = 4
     bits[scores > tau_full] = 16
     return PrecisionAssignment(bits, (tau_full, tau_mid))
-
-
-def aggregate_gqa_importance(accumulators, heads_per_kv_group: int) -> QueryAccumulator:
-    """Merge per-head accumulators for query heads sharing one KV head.
-
-    All `heads_per_kv_group` accumulators must share dimension and count;
-    the merged accumulator sums their absolute sums and counts, so its
-    importance is the group-wide mean |Q|.
-    """
-    accs = list(accumulators)
-    if heads_per_kv_group < 1:
-        raise InvalidInput("a KV group must contain at least one query head")
-    if len(accs) != heads_per_kv_group:
-        raise InvalidInput(
-            f"expected {heads_per_kv_group} accumulators, got {len(accs)}"
-        )
-    dim = accs[0].dim
-    count = accs[0].count
-    for acc in accs[1:]:
-        if acc.dim != dim:
-            raise InvalidInput("accumulators disagree on channel dimension")
-        if acc.count != count:
-            raise InvalidInput("accumulators disagree on row count")
-    merged = QueryAccumulator(dim)
-    for acc in accs:
-        merged._abs_sum += acc._abs_sum
-        merged._count += acc.count
-    return merged
 
 
 def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:

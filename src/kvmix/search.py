@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import AttentionInstance, PlantedSpec, decode_simulation
 from .cache import CacheConfig
-from .errors import BudgetInfeasible, InvalidInput, InvalidThresholds
+from .errors import BudgetInfeasible, InvalidInput
 from .policies import AllocationPolicy
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "evaluate_candidate",
     "evaluate_grid",
     "pareto_frontier",
-    "pareto_search",
     "select_under_budget",
 ]
 
@@ -66,12 +65,7 @@ class SearchSpec:
             raise InvalidInput("search needs at least one evaluation instance")
         if not self.seeds:
             raise InvalidInput("search needs at least one seed")
-        if self.grid_points < 1:
-            raise InvalidInput("grid must contain at least one point per axis")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidInput("threshold range must be finite")
-        if self.lo > self.hi:
-            raise InvalidInput(f"empty threshold range [{self.lo}, {self.hi}]")
+        _check_grid(self.lo, self.hi, self.grid_points)
         object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
 
@@ -89,16 +83,23 @@ class SearchSpec:
         return tuple(out)
 
 
+def _check_grid(lo: float, hi: float, grid_points: int) -> None:
+    if grid_points < 1:
+        raise InvalidInput("grid must contain at least one point per axis")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInput("threshold range must be finite")
+    if lo > hi:
+        raise InvalidInput(f"empty threshold range [{lo}, {hi}]")
+
+
 def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, float]]:
     """All (tau_full, tau_mid) grid pairs with tau_mid <= tau_full.
 
-    The grid is an even linspace per axis; only the ordered (upper
-    triangle) pairs are kept, enumerated tau_full-major, ascending.
+    The grid is an even linspace per axis over a finite [lo, hi]; only
+    the ordered (upper triangle) pairs are kept, enumerated
+    tau_full-major, ascending.
     """
-    if grid_points < 1:
-        raise InvalidInput("grid must contain at least one point per axis")
-    if lo > hi:
-        raise InvalidInput(f"empty threshold range [{lo}, {hi}]")
+    _check_grid(lo, hi, grid_points)
     axis = np.linspace(lo, hi, grid_points)
     return [
         (float(tf), float(tm))
@@ -116,10 +117,6 @@ def evaluate_candidate(
     steps: int | None = None,
 ) -> ParetoPoint:
     """Score one threshold pair: mean fidelity and mean b_eff over instances."""
-    if tau_mid > tau_full:
-        raise InvalidThresholds(
-            f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
-        )
     instances = tuple(instances)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
@@ -173,11 +170,6 @@ def pareto_frontier(points) -> list[ParetoPoint]:
         if not any(_dominates(q, p) for q in pts)
     ]
     return sorted(front, key=lambda p: (p.b_eff, p.fidelity, p.tau_full, p.tau_mid))
-
-
-def pareto_search(spec: SearchSpec) -> list[ParetoPoint]:
-    """Evaluate the threshold grid and return its Pareto frontier."""
-    return pareto_frontier(evaluate_grid(spec))
 
 
 def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:

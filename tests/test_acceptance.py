@@ -25,12 +25,11 @@ from kvmix import (
     assign_precision,
     decode_simulation,
     dequantize_group,
-    error_only_assignment,
     evaluate_grid,
     pack_codes,
     pareto_frontier,
     quantize_group,
-    salience_topk_assignment,
+    resolve_assignment,
     unpack_codes,
 )
 
@@ -326,10 +325,13 @@ def test_constant_importance_collapses_to_magnitude_ranking():
             sens = rng.uniform(0.0, 4.0, size=20)
             c = float(rng.uniform(0.5, 5.0))
             budget = (int(rng.integers(0, 10)), int(rng.integers(0, 10)))
-            flat_importance_salience = c * sens
-            assert salience_topk_assignment(
-                flat_importance_salience, budget
-            ) == error_only_assignment(sens, budget)
+            flat_importance = np.full(sens.size, c)
+            thresholds = (1.0, 0.5)  # unused in top-k mode
+            assert resolve_assignment(
+                AllocationPolicy.salience(budget), flat_importance, sens, thresholds
+            ) == resolve_assignment(
+                AllocationPolicy.error_only(budget), flat_importance, sens, thresholds
+            )
 
 
 def test_scores_on_tier_boundaries_take_the_cheaper_tier():

@@ -16,11 +16,9 @@ from kvmix import (
     CacheConfig,
     InvalidInput,
     PlantedSpec,
-    apply_rope,
     attention_error,
     attention_exact,
     decode_simulation,
-    generate_planted_instance,
     sensitivity_score,
 )
 
@@ -144,8 +142,8 @@ class TestAttentionError:
 
 class TestPlantedGenerator:
     def test_deterministic_in_seed(self):
-        a = generate_planted_instance(16, 32, 3, 3, 1, seed=42)
-        b = generate_planted_instance(16, 32, 3, 3, 1, seed=42)
+        a = PlantedSpec(16, 32, 3, 3, 1).materialize(42)
+        b = PlantedSpec(16, 32, 3, 3, 1).materialize(42)
         np.testing.assert_array_equal(a.queries, b.queries)
         np.testing.assert_array_equal(a.keys, b.keys)
         np.testing.assert_array_equal(a.values, b.values)
@@ -154,12 +152,12 @@ class TestPlantedGenerator:
         )
 
     def test_different_seeds_differ(self):
-        a = generate_planted_instance(16, 32, 3, 3, 1, seed=0)
-        b = generate_planted_instance(16, 32, 3, 3, 1, seed=1)
+        a = PlantedSpec(16, 32, 3, 3, 1).materialize(0)
+        b = PlantedSpec(16, 32, 3, 3, 1).materialize(1)
         assert not np.array_equal(a.keys, b.keys)
 
     def test_planted_set_sizes_and_overlap(self):
-        inst = generate_planted_instance(32, 16, 5, 4, 2, seed=7)
+        inst = PlantedSpec(32, 16, 5, 4, 2).materialize(7)
         sc = set(inst.planted.scale_channels.tolist())
         qc = set(inst.planted.query_channels.tolist())
         assert len(sc) == 5
@@ -167,13 +165,13 @@ class TestPlantedGenerator:
         assert len(sc & qc) == 2
 
     def test_scale_channels_have_highest_sensitivity(self):
-        inst = generate_planted_instance(32, 64, 4, 4, 0, seed=8)
+        inst = PlantedSpec(32, 64, 4, 4, 0).materialize(8)
         s = sensitivity_score(inst.keys)
         top = set(np.argsort(-s)[:4].tolist())
         assert top == set(inst.planted.scale_channels.tolist())
 
     def test_query_channels_have_highest_importance(self):
-        inst = generate_planted_instance(32, 64, 4, 4, 0, seed=9)
+        inst = PlantedSpec(32, 64, 4, 4, 0).materialize(9)
         imp = np.abs(inst.queries).mean(axis=0)
         top = set(np.argsort(-imp)[:4].tolist())
         assert top == set(inst.planted.query_channels.tolist())
@@ -182,28 +180,22 @@ class TestPlantedGenerator:
         # the zero-overlap regime plants big keys where queries are quiet,
         # so importance and sensitivity must not be positively correlated
         for seed in range(30):
-            inst = generate_planted_instance(32, 64, 4, 4, 0, seed=seed)
+            inst = PlantedSpec(32, 64, 4, 4, 0).materialize(seed)
             imp = np.abs(inst.queries).mean(axis=0)
             s = sensitivity_score(inst.keys)
             assert np.corrcoef(imp, s)[0, 1] < 0.3
 
     def test_overlap_cannot_exceed_either_set(self):
         with pytest.raises(InvalidInput):
-            generate_planted_instance(32, 16, 2, 4, 3, seed=0)
+            PlantedSpec(32, 16, 2, 4, 3)
 
     def test_sets_must_fit_in_dim(self):
         with pytest.raises(InvalidInput):
-            generate_planted_instance(6, 16, 4, 4, 0, seed=0)
+            PlantedSpec(6, 16, 4, 4, 0)
 
     def test_value_dim_override(self):
-        inst = generate_planted_instance(8, 16, 1, 1, 0, seed=0, value_dim=3)
+        inst = PlantedSpec(8, 16, 1, 1, 0, value_dim=3).materialize(0)
         assert inst.values.shape == (16, 3)
-
-    def test_spec_materialize_matches_direct_call(self):
-        spec = PlantedSpec(dim=16, length=24, n_outlier_scale=2, n_outlier_query=2)
-        direct = generate_planted_instance(16, 24, 2, 2, 0, seed=11)
-        via_spec = spec.materialize(11)
-        np.testing.assert_array_equal(via_spec.keys, direct.keys)
 
 
 def sim_config(**overrides) -> CacheConfig:
@@ -265,19 +257,6 @@ class TestDecodeSimulation:
         inst = PlantedSpec(dim=32, length=64).materialize(5)
         a = decode_simulation(inst, sim_config(), AllocationPolicy.salience(), seed=0)
         b = decode_simulation(inst, sim_config(), AllocationPolicy.salience(), seed=99)
-        assert a == b
-
-    def test_rotate_flag_matches_prerotated_instance(self):
-        inst = PlantedSpec(dim=32, length=64).materialize(2)
-        positions = np.arange(inst.length)
-        rotated = AttentionInstance(
-            apply_rope(inst.queries, positions),
-            apply_rope(inst.keys, positions),
-            inst.values,
-        )
-        cfg = sim_config()
-        a = decode_simulation(inst, cfg, AllocationPolicy.salience(), rotate=True)
-        b = decode_simulation(rotated, cfg, AllocationPolicy.salience(), rotate=False)
         assert a == b
 
     def test_return_cache_exposes_final_state(self):

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from kvmix import PlantedSpec, TensorDump, dump_from_instance
+import kvmix.cli
+from kvmix import CorruptBuffer, PlantedSpec, TensorDump, dump_from_instance
 from kvmix.cli import main
 
 
@@ -133,6 +134,21 @@ class TestRunCommand:
         code = main(run_args(tmp_path, "--thresholds", "0.5,1.0"))
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid-config:")
+
+    def test_non_numeric_thresholds_exit_2(self, tmp_path, capsys):
+        code = main(run_args(tmp_path, "--thresholds", "x,1"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config:")
+
+    def test_internal_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a library fault inside a command is not a configuration error
+        def corrupt(*args, **kwargs):
+            raise CorruptBuffer("packed buffer holds 1 bytes, expected 2")
+
+        monkeypatch.setattr(kvmix.cli, "decode_simulation", corrupt)
+        code = main(run_args(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: failure:")
 
     def test_bad_geometry_exits_2(self, tmp_path, capsys):
         code = main(run_args(tmp_path, "--group-size", "7"))

@@ -11,68 +11,88 @@ from kvmix import (
     InvalidInput,
     PolicyKind,
     assign_precision,
-    error_only_assignment,
-    fixed_uniform_assignment,
     resolve_assignment,
-    salience_topk_assignment,
 )
+
+TAUS = (1.0, 0.5)
+
+
+def fixed_uniform(n_channels, bits):
+    return resolve_assignment(
+        AllocationPolicy.fixed_uniform(bits), None, np.zeros(n_channels), TAUS
+    )
+
+
+def error_only_topk(sensitivity, budget):
+    sens = np.asarray(sensitivity, dtype=np.float64)
+    return resolve_assignment(
+        AllocationPolicy.error_only(budget), np.ones(sens.size), sens, TAUS
+    )
+
+
+def salience_topk(salience, budget):
+    # unit importance makes the policy's score I * S equal to `salience`
+    sal = np.asarray(salience, dtype=np.float64)
+    return resolve_assignment(
+        AllocationPolicy.salience(budget), np.ones(sal.size), sal, TAUS
+    )
 
 
 class TestFixedUniform:
     def test_every_channel_same_width(self):
-        a = fixed_uniform_assignment(5, BitWidth.UINT4)
+        a = fixed_uniform(5, BitWidth.UINT4)
         assert a.bits.tolist() == [4] * 5
-        a = fixed_uniform_assignment(3, 2)
+        a = fixed_uniform(3, 2)
         assert a.bits.tolist() == [2] * 3
 
     def test_full_width_rejected(self):
         with pytest.raises(InvalidInput):
-            fixed_uniform_assignment(4, BitWidth.FULL)
+            fixed_uniform(4, BitWidth.FULL)
 
     def test_needs_channels(self):
         with pytest.raises(InvalidInput):
-            fixed_uniform_assignment(0, BitWidth.UINT2)
+            fixed_uniform(0, BitWidth.UINT2)
 
 
 class TestTopKBudgets:
     def test_error_only_ranks_by_sensitivity(self):
-        a = error_only_assignment(np.array([3.0, 1.0, 2.0]), budget=(1, 1))
+        a = error_only_topk(np.array([3.0, 1.0, 2.0]), budget=(1, 1))
         assert a.bits.tolist() == [16, 2, 4]
 
     def test_zero_budget_floors_everything(self):
-        a = error_only_assignment(np.array([3.0, 1.0, 2.0]), budget=(0, 0))
+        a = error_only_topk(np.array([3.0, 1.0, 2.0]), budget=(0, 0))
         assert a.bits.tolist() == [2, 2, 2]
 
     def test_ties_break_toward_lower_channel(self):
-        a = error_only_assignment(np.ones(4), budget=(1, 1))
+        a = error_only_topk(np.ones(4), budget=(1, 1))
         assert a.bits.tolist() == [16, 4, 2, 2]
 
     def test_salience_topk_ranks_by_salience(self):
-        a = salience_topk_assignment(np.array([0.0, 5.0, 1.0]), budget=(1, 1))
+        a = salience_topk(np.array([0.0, 5.0, 1.0]), budget=(1, 1))
         assert a.bits.tolist() == [2, 16, 4]
 
     def test_full_budget_promotes_everything(self):
-        a = salience_topk_assignment(np.array([0.4, 0.2, 0.9]), budget=(3, 0))
+        a = salience_topk(np.array([0.4, 0.2, 0.9]), budget=(3, 0))
         assert a.bits.tolist() == [16, 16, 16]
 
     def test_budget_exceeding_channels_rejected(self):
         with pytest.raises(InvalidInput):
-            salience_topk_assignment(np.ones(3), budget=(2, 2))
+            salience_topk(np.ones(3), budget=(2, 2))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(InvalidInput):
-            error_only_assignment(np.ones(3), budget=(-1, 0))
+            error_only_topk(np.ones(3), budget=(-1, 0))
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(InvalidInput):
-            salience_topk_assignment(np.array([1.0, np.nan]), budget=(1, 0))
+            salience_topk(np.array([1.0, np.nan]), budget=(1, 0))
 
     def test_budget_controls_tier_counts_exactly(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             scores = rng.uniform(size=10)
             n_full, n_mid = rng.integers(0, 5), rng.integers(0, 5)
-            a = salience_topk_assignment(scores, budget=(int(n_full), int(n_mid)))
+            a = salience_topk(scores, budget=(int(n_full), int(n_mid)))
             assert a.tier_counts() == (n_full, n_mid, 10 - n_full - n_mid)
 
 
@@ -160,6 +180,6 @@ class TestDegenerateEquivalence:
             sens = rng.uniform(0.0, 5.0, size=16)
             c = float(rng.uniform(0.1, 10.0))
             budget = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
-            lhs = salience_topk_assignment(c * sens, budget)
-            rhs = error_only_assignment(sens, budget)
+            lhs = salience_topk(c * sens, budget)
+            rhs = error_only_topk(sens, budget)
             assert lhs == rhs

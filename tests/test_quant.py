@@ -91,6 +91,13 @@ class TestQuantizeGroup:
         with pytest.raises(InvalidInput):
             quantize_group([0.0, np.inf], BitWidth.UINT4)
 
+    def test_overflowing_range_rejected(self):
+        # max - min overflows, or the top level's decode c * s + z does
+        with pytest.raises(InvalidInput):
+            quantize_group([-1e308, 1e308], BitWidth.UINT4)
+        with pytest.raises(InvalidInput):
+            quantize_group([0.0, np.finfo(np.float64).max], BitWidth.UINT2)
+
     def test_full_precision_width_rejected(self):
         # 16 marks pass-through storage, it is not a quantizer width
         with pytest.raises(InvalidInput):
@@ -182,6 +189,34 @@ def test_reconstruction_error_within_half_scale(values, bits):
     x = np.asarray(values, dtype=np.float64)
     x_hat = dequantize_group(g)
     slack = 8 * np.spacing(np.maximum(np.abs(x), np.abs(x_hat)))
+    assert np.all(np.abs(x - x_hat) <= g.scale / 2 + slack)
+
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            st.sampled_from([np.finfo(np.float64).max, -np.finfo(np.float64).max, 0.0]),
+        ),
+        min_size=1,
+        max_size=16,
+    ),
+    bits=st.sampled_from([BitWidth.UINT2, BitWidth.UINT4]),
+)
+@settings(max_examples=300, deadline=None)
+def test_extreme_magnitudes_keep_bound_or_raise(values, bits):
+    # a range that overflows float64 must fail loudly, never decode to NaN
+    x = np.asarray(values, dtype=np.float64)
+    try:
+        g = quantize_group(values, bits)
+    except InvalidInput:
+        assert np.max(np.abs(x)) >= np.finfo(np.float64).max / 4
+        return
+    x_hat = dequantize_group(g)
+    assert np.all(np.isfinite(x_hat))
+    # capped so that the spacing of the largest float stays finite
+    magnitude = np.minimum(np.maximum(np.abs(x), np.abs(x_hat)), np.finfo(np.float64).max / 2)
+    slack = 8 * np.spacing(magnitude)
     assert np.all(np.abs(x - x_hat) <= g.scale / 2 + slack)
 
 

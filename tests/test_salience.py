@@ -17,10 +17,8 @@ from kvmix import (
     InvalidThresholds,
     PrecisionAssignment,
     QueryAccumulator,
-    aggregate_gqa_importance,
     apply_rope,
     assign_precision,
-    importance_score,
     salience_score,
     sensitivity_score,
 )
@@ -89,7 +87,7 @@ class TestQueryAccumulator:
 
     def test_importance_score_helper(self):
         acc = QueryAccumulator(2).add(np.array([[1.0, -2.0], [3.0, -4.0]]))
-        np.testing.assert_array_equal(importance_score(acc), [2.0, 3.0])
+        np.testing.assert_array_equal(acc.importance(), [2.0, 3.0])
 
 
 class TestSensitivityScore:
@@ -112,6 +110,10 @@ class TestSensitivityScore:
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidInput):
             sensitivity_score(np.zeros((0, 2)))
+
+    def test_overflowing_range_rejected(self):
+        with pytest.raises(InvalidInput):
+            sensitivity_score(np.array([[-1e308, 0.0], [1e308, 0.0]]))
 
 
 class TestSalienceScore:
@@ -202,36 +204,6 @@ def test_tiering_covariant_under_joint_scaling(seed, n, factor):
     hits = np.any(np.isclose(salience[:, None], [[tau_full, tau_mid]], rtol=1e-9))
     if not hits:
         assert scaled.bits.tolist() == base.bits.tolist()
-
-
-class TestGQAAggregation:
-    def test_two_heads_merge(self):
-        a = QueryAccumulator(1).add(np.array([[2.0], [2.0]]))
-        b = QueryAccumulator(1).add(np.array([[4.0], [4.0]]))
-        merged = aggregate_gqa_importance([a, b], heads_per_kv_group=2)
-        assert merged.count == 4
-        np.testing.assert_array_equal(merged.importance(), [3.0])
-
-    def test_group_size_mismatch_rejected(self):
-        a = QueryAccumulator(1).add(np.array([[1.0]]))
-        with pytest.raises(InvalidInput):
-            aggregate_gqa_importance([a], heads_per_kv_group=2)
-
-    def test_zero_heads_rejected(self):
-        with pytest.raises(InvalidInput):
-            aggregate_gqa_importance([], heads_per_kv_group=0)
-
-    def test_dim_mismatch_rejected(self):
-        a = QueryAccumulator(1).add(np.array([[1.0]]))
-        b = QueryAccumulator(2).add(np.array([[1.0, 1.0]]))
-        with pytest.raises(InvalidInput):
-            aggregate_gqa_importance([a, b], heads_per_kv_group=2)
-
-    def test_count_mismatch_rejected(self):
-        a = QueryAccumulator(1).add(np.array([[1.0]]))
-        b = QueryAccumulator(1).add(np.array([[1.0], [1.0]]))
-        with pytest.raises(InvalidInput):
-            aggregate_gqa_importance([a, b], heads_per_kv_group=2)
 
 
 class TestRotaryMap:

@@ -18,7 +18,6 @@ from kvmix import (
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
-    pareto_search,
     select_under_budget,
     threshold_grid,
 )
@@ -53,6 +52,10 @@ class TestThresholdGrid:
     def test_empty_range_rejected(self):
         with pytest.raises(InvalidInput):
             threshold_grid(2.0, 1.0, 4)
+
+    def test_infinite_bound_rejected(self):
+        with pytest.raises(InvalidInput):
+            threshold_grid(0.1, np.inf, 3)
 
 
 class TestDominance:
@@ -210,7 +213,7 @@ class TestEvaluation:
         )
         log = evaluate_grid(spec)
         assert len(log) == 4 * 5 // 2
-        front = pareto_search(spec)
+        front = pareto_frontier(evaluate_grid(spec))
         assert front == pareto_frontier(log)
         evaluated = coords(log)
         assert coords(front) <= evaluated
