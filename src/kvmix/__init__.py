@@ -23,10 +23,13 @@ Typical use:
     keys_hat = cache.reconstruct_keys()     # dequantized view
     bits = cache.effective_bitwidth()       # mean stored bits per key element
 
-The attention module scores policies by replaying decoding step by step
-(decode_simulation), and the search module sweeps the two salience
-thresholds and returns the fidelity / bit-width Pareto frontier. The
-same experiments are scriptable through the `kvmix` command line tool.
+The attention module scores policies by the errors a step-by-step decode
+would see (decode_simulation): flushed blocks never change, so every
+step's reconstructed prefix follows from one final reconstruction and a
+mask of the tokens flushed by then, evaluated in a few matrix passes.
+The search module sweeps the two salience thresholds and returns the
+fidelity / bit-width Pareto frontier. The same experiments are
+scriptable through the `kvmix` command line tool.
 """
 
 from .attention import (

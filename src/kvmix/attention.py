@@ -8,10 +8,12 @@ dot-product attention. Two error views are reported:
 - the post-softmax output error between attention computed on the exact
   (K, V) and on the cache's reconstructions (K_hat, V_hat).
 
-decode_simulation() replays a sequence token by token the way a decoder
-would: each step appends one (k, v, q) row to the cache, then attends the
-new query over the reconstructed prefix. Errors are aggregated over all
-steps into a FidelityReport.
+decode_simulation() measures what a decoder would see if it fed a sequence
+to the cache token by token and attended each new query over the
+reconstructed prefix. Flushed blocks never change, so the prefix seen at
+every step follows from one final reconstruction and a mask of which
+tokens had been flushed by then; all steps are evaluated in a few chunked
+matrix passes and their errors aggregated into a FidelityReport.
 
 PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
@@ -110,6 +112,11 @@ class FidelityReport:
     output_error_frobenius: float
     effective_bits: float
     policy_label: str
+
+
+# Query rows per matrix pass in decode_simulation: at length 2048 each
+# (rows, prefix) float64 matrix stays near 4 MB.
+_DECODE_CHUNK = 256
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -237,11 +244,26 @@ def decode_simulation(
     """Replay a sequence through the cache and measure attention fidelity.
 
     `source` is either a concrete AttentionInstance (a trace; `seed` is
-    then ignored) or a PlantedSpec to materialize with `seed`. At step t
-    the row (k_t, v_t, q_t) enters the cache, then q_t attends over the
-    reconstructed prefix [0, t] and over the exact prefix; logit and
-    output errors accumulate across steps. Source tensors are taken as
-    already rotated (see apply_rope).
+    then ignored) or a PlantedSpec to materialize with `seed`. The result
+    is that of a decoder which, at step t, appends row (k_t, v_t, q_t) and
+    attends q_t over the cache's reconstruction of the prefix [0, t] and
+    over the exact prefix, accumulating logit and output errors across
+    the first `steps` steps. Source tensors are taken as already rotated
+    (see apply_rope).
+
+    Blocks never change once flushed, so that prefix is known in closed
+    form: token j reads back as its final reconstruction once a flush has
+    covered it, j < ((t + 1) // residual_len) * residual_len, and exactly
+    before that. The rows are therefore ingested once, reconstructed
+    once, and every step is evaluated together, in chunks of query rows,
+    through a flushed mask F:
+
+        E        = (Q (K - K_hat)^T) o F             logit error
+        W, W_hat = causal softmax of Q K^T s and (Q K^T - E) s
+        out diff = (W - W_hat) V + (W_hat o F) (V - V_hat)
+
+    with s = 1/sqrt(dim). Exact rows cancel before any rounding, so a
+    lossless cache gives errors of exactly 0.
 
     Under the FULL_PRECISION policy value quantization is disabled too,
     so the run is lossless end to end. With return_cache=True the final
@@ -264,30 +286,38 @@ def decode_simulation(
     if config.heads_per_kv_group != 1:
         raise InvalidInput("the decode simulation drives a single query head")
 
-    queries, keys, values = inst.queries, inst.keys, inst.values
-
+    queries = inst.queries[:steps]
+    keys = inst.keys[:steps]
+    values = inst.values[:steps]
     cache = MixedKVCache(config, policy)
+    cache.extend(keys, values, queries)
+    k_hat = cache.reconstruct_keys()
+    value_err = values - cache.reconstruct_values()
+
+    residual = config.residual_len
     sq_logit = 0.0
     max_logit = 0.0
     sq_output = 0.0
-    for t in range(steps):
-        cache.append(keys[t], values[t], queries[t], position=t)
-        k_hat = cache.reconstruct_keys()
-        v_hat = cache.reconstruct_values()
-        prefix = slice(0, t + 1)
-        q_t = queries[t]
+    for lo in range(0, steps, _DECODE_CHUNK):
+        hi = min(lo + _DECODE_CHUNK, steps)
+        step = np.arange(lo, hi)[:, None]
+        token = np.arange(hi)[None, :]
+        # At step t the cache has flushed the first ((t+1)//R)*R tokens;
+        # those read back as their frozen reconstruction, the rest exactly.
+        flushed = token < (step + 1) // residual * residual
+        future = token > step
+        q = queries[lo:hi]
 
-        err_row = attention_error(q_t, keys[prefix], k_hat)
-        sq_logit += float(np.dot(err_row[0], err_row[0]))
-        if err_row.size:
-            max_logit = max(max_logit, float(np.abs(err_row).max()))
+        err = attention_error(q, keys[:hi], k_hat[:hi])
+        err[~flushed] = 0.0
+        sq_logit += float(np.sum(err * err))
+        max_logit = max(max_logit, float(np.abs(err).max()))
 
-        _, out_exact = attention_exact(
-            q_t, keys[prefix], values[prefix], causal=False, scale=inst.scale
-        )
-        _, out_approx = attention_exact(q_t, k_hat, v_hat, causal=False, scale=inst.scale)
-        diff = out_exact - out_approx
-        sq_output += float(np.dot(diff[0], diff[0]))
+        exact = q @ keys[:hi].T
+        weights = _softmax_rows(np.where(future, -np.inf, exact * inst.scale))
+        weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * inst.scale))
+        diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
+        sq_output += float(np.sum(diff * diff))
 
     try:
         effective_bits = cache.effective_bitwidth()

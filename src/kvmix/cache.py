@@ -34,7 +34,20 @@ import numpy as np
 
 from .errors import InvalidInput, NothingToFlush, UndefinedMetric
 from .policies import AllocationPolicy, PolicyKind, resolve_assignment
-from .quant import BitWidth, QuantizedGroup, dequantize_group, quantize_group
+# quantize_group and dequantize_group are bound here, unused, so that tools
+# which wrap the quantizer where the cache looks it up keep names to patch.
+# Blocks are built and decoded by the batch forms _quantize_column_runs and
+# _dequantize_column_runs, which give bit-identical groups and values.
+from .quant import (  # noqa: F401
+    _QUANT_WIDTHS,
+    BitWidth,
+    QuantizedGroup,
+    _as_bitwidth,
+    _dequantize_column_runs,
+    _quantize_column_runs,
+    dequantize_group,
+    quantize_group,
+)
 from .salience import (
     PrecisionAssignment,
     QueryAccumulator,
@@ -90,7 +103,7 @@ class CacheConfig:
         tau_full, tau_mid = check_thresholds(self.tau_full, self.tau_mid)
         object.__setattr__(self, "tau_full", tau_full)
         object.__setattr__(self, "tau_mid", tau_mid)
-        object.__setattr__(self, "value_bits", BitWidth(int(self.value_bits)))
+        object.__setattr__(self, "value_bits", _as_bitwidth(self.value_bits))
         if self.heads_per_kv_group < 1:
             raise InvalidInput("heads_per_kv_group must be positive")
 
@@ -131,10 +144,12 @@ class KeyBlock:
                 out = np.empty((self.length, self.assignment.dim), dtype=np.float64)
                 if self.outlier_channels.size:
                     out[:, self.outlier_channels] = self.outlier_columns
-                for channel, runs in self.groups.items():
-                    out[:, channel] = np.concatenate(
-                        [dequantize_group(g) for g in runs]
-                    )
+                for width in _QUANT_WIDTHS:
+                    channels = self.assignment.channels_at(width).tolist()
+                    if channels:
+                        out[:, channels] = _dequantize_column_runs(
+                            [self.groups[c] for c in channels]
+                        ).T
                 self._dense = out
         return self._dense
 
@@ -160,16 +175,8 @@ class ValueBlock:
             if self.is_exact:
                 self._dense = self.values_exact
             else:
-                out = np.empty((self.length, self.dim), dtype=np.float64)
-                for i, runs in enumerate(self.rows):
-                    out[i] = np.concatenate([dequantize_group(g) for g in runs])
-                self._dense = out
+                self._dense = _dequantize_column_runs(self.rows)
         return self._dense
-
-
-def _token_runs(length: int, group_size: int):
-    for lo in range(0, length, group_size):
-        yield lo, min(lo + group_size, length)
 
 
 class MixedKVCache:
@@ -358,14 +365,13 @@ class MixedKVCache:
         )
 
         outliers = assignment.channels_at(BitWidth.FULL)
-        groups: dict[int, tuple[QuantizedGroup, ...]] = {}
-        for channel in np.flatnonzero(assignment.bits != 16):
-            width = BitWidth(int(assignment.bits[channel]))
-            column = keys[:, channel]
-            groups[int(channel)] = tuple(
-                quantize_group(column[lo:hi], width)
-                for lo, hi in _token_runs(length, self.config.group_size)
-            )
+        by_channel: dict[int, tuple[QuantizedGroup, ...]] = {}
+        for width in _QUANT_WIDTHS:
+            channels = assignment.channels_at(width)
+            if channels.size:
+                runs = _quantize_column_runs(keys[:, channels], width, self.config.group_size)
+                by_channel.update(zip(channels.tolist(), runs))
+        groups = {channel: by_channel[channel] for channel in sorted(by_channel)}
         key_block = KeyBlock(
             start=start,
             length=length,
@@ -384,11 +390,7 @@ class MixedKVCache:
             )
         else:
             rows = tuple(
-                tuple(
-                    quantize_group(row[lo:hi], self.config.value_bits)
-                    for lo, hi in _token_runs(row.shape[0], self.config.group_size)
-                )
-                for row in values
+                _quantize_column_runs(values.T, self.config.value_bits, self.config.group_size)
             )
             value_block = ValueBlock(
                 start=start,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .quant import BitWidth
+from .quant import BitWidth, _as_bitwidth
 from .salience import PrecisionAssignment, assign_precision, salience_score
 
 __all__ = [
@@ -57,7 +57,7 @@ class AllocationPolicy:
         if self.kind == PolicyKind.FIXED_UNIFORM:
             if self.bits is None:
                 raise InvalidInput("fixed-uniform policy needs a bit width")
-            width = BitWidth(int(self.bits))
+            width = _as_bitwidth(self.bits)
             if width == BitWidth.FULL:
                 raise InvalidInput("use the full-precision policy instead of fixed-uniform 16")
             object.__setattr__(self, "bits", width)
@@ -88,7 +88,7 @@ class AllocationPolicy:
 
     @classmethod
     def fixed_uniform(cls, bits) -> "AllocationPolicy":
-        return cls(PolicyKind.FIXED_UNIFORM, bits=BitWidth(int(bits)))
+        return cls(PolicyKind.FIXED_UNIFORM, bits=_as_bitwidth(bits))
 
     @classmethod
     def full_precision(cls) -> "AllocationPolicy":

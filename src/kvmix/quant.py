@@ -64,7 +64,7 @@ _QUANT_WIDTHS = (BitWidth.UINT2, BitWidth.UINT4)
 def _as_bitwidth(bits) -> BitWidth:
     try:
         return BitWidth(int(bits))
-    except ValueError:
+    except (TypeError, ValueError):
         raise InvalidInput(f"bit width must be one of {{2, 4, 16}}, got {bits!r}")
 
 
@@ -157,6 +157,77 @@ def quantize_group(values, bits) -> QuantizedGroup:
         codes = _round_half_away((x - zero_point) / scale)
         codes = np.clip(codes, 0, levels).astype(np.uint8)
     return QuantizedGroup(pack_codes(codes, width), zero_point, scale)
+
+
+def _quantize_column_runs(
+    x: np.ndarray, bits, group_size: int
+) -> list[tuple[QuantizedGroup, ...]]:
+    """Quantize every column of an (L, C) matrix in runs of group_size rows.
+
+    Returns one tuple of groups per column; each group equals what
+    quantize_group returns for that run (same zero point, scale, rounding,
+    clamp, overflow check and packing), but the arithmetic is one numpy
+    pass over all full runs plus one over a partial last run, not one
+    call per group. Rows are assumed finite. A run whose range overflows
+    raises InvalidInput before any group is built.
+    """
+    width = _require_quant_width(bits)
+    levels = 2 ** int(width) - 1
+    length, n_cols = x.shape
+    cut = length - length % group_size
+    shifts = np.arange(int(width), dtype=np.uint8)
+    batches = []
+    for lo, hi, size in ((0, cut, group_size), (cut, length, length - cut)):
+        if hi == lo:
+            continue
+        runs = x[lo:hi].reshape(-1, size, n_cols)
+        zero = runs.min(axis=1)
+        with np.errstate(over="ignore"):
+            scale = (runs.max(axis=1) - zero) / levels
+            top = levels * scale + zero
+        if not np.all(np.isfinite(top)):
+            raise InvalidInput("group range overflows float64")
+        y = np.zeros(runs.shape)
+        step = scale[:, None, :]
+        np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
+        codes = np.clip(_round_half_away(y), 0, levels).astype(np.uint8)
+        # One LSB-first bit row per (run, column) group, padded per group.
+        bitrows = (codes.transpose(0, 2, 1)[..., None] >> shifts) & 1
+        packed = np.packbits(bitrows.reshape(*zero.shape, -1), axis=-1, bitorder="little")
+        batches.append((packed, zero.tolist(), scale.tolist(), size))
+
+    columns: list[list[QuantizedGroup]] = [[] for _ in range(n_cols)]
+    for packed, zeros, scales, size in batches:
+        for run_bytes, run_zeros, run_scales in zip(packed, zeros, scales):
+            for column, data, z, s in zip(columns, run_bytes, run_zeros, run_scales):
+                column.append(QuantizedGroup(PackedBuffer(data.tobytes(), width, size), z, s))
+    return [tuple(column) for column in columns]
+
+
+def _dequantize_column_runs(columns) -> np.ndarray:
+    """Decode the output of _quantize_column_runs, one row per column.
+
+    Returns a (C, L) matrix whose row c equals the concatenated
+    dequantize_group of columns[c], value for value: the transpose of
+    the matrix that was quantized. Every column must share one bit width
+    and one run layout, as the columns of one _quantize_column_runs call
+    do. The arithmetic is one numpy pass per run position, not one call
+    per group.
+    """
+    width = int(columns[0][0].bit_width)
+    shifts = np.arange(width, dtype=np.uint8)
+    parts = []
+    for runs in zip(*columns):
+        size = len(runs[0])
+        raw = np.frombuffer(b"".join(g.codes.data for g in runs), dtype=np.uint8)
+        bits = np.unpackbits(
+            raw.reshape(len(runs), -1), axis=1, count=size * width, bitorder="little"
+        )
+        codes = (bits.reshape(len(runs), size, width) << shifts).sum(axis=2, dtype=np.uint8)
+        zero = np.array([g.zero_point for g in runs])
+        scale = np.array([g.scale for g in runs])
+        parts.append(codes.astype(np.float64) * scale[:, None] + zero[:, None])
+    return np.hstack(parts)
 
 
 def dequantize_group(group: QuantizedGroup) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyWindow, InvalidInput, InvalidThresholds
-from .quant import BitWidth
+from .quant import BitWidth, _as_bitwidth
 
 __all__ = [
     "QueryAccumulator",
@@ -128,7 +128,7 @@ def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
     that the score reflects the worst quantization the channel could get.
     Raises InvalidInput when a channel's range overflows float64.
     """
-    width = BitWidth(int(bits))
+    width = _as_bitwidth(bits)
     if width == BitWidth.FULL:
         raise InvalidInput("sensitivity is defined for quantized widths 2 and 4")
     keys = _as_matrix(key_block, "key_block")

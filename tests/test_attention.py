@@ -2,20 +2,28 @@
 decode simulator.
 
 The brute-force double loop in TestAttentionError is the reference the
-vectorized Q (K - K_hat)^T path is checked against.
+vectorized Q (K - K_hat)^T path is checked against, and the step-by-step
+replay step_loop_reference is the reference for decode_simulation's
+closed-form evaluation.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kvmix import (
     AllocationPolicy,
     AttentionInstance,
+    BitWidth,
     CacheConfig,
+    FidelityReport,
     InvalidInput,
+    MixedKVCache,
     PlantedSpec,
+    UndefinedMetric,
     attention_error,
     attention_exact,
     decode_simulation,
@@ -298,3 +306,111 @@ class TestAttentionInstance:
         assert inst.dim == 3
         assert inst.value_dim == 2
         assert inst.scale == pytest.approx(1.0 / math.sqrt(3.0))
+
+
+def step_loop_reference(inst, config, policy, steps) -> FidelityReport:
+    """decode_simulation as a decoder runs it, one token at a time.
+
+    At step t the row (k_t, v_t, q_t) enters the cache, then q_t attends
+    over the cache's reconstruction of the prefix [0, t] and over the
+    exact prefix. Quadratic in Python; kept as the oracle for the
+    closed-form evaluation.
+    """
+    queries, keys, values = inst.queries, inst.keys, inst.values
+    cache = MixedKVCache(config, policy)
+    sq_logit = 0.0
+    max_logit = 0.0
+    sq_output = 0.0
+    for t in range(steps):
+        cache.append(keys[t], values[t], queries[t], position=t)
+        k_hat = cache.reconstruct_keys()
+        v_hat = cache.reconstruct_values()
+        prefix = slice(0, t + 1)
+        q_t = queries[t]
+
+        err_row = attention_error(q_t, keys[prefix], k_hat)
+        sq_logit += float(np.dot(err_row[0], err_row[0]))
+        if err_row.size:
+            max_logit = max(max_logit, float(np.abs(err_row).max()))
+
+        _, out_exact = attention_exact(
+            q_t, keys[prefix], values[prefix], causal=False, scale=inst.scale
+        )
+        _, out_approx = attention_exact(q_t, k_hat, v_hat, causal=False, scale=inst.scale)
+        diff = out_exact - out_approx
+        sq_output += float(np.dot(diff[0], diff[0]))
+
+    try:
+        effective_bits = cache.effective_bitwidth()
+    except UndefinedMetric:
+        effective_bits = 16.0
+    return FidelityReport(
+        e_attn_frobenius=math.sqrt(sq_logit),
+        e_attn_max=max_logit,
+        output_error_frobenius=math.sqrt(sq_output),
+        effective_bits=effective_bits,
+        policy_label=policy.label,
+    )
+
+
+REFERENCE_POLICIES = {
+    "salience": AllocationPolicy.salience(),
+    "salience-budget": AllocationPolicy.salience(budget=(1, 2)),
+    "error-only": AllocationPolicy.error_only(),
+    "fixed-2": AllocationPolicy.fixed_uniform(2),
+    "fixed-4": AllocationPolicy.fixed_uniform(4),
+    "full": AllocationPolicy.full_precision(),
+}
+
+
+@given(
+    dim=st.sampled_from([4, 8]),
+    length=st.integers(min_value=1, max_value=40),
+    group_size=st.sampled_from([1, 2, 4]),
+    runs=st.integers(min_value=1, max_value=3),
+    sink_len=st.integers(min_value=0, max_value=6),
+    steps_cut=st.integers(min_value=0, max_value=10),
+    policy=st.sampled_from(sorted(REFERENCE_POLICIES)),
+    value_bits=st.sampled_from([BitWidth.UINT2, BitWidth.UINT4, BitWidth.FULL]),
+    taus=st.tuples(
+        st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=3.0)
+    ),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+# sink 0 and > 0, steps < length, a partial tail, every policy
+@example(8, 40, 4, 2, 0, 0, "salience", BitWidth.UINT2, (1.5, 0.3), 0)
+@example(8, 40, 4, 2, 3, 5, "salience-budget", BitWidth.UINT2, (1.5, 0.3), 1)
+@example(4, 37, 2, 3, 1, 0, "error-only", BitWidth.UINT4, (1.0, 0.5), 2)
+@example(4, 30, 1, 3, 0, 3, "fixed-2", BitWidth.UINT2, (1.0, 0.5), 3)
+@example(8, 33, 4, 1, 2, 0, "fixed-4", BitWidth.FULL, (1.0, 0.5), 4)
+@example(8, 40, 2, 2, 4, 7, "full", BitWidth.UINT2, (1.0, 0.5), 5)
+def test_closed_form_decode_matches_step_loop(
+    dim, length, group_size, runs, sink_len, steps_cut, policy, value_bits, taus, seed
+):
+    steps = max(1, length - steps_cut)
+    config = CacheConfig(
+        dim=dim,
+        group_size=group_size,
+        residual_len=group_size * runs,
+        sink_len=sink_len,
+        tau_full=max(taus),
+        tau_mid=min(taus),
+        value_bits=value_bits,
+    )
+    spec = PlantedSpec(dim=dim, length=length, n_outlier_scale=1, n_outlier_query=1)
+    inst = spec.materialize(seed)
+    pol = REFERENCE_POLICIES[policy]
+    got = decode_simulation(inst, config, pol, steps=steps)
+    want = step_loop_reference(inst, config, pol, steps)
+    assert got.effective_bits == want.effective_bits
+    assert got.policy_label == want.policy_label
+    # abs_tol covers lossless runs (e.g. group_size 1): the closed form
+    # cancels exact rows to 0.0, the step loop leaves ~1e-16 of rounding
+    for field in ("e_attn_frobenius", "e_attn_max", "output_error_frobenius"):
+        assert math.isclose(
+            getattr(got, field), getattr(want, field), rel_tol=1e-9, abs_tol=1e-12
+        ), field
+    if policy == "full":
+        errors = (got.e_attn_frobenius, got.e_attn_max, got.output_error_frobenius)
+        assert errors == (0.0, 0.0, 0.0)

@@ -4,6 +4,8 @@ reconstruction guarantees, and bit accounting.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kvmix import (
     AllocationPolicy,
@@ -14,6 +16,7 @@ from kvmix import (
     MixedKVCache,
     NothingToFlush,
     UndefinedMetric,
+    quantize_group,
     sensitivity_score,
 )
 
@@ -52,6 +55,12 @@ class TestCacheConfig:
     def test_negative_sink_rejected(self):
         with pytest.raises(InvalidInput):
             CacheConfig(dim=4, sink_len=-1)
+
+    def test_unknown_value_bits_is_a_typed_error(self):
+        with pytest.raises(InvalidInput):
+            CacheConfig(dim=4, value_bits=3)
+        with pytest.raises(InvalidInput):
+            CacheConfig(dim=4, value_bits=None)
 
     def test_value_dim_defaults_to_dim(self):
         cfg = CacheConfig(dim=6)
@@ -126,13 +135,43 @@ class TestResidualProtocol:
             cache.append(bad, np.zeros(8), np.zeros(8))
 
     @pytest.mark.parametrize("sink_len", [0, 1])
-    def test_failed_flush_leaves_cache_unchanged(self, sink_len):
-        cfg = CacheConfig(dim=2, group_size=1, residual_len=sink_len + 2, sink_len=sink_len)
+    @given(
+        group_size=st.sampled_from([1, 2, 4]),
+        runs=st.integers(min_value=1, max_value=3),
+        earlier_flushes=st.integers(min_value=0, max_value=2),
+        target=st.sampled_from(["keys", "values"]),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_failed_flush_leaves_cache_unchanged(
+        self, sink_len, group_size, runs, earlier_flushes, target, seed
+    ):
+        residual = group_size * runs
+        # the overflowing pair must land in one scored block, and a value
+        # pair in one value group
+        assume(residual >= sink_len + 2)
+        assume(target == "keys" or group_size >= 2)
+        cfg = CacheConfig(
+            dim=3, value_dim=4, group_size=group_size, residual_len=residual, sink_len=sink_len
+        )
         cache = MixedKVCache(cfg, AllocationPolicy.salience())
-        zero, q = np.zeros(2), np.ones(2)
-        for _ in range(sink_len):
-            cache.append(zero, zero, q)
-        cache.append([-1e308, 0.0], zero, q)
+        rng = np.random.default_rng(seed)
+
+        def row():
+            # |q| <= 1 keeps importance * sensitivity finite for a 0.9e308 key
+            return rng.normal(size=3), rng.normal(size=4), rng.uniform(-1.0, 1.0, size=3)
+
+        for _ in range(earlier_flushes * residual + residual - 2):
+            cache.append(*row())
+        # the pair spans 1.8e308, which overflows float64: as a key channel
+        # it cannot be scored, as a value group it cannot be quantized
+        k, v, q = row()
+        bad_k, bad_v, bad_q = row()
+        if target == "keys":
+            k[1], bad_k[1] = -0.9e308, 0.9e308
+        else:
+            bad_v[0], bad_v[1] = -0.9e308, 0.9e308
+        cache.append(k, v, q)
 
         def state():
             acc = cache.query_accumulator
@@ -148,18 +187,17 @@ class TestResidualProtocol:
             )
 
         before = state()
-        # the block's key range, 2e308, overflows float64 and cannot be scored
         with pytest.raises(InvalidInput):
-            cache.append([1e308, 0.0], zero, q)
+            cache.append(bad_k, bad_v, bad_q)
         assert state() == before
         # the buffer still flushes at capacity, then keeps doing so
-        cache.append(zero, zero, q)
+        cache.append(*row())
         assert cache.residual_tokens == 0
-        assert cache.flushed_tokens == sink_len + 2
-        for _ in range(cfg.residual_len):
-            cache.append(zero, zero, q)
+        assert cache.flushed_tokens == (earlier_flushes + 1) * residual
+        for _ in range(residual):
+            cache.append(*row())
         assert cache.residual_tokens == 0
-        assert cache.flushed_tokens == 2 * (sink_len + 2)
+        assert cache.flushed_tokens == (earlier_flushes + 2) * residual
 
 
 class TestSinkHandling:
@@ -281,6 +319,45 @@ class TestTierStorage:
                         assert ga.codes.data == gb.codes.data
                         assert ga.zero_point == gb.zero_point
                         assert ga.scale == gb.scale
+
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sink_len=2),  # 6-token scored block: one full run, one partial
+            dict(sink_len=0, value_dim=10, value_bits=BitWidth.UINT4),
+            dict(sink_len=3, group_size=8, residual_len=8, value_dim=6),
+        ],
+    )
+    def test_flushed_groups_equal_scalar_reference(self, overrides):
+        # the flush quantizes whole tiers at once; every group it stores
+        # must equal quantize_group on that group's own slice
+        cfg = small_config(**overrides)
+        cache = MixedKVCache(cfg, AllocationPolicy.salience(budget=(2, 3)))
+        keys, values, _ = feed_random(cache, 20, seed=23)
+        cache.flush()
+        g = cfg.group_size
+        scored = [blk for blk in cache.key_blocks if not blk.is_sink]
+        assert scored
+        for blk in scored:
+            bits = blk.assignment.bits
+            assert list(blk.groups) == np.flatnonzero(bits != 16).tolist()
+            block_keys = keys[blk.start : blk.start + blk.length]
+            for channel, runs in blk.groups.items():
+                column = block_keys[:, channel]
+                assert runs == tuple(
+                    quantize_group(column[lo : lo + g], int(bits[channel]))
+                    for lo in range(0, blk.length, g)
+                )
+        for blk in cache.value_blocks:
+            if blk.is_exact:
+                continue
+            for t, runs in enumerate(blk.rows):
+                row = values[blk.start + t]
+                assert runs == tuple(
+                    quantize_group(row[lo : lo + g], cfg.value_bits)
+                    for lo in range(0, cfg.value_dim, g)
+                )
 
 
 class TestValueStorage:

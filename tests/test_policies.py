@@ -111,6 +111,12 @@ class TestPolicyObjects:
         with pytest.raises(InvalidInput):
             AllocationPolicy.fixed_uniform(16)
 
+    def test_fixed_uniform_unknown_width_is_a_typed_error(self):
+        with pytest.raises(InvalidInput):
+            AllocationPolicy.fixed_uniform(3)
+        with pytest.raises(InvalidInput):
+            AllocationPolicy(PolicyKind.FIXED_UNIFORM, bits=3)
+
     def test_width_on_other_kinds_rejected(self):
         with pytest.raises(InvalidInput):
             AllocationPolicy(PolicyKind.SALIENCE, bits=BitWidth.UINT2)

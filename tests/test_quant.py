@@ -22,6 +22,7 @@ from kvmix import (
     quantize_group,
     unpack_codes,
 )
+from kvmix.quant import _dequantize_column_runs, _quantize_column_runs
 
 
 def codes_of(group: QuantizedGroup) -> np.ndarray:
@@ -253,3 +254,64 @@ def test_codes_stay_in_range(scale, shift, n, seed, bits):
     c = codes_of(g)
     assert c.min() >= 0
     assert c.max() <= 2**int(bits) - 1
+
+
+def scalar_runs(column: np.ndarray, bits, group_size: int) -> tuple[QuantizedGroup, ...]:
+    return tuple(
+        quantize_group(column[lo : lo + group_size], bits)
+        for lo in range(0, column.shape[0], group_size)
+    )
+
+
+@given(
+    length=st.integers(min_value=1, max_value=40),
+    n_cols=st.integers(min_value=1, max_value=6),
+    group_size=st.integers(min_value=1, max_value=9),
+    bits=st.sampled_from([BitWidth.UINT2, BitWidth.UINT4]),
+    discrete=st.booleans(),
+    constant_col=st.integers(min_value=-1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_column_runs_match_scalar_quantizer(
+    length, n_cols, group_size, bits, discrete, constant_col, seed
+):
+    # the flush's batch quantizer against quantize_group, group by group:
+    # identical packed codes, zero point and scale, partial last run and
+    # constant (scale 0) runs included, and the batch decode equal to
+    # dequantize_group value for value
+    rng = np.random.default_rng(seed)
+    if discrete:
+        x = rng.integers(-1, 2, size=(length, n_cols)).astype(np.float64)
+    else:
+        x = rng.normal(size=(length, n_cols)) * 10.0 ** rng.uniform(-3, 3)
+    if 0 <= constant_col < n_cols:
+        x[:, constant_col] = rng.normal()
+    columns = _quantize_column_runs(x, bits, group_size)
+    assert len(columns) == n_cols
+    for c, runs in enumerate(columns):
+        expect = scalar_runs(x[:, c], bits, group_size)
+        assert len(runs) == len(expect)
+        for got, want in zip(runs, expect):
+            assert got.codes == want.codes
+            assert got.zero_point == want.zero_point
+            assert got.scale == want.scale
+            assert type(got.zero_point) is float and type(got.scale) is float
+    decoded = np.stack(
+        [np.concatenate([dequantize_group(g) for g in runs]) for runs in columns]
+    )
+    np.testing.assert_array_equal(_dequantize_column_runs(columns), decoded)
+
+
+@pytest.mark.parametrize("bits", [BitWidth.UINT2, BitWidth.UINT4])
+def test_column_runs_reject_an_overflowing_column(bits):
+    # a range whose max - min overflows, in the partial last run
+    x = np.zeros((6, 3))
+    x[4, 1], x[5, 1] = -1e308, 1e308
+    with pytest.raises(InvalidInput):
+        _quantize_column_runs(x, bits, 4)
+    # a finite range whose top decoded level overflows, in a full run
+    x = np.zeros((6, 3))
+    x[1, 2] = np.finfo(np.float64).max
+    with pytest.raises(InvalidInput):
+        _quantize_column_runs(x, bits, 4)

@@ -115,6 +115,10 @@ class TestSensitivityScore:
         with pytest.raises(InvalidInput):
             sensitivity_score(np.array([[-1e308, 0.0], [1e308, 0.0]]))
 
+    def test_unknown_width_is_a_typed_error(self):
+        with pytest.raises(InvalidInput):
+            sensitivity_score(np.array([[0.0], [1.0]]), 3)
+
 
 class TestSalienceScore:
     def test_elementwise_product(self):
