@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, MixedKVCache
-from .errors import InvalidInput, UndefinedMetric
+from .errors import InvalidInput, UndefinedMetric, check_array, check_count
 from .policies import AllocationPolicy
+from .salience import _as_matrix
 
 __all__ = [
     "AttentionInstance",
@@ -68,23 +69,17 @@ class AttentionInstance:
     planted: PlantedChannels | None = None
 
     def __post_init__(self):
-        q = np.asarray(self.queries, dtype=np.float64)
-        k = np.asarray(self.keys, dtype=np.float64)
-        v = np.asarray(self.values, dtype=np.float64)
-        for name, arr in (("queries", q), ("keys", k), ("values", v)):
-            if arr.ndim != 2 or arr.size == 0:
-                raise InvalidInput(f"{name} must be a non-empty 2-D matrix")
-            if not np.all(np.isfinite(arr)):
-                raise InvalidInput(f"{name} contains non-finite elements")
+        for name in ("queries", "keys", "values"):
+            object.__setattr__(self, name, check_array(getattr(self, name), name, 2))
+        q, k, v = self.queries, self.keys, self.values
+        if min(q.size, k.size, v.size) == 0:
+            raise InvalidInput("queries, keys and values must be non-empty")
         if q.shape != k.shape:
             raise InvalidInput(
                 f"queries {q.shape} and keys {k.shape} must share their shape"
             )
         if v.shape[0] != k.shape[0]:
             raise InvalidInput("values must cover the same tokens as the keys")
-        object.__setattr__(self, "queries", q)
-        object.__setattr__(self, "keys", k)
-        object.__setattr__(self, "values", v)
 
     @property
     def length(self) -> int:
@@ -132,21 +127,14 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
     many query rows as key rows. Returns (weights, outputs): the softmax
     weight matrix and the attended value rows.
     """
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise InvalidInput("queries, keys, and values must be 2-D")
+    q = _as_matrix(queries, "queries")
+    k = check_array(keys, "keys", 2)
+    v = check_array(values, "values", 2)
     if q.shape[1] != k.shape[1]:
         raise InvalidInput("queries and keys disagree on channel count")
     if v.shape[0] != k.shape[0]:
         raise InvalidInput("keys and values disagree on token count")
-    if scale is None:
-        scale = 1.0 / math.sqrt(k.shape[1])
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
-        raise InvalidInput("attention inputs must be finite")
+    scale = 1.0 / math.sqrt(k.shape[1]) if scale is None else check_array(scale, "scale", 0)
     logits = (q @ k.T) * scale
     if causal:
         if q.shape[0] != k.shape[0]:
@@ -159,14 +147,12 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
 
 def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
     """Pre-softmax logit perturbation Q (K - K_hat)^T (unscaled)."""
-    q = np.asarray(queries, dtype=np.float64)
-    k = np.asarray(keys_exact, dtype=np.float64)
-    kh = np.asarray(keys_approx, dtype=np.float64)
-    if q.ndim == 1:
-        q = q[None, :]
+    q = _as_matrix(queries, "queries")
+    k = check_array(keys_exact, "keys_exact", 2)
+    kh = check_array(keys_approx, "keys_approx", 2)
     if k.shape != kh.shape:
         raise InvalidInput("exact and approximate keys must share their shape")
-    if q.ndim != 2 or q.shape[1] != k.shape[1]:
+    if q.shape[1] != k.shape[1]:
         raise InvalidInput("queries and keys disagree on channel count")
     return q @ (k - kh).T
 
@@ -194,10 +180,17 @@ class PlantedSpec:
     query_damp: float = 0.1
 
     def __post_init__(self):
-        if self.dim < 1 or self.length < 1:
-            raise InvalidInput("dim and length must be positive")
-        if min(self.n_outlier_scale, self.n_outlier_query, self.overlap) < 0:
-            raise InvalidInput("outlier counts must be non-negative")
+        if self.value_dim is None:
+            object.__setattr__(self, "value_dim", self.dim)
+        for name, minimum in (
+            ("dim", 1),
+            ("length", 1),
+            ("value_dim", 1),
+            ("n_outlier_scale", 0),
+            ("n_outlier_query", 0),
+            ("overlap", 0),
+        ):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         if self.overlap > min(self.n_outlier_scale, self.n_outlier_query):
             raise InvalidInput("overlap cannot exceed either outlier count")
         if self.n_outlier_scale + self.n_outlier_query - self.overlap > self.dim:
@@ -207,7 +200,7 @@ class PlantedSpec:
 
     def materialize(self, seed: int) -> AttentionInstance:
         dim, ns, overlap = self.dim, self.n_outlier_scale, self.overlap
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(check_count(seed, "seed", 0))
         perm = rng.permutation(dim)
         shared = perm[:overlap]
         scale_channels = np.sort(np.concatenate([shared, perm[overlap:ns]]))
@@ -221,8 +214,7 @@ class PlantedSpec:
         queries = rng.normal(size=(self.length, dim))
         queries[:, query_channels] *= self.query_boost
         queries[:, scale_only] *= self.query_damp
-        value_dim = dim if self.value_dim is None else self.value_dim
-        values = rng.normal(size=(self.length, value_dim))
+        values = rng.normal(size=(self.length, self.value_dim))
         return AttentionInstance(
             queries,
             keys,
@@ -275,10 +267,7 @@ def decode_simulation(
         inst = source
     else:
         raise InvalidInput("source must be an AttentionInstance or a PlantedSpec")
-    if steps is None:
-        steps = inst.length
-    if steps < 1:
-        raise InvalidInput("steps must be positive")
+    steps = inst.length if steps is None else check_count(steps, "steps", 1)
     if steps > inst.length:
         raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
     if inst.dim != config.dim or inst.value_dim != config.value_dim:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, NothingToFlush, UndefinedMetric
+from .errors import InvalidInput, NothingToFlush, UndefinedMetric, check_array, check_count
 from .policies import AllocationPolicy, PolicyKind, resolve_assignment
 # quantize_group and dequantize_group are bound here, unused, so that tools
 # which wrap the quantizer where the cache looks it up keep names to patch.
@@ -83,29 +83,26 @@ class CacheConfig:
     heads_per_kv_group: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidInput("dim must be positive")
-        value_dim = self.dim if self.value_dim is None else int(self.value_dim)
-        if value_dim < 1:
-            raise InvalidInput("value_dim must be positive")
-        object.__setattr__(self, "value_dim", value_dim)
-        if self.group_size < 1:
-            raise InvalidInput("group_size must be positive")
-        if self.residual_len < 1:
-            raise InvalidInput("residual_len must be positive")
+        if self.value_dim is None:
+            object.__setattr__(self, "value_dim", self.dim)
+        for name, minimum in (
+            ("dim", 1),
+            ("value_dim", 1),
+            ("group_size", 1),
+            ("residual_len", 1),
+            ("sink_len", 0),
+            ("heads_per_kv_group", 1),
+        ):
+            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         if self.residual_len % self.group_size != 0:
             raise InvalidInput(
                 f"residual_len {self.residual_len} is not a multiple of "
                 f"group_size {self.group_size}"
             )
-        if self.sink_len < 0:
-            raise InvalidInput("sink_len must be non-negative")
         tau_full, tau_mid = check_thresholds(self.tau_full, self.tau_mid)
         object.__setattr__(self, "tau_full", tau_full)
         object.__setattr__(self, "tau_mid", tau_mid)
         object.__setattr__(self, "value_bits", _as_bitwidth(self.value_bits))
-        if self.heads_per_kv_group < 1:
-            raise InvalidInput("heads_per_kv_group must be positive")
 
     @property
     def thresholds(self) -> tuple[float, float]:
@@ -179,6 +176,16 @@ class ValueBlock:
         return self._dense
 
 
+def _reconstruct(blocks, residual: list[np.ndarray], dim: int) -> np.ndarray:
+    """Every block's dense rows, then the residual rows, as one matrix."""
+    parts = [blk.dense() for blk in blocks]
+    if residual:
+        parts.append(np.array(residual, dtype=np.float64))
+    if not parts:
+        return np.zeros((0, dim), dtype=np.float64)
+    return np.vstack(parts)
+
+
 class MixedKVCache:
     """Streaming KV cache quantized under an allocation policy.
 
@@ -235,30 +242,22 @@ class MixedKVCache:
 
     # -- feeding ------------------------------------------------------
 
-    def _check_row(self, row, dim: int, name: str) -> np.ndarray:
-        arr = np.asarray(row, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] != dim:
-            raise InvalidInput(f"{name} must have shape ({dim},), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput(f"{name} contains non-finite elements")
-        return arr.copy()
-
-    def _check_query(self, q_row) -> np.ndarray:
-        q = np.asarray(q_row, dtype=np.float64)
-        heads = self.config.heads_per_kv_group
-        if q.ndim == 1:
-            if heads != 1:
-                raise InvalidInput(
-                    f"config expects {heads} query heads per token, got a single row"
-                )
-            q = q[None, :]
-        if q.ndim != 2 or q.shape != (heads, self.config.dim):
-            raise InvalidInput(
-                f"q_row must have shape ({heads}, {self.config.dim}), got {q.shape}"
-            )
-        if not np.all(np.isfinite(q)):
-            raise InvalidInput("q_row contains non-finite elements")
-        return q
+    def _check_tokens(self, keys, values, queries, lead: int):
+        """Checked (keys, values, queries) of one token (lead 0) or L (lead 1)."""
+        cfg = self.config
+        k = check_array(keys, "keys", lead + 1)
+        v = check_array(values, "values", lead + 1)
+        q = check_array(queries, "queries", (lead + 1, lead + 2))
+        one_head = q.ndim == lead + 1 and cfg.heads_per_kv_group == 1
+        tokens = k.shape[:lead]
+        for name, arr, shape in (
+            ("keys", k, (cfg.dim,)),
+            ("values", v, (cfg.value_dim,)),
+            ("queries", q, (cfg.dim,) if one_head else (cfg.heads_per_kv_group, cfg.dim)),
+        ):
+            if arr.shape != tokens + shape:
+                raise InvalidInput(f"{name} must have shape {tokens + shape}, got {arr.shape}")
+        return k, v, q
 
     def append(self, k_row, v_row, q_row, position: int | None = None) -> None:
         """Feed one token; auto-flushes when the residual buffer fills.
@@ -270,18 +269,20 @@ class MixedKVCache:
         When the flush this append triggers fails, the cache is left as it
         was before the call and the error propagates.
         """
-        if position is not None and position != self.num_tokens:
+        if position is not None and check_count(position, "position", 0) != self.num_tokens:
             raise InvalidInput(
                 f"position {position} out of order, next token is {self.num_tokens}"
             )
-        k = self._check_row(k_row, self.config.dim, "k_row")
-        v = self._check_row(v_row, self.config.value_dim, "v_row")
-        q = self._check_query(q_row)
+        self._feed(*self._check_tokens(k_row, v_row, q_row, lead=0))
+
+    def _feed(self, k: np.ndarray, v: np.ndarray, q: np.ndarray) -> None:
+        # Row copies: a residual row never aliases the caller's array, nor
+        # keeps a whole extend() block alive until the next flush.
         flushing = len(self._res_keys) + 1 == self.config.residual_len
         saved = self._running.copy() if flushing else None
         self._running.add(q)
-        self._res_keys.append(k)
-        self._res_values.append(v)
+        self._res_keys.append(k.copy())
+        self._res_values.append(v.copy())
         if flushing:
             try:
                 self.flush()
@@ -296,17 +297,14 @@ class MixedKVCache:
 
         `keys` is (L, dim), `values` is (L, value_dim), `queries` is
         (L, dim) or (L, heads_per_kv_group, dim). Equivalent, bit for bit,
-        to L append() calls.
+        to L append() calls. The whole block is checked before its first
+        row is fed, so a block of the wrong shape, or with a non-numeric
+        or non-finite entry, raises InvalidInput and leaves the cache
+        unchanged. A flush that fails partway keeps the rows fed before
+        it, as L append() calls would.
         """
-        keys = np.asarray(keys, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        queries = np.asarray(queries, dtype=np.float64)
-        if keys.ndim != 2 or values.ndim != 2 or queries.ndim not in (2, 3):
-            raise InvalidInput("extend expects stacked rows")
-        if not (keys.shape[0] == values.shape[0] == queries.shape[0]):
-            raise InvalidInput("keys, values, and queries disagree on token count")
-        for i in range(keys.shape[0]):
-            self.append(keys[i], values[i], queries[i])
+        for k, v, q in zip(*self._check_tokens(keys, values, queries, lead=1)):
+            self._feed(k, v, q)
 
     # -- flushing -----------------------------------------------------
 
@@ -404,21 +402,11 @@ class MixedKVCache:
 
     def reconstruct_keys(self) -> np.ndarray:
         """Dequantized view of every stored key row, residual included."""
-        parts = [blk.dense() for blk in self._key_blocks]
-        if self._res_keys:
-            parts.append(np.array(self._res_keys, dtype=np.float64))
-        if not parts:
-            return np.zeros((0, self.config.dim), dtype=np.float64)
-        return np.vstack(parts)
+        return _reconstruct(self._key_blocks, self._res_keys, self.config.dim)
 
     def reconstruct_values(self) -> np.ndarray:
         """Dequantized view of every stored value row, residual included."""
-        parts = [blk.dense() for blk in self._value_blocks]
-        if self._res_values:
-            parts.append(np.array(self._res_values, dtype=np.float64))
-        if not parts:
-            return np.zeros((0, self.config.value_dim), dtype=np.float64)
-        return np.vstack(parts)
+        return _reconstruct(self._value_blocks, self._res_values, self.config.value_dim)
 
     # -- accounting ---------------------------------------------------
 

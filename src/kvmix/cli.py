@@ -37,6 +37,7 @@ from .errors import (
     InvalidInput,
     KVMixError,
     UnsupportedFormat,
+    check_count,
 )
 from .io import (
     TensorDump,
@@ -85,33 +86,23 @@ _STATS_COLUMNS = [
 ]
 
 
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
+def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
+    """`n` comma-separated numbers of type `kind` (int or float)."""
     parts = text.split(",")
-    message = f"{what} must be two comma-separated numbers, got {text!r}"
-    if len(parts) != 2:
-        raise InvalidInput(message)
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise InvalidInput(message) from None
-
-
-def _parse_int_tuple(text: str, n: int, what: str) -> tuple[int, ...]:
-    parts = text.split(",")
-    message = f"{what} must be {n} comma-separated integers, got {text!r}"
+    noun = "integers" if kind is int else "numbers"
+    message = f"{what} must be {n} comma-separated {noun}, got {text!r}"
     if len(parts) != n:
         raise InvalidInput(message)
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(kind(p) for p in parts)
     except ValueError:
         raise InvalidInput(message) from None
 
 
 def _planted_spec(args) -> PlantedSpec:
     """The synthetic workload of `run` and `search`: --dim, --length, --outliers."""
-    ns, nq, ov = _parse_int_tuple(args.outliers, 3, "--outliers")
-    if args.seeds < 1:
-        raise InvalidInput("--seeds must be positive")
+    ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
+    check_count(args.seeds, "--seeds", 1)
     return PlantedSpec(
         dim=args.dim,
         length=args.length,
@@ -152,7 +143,7 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args, dim: int, value_dim: int) -> CacheConfig:
-    tau_full, tau_mid = _parse_pair(args.thresholds, "--thresholds")
+    tau_full, tau_mid = _parse_numbers(args.thresholds, 2, float, "--thresholds")
     return CacheConfig(
         dim=dim,
         value_dim=value_dim,
@@ -230,7 +221,7 @@ def _run_instances(args):
 
 def _cmd_run(args) -> int:
     budget = (
-        _parse_int_tuple(args.budget, 2, "--budget") if args.budget is not None else None
+        _parse_numbers(args.budget, 2, int, "--budget") if args.budget is not None else None
     )
     policies = [_make_policy(args.policy, budget)]
     if args.compare is not None:
@@ -285,7 +276,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    lo, hi = _parse_pair(args.range_, "--range")
+    lo, hi = _parse_numbers(args.range_, 2, float, "--range")
     if args.dump is not None:
         inst = instance_from_dump(_load_dump(args.dump))
         config = _config_from_args(args, inst.dim, inst.value_dim)
@@ -343,11 +334,11 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    tau_full, tau_mid = _parse_pair(args.thresholds, "--thresholds")
+    tau_full, tau_mid = _parse_numbers(args.thresholds, 2, float, "--thresholds")
     if args.dump is not None:
         inst = instance_from_dump(_load_dump(args.dump))
     else:
-        planted = _parse_int_tuple(args.planted, 5, "--planted")
+        planted = _parse_numbers(args.planted, 5, int, "--planted")
         inst = PlantedSpec(*planted).materialize(args.seed)
 
     importance = QueryAccumulator(inst.dim).add(inst.queries).importance()

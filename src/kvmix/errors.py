@@ -3,7 +3,15 @@
 Every failure the library raises deliberately is a subclass of
 :class:`KVMixError`, so callers can catch one type at an API boundary
 (the CLI does exactly that to map failures onto exit codes).
+
+check_count and check_array are the input contract of every public
+function: a non-integral count or a non-numeric, non-finite or
+wrongly shaped array raises InvalidInput.
 """
+
+import operator
+
+import numpy as np
 
 __all__ = [
     "KVMixError",
@@ -57,3 +65,31 @@ class UnsupportedFormat(KVMixError, ValueError):
 
 class CorruptFile(KVMixError, ValueError):
     """A tensor dump is truncated or internally inconsistent."""
+
+
+def check_count(value, name: str, minimum: int) -> int:
+    """`value` as an int; InvalidInput for a non-integer or one below `minimum`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise InvalidInput(f"{name} must be at least {minimum}, got {count}")
+    return count
+
+
+def check_array(x, name: str, ndim) -> np.ndarray:
+    """`x` as a finite float64 array with `ndim` axes (an int or a tuple of ints).
+
+    Raises InvalidInput when `x` does not convert, has another number of
+    axes, or holds a NaN or an infinity.
+    """
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be numeric") from None
+    if arr.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
+        raise InvalidInput(f"{name} must have {ndim} axes, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise InvalidInput(f"{name} contains non-finite elements")
+    return arr

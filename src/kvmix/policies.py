@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_array, check_count
 from .quant import BitWidth, _as_bitwidth
 from .salience import PrecisionAssignment, assign_precision, salience_score
 
@@ -66,10 +66,12 @@ class AllocationPolicy:
         if self.budget is not None:
             if self.kind not in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY):
                 raise InvalidInput(f"{self.kind.value} policy does not take a budget")
-            n_full, n_mid = (int(n) for n in self.budget)
-            if n_full < 0 or n_mid < 0:
-                raise InvalidInput("budget counts must be non-negative")
-            object.__setattr__(self, "budget", (n_full, n_mid))
+            try:
+                n_full, n_mid = self.budget
+            except (TypeError, ValueError):
+                raise InvalidInput(f"budget is a pair (n_full, n_mid), got {self.budget!r}") from None
+            budget = (check_count(n_full, "n_full", 0), check_count(n_mid, "n_mid", 0))
+            object.__setattr__(self, "budget", budget)
 
     @property
     def label(self) -> str:
@@ -88,7 +90,7 @@ class AllocationPolicy:
 
     @classmethod
     def fixed_uniform(cls, bits) -> "AllocationPolicy":
-        return cls(PolicyKind.FIXED_UNIFORM, bits=_as_bitwidth(bits))
+        return cls(PolicyKind.FIXED_UNIFORM, bits=bits)
 
     @classmethod
     def full_precision(cls) -> "AllocationPolicy":
@@ -96,11 +98,9 @@ class AllocationPolicy:
 
 
 def _topk_assignment(scores, budget: tuple[int, int]) -> PrecisionAssignment:
-    vec = np.asarray(scores, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise InvalidInput("scores must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(vec)):
-        raise InvalidInput("scores contain non-finite elements")
+    vec = check_array(scores, "scores", 1)
+    if vec.size == 0:
+        raise InvalidInput("scores must be a non-empty vector")
     n_full, n_mid = budget
     if n_full + n_mid > vec.size:
         raise InvalidInput(
@@ -126,7 +126,7 @@ def resolve_assignment(
     `importance` and `sensitivity` are the block's I and S vectors;
     `thresholds` is the (tau_full, tau_mid) pair used in threshold mode.
     """
-    sens = np.asarray(sensitivity, dtype=np.float64)
+    sens = check_array(sensitivity, "sensitivity", 1)
     if policy.kind == PolicyKind.FULL_PRECISION:
         return PrecisionAssignment(np.full(sens.size, 16, dtype=np.uint8))
     if policy.kind == PolicyKind.FIXED_UNIFORM:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptBuffer, InvalidInput
+from .errors import CorruptBuffer, InvalidInput, check_array, check_count
 
 __all__ = [
     "BitWidth",
@@ -63,9 +63,9 @@ _QUANT_WIDTHS = (BitWidth.UINT2, BitWidth.UINT4)
 
 def _as_bitwidth(bits) -> BitWidth:
     try:
-        return BitWidth(int(bits))
-    except (TypeError, ValueError):
-        raise InvalidInput(f"bit width must be one of {{2, 4, 16}}, got {bits!r}")
+        return BitWidth(check_count(bits, "bit width", 0))
+    except ValueError:
+        raise InvalidInput(f"bit width must be one of {{2, 4, 16}}, got {bits!r}") from None
 
 
 def _require_quant_width(bits) -> BitWidth:
@@ -88,8 +88,7 @@ class PackedBuffer:
     length: int
 
     def __post_init__(self):
-        if self.length < 0:
-            raise InvalidInput("length must be non-negative")
+        check_count(self.length, "length", 0)
         expected = _packed_byte_length(self.length, self.bit_width)
         if len(self.data) != expected:
             raise CorruptBuffer(
@@ -133,18 +132,14 @@ def _round_half_away(y: np.ndarray) -> np.ndarray:
 def quantize_group(values, bits) -> QuantizedGroup:
     """Quantize a non-empty 1-D group of finite reals to `bits`-bit codes.
 
-    Raises InvalidInput for an empty group, non-finite elements, a bit
-    width other than 2 or 4, or a range too wide for float64: one whose
-    max - min, or whose top decoded level, overflows.
+    Raises InvalidInput for an empty, non-numeric or non-finite group, a
+    bit width other than the integer 2 or 4, or a range too wide for
+    float64: one whose max - min, or whose top decoded level, overflows.
     """
     width = _require_quant_width(bits)
-    x = np.asarray(values, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInput(f"a group is 1-D, got shape {x.shape}")
+    x = check_array(values, "group", 1)
     if x.size == 0:
         raise InvalidInput("cannot quantize an empty group")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("group contains non-finite elements")
 
     zero_point = float(x.min())
     levels = 2 ** int(width) - 1

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidInput, InvalidThresholds
+from .errors import EmptyWindow, InvalidInput, InvalidThresholds, check_array, check_count
 from .quant import BitWidth, _as_bitwidth
 
 __all__ = [
@@ -46,14 +46,8 @@ __all__ = [
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise InvalidInput(f"{name} must be a 1-D row or 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} contains non-finite elements")
-    return arr
+    """A checked 2-D matrix, or a checked 1-D row as a one-row matrix."""
+    return np.atleast_2d(check_array(x, name, (1, 2)))
 
 
 class QueryAccumulator:
@@ -69,8 +63,7 @@ class QueryAccumulator:
     __slots__ = ("_abs_sum", "_count")
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise InvalidInput("accumulator dimension must be positive")
+        dim = check_count(dim, "accumulator dimension", 1)
         self._abs_sum = np.zeros(dim, dtype=np.float64)
         self._count = 0
 
@@ -91,13 +84,12 @@ class QueryAccumulator:
     def add(self, q_block) -> "QueryAccumulator":
         """Fold a row or a block of rows into the accumulator.
 
-        An empty block is a no-op. Dimension mismatch or non-finite
-        entries raise InvalidInput.
+        An empty block is a no-op. Dimension mismatch or non-numeric or
+        non-finite entries raise InvalidInput.
         """
-        q = np.asarray(q_block, dtype=np.float64)
+        q = _as_matrix(q_block, "q_block")
         if q.size == 0:
             return self
-        q = _as_matrix(q, "q_block")
         if q.shape[1] != self.dim:
             raise InvalidInput(
                 f"q_block has {q.shape[1]} channels, accumulator expects {self.dim}"
@@ -126,7 +118,9 @@ def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
     `key_block` is T x D (at least one row). By convention the reference
     bit width is 2 regardless of the tier a channel later lands in, so
     that the score reflects the worst quantization the channel could get.
-    Raises InvalidInput when a channel's range overflows float64.
+    Raises InvalidInput for a non-numeric or non-finite block, a width
+    other than the integer 2 or 4, or a channel range that overflows
+    float64.
     """
     width = _as_bitwidth(bits)
     if width == BitWidth.FULL:
@@ -144,12 +138,10 @@ def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
 
 def salience_score(importance, sensitivity) -> np.ndarray:
     """Elementwise product I_d * S_d."""
-    imp = np.asarray(importance, dtype=np.float64)
-    sens = np.asarray(sensitivity, dtype=np.float64)
-    if imp.shape != sens.shape or imp.ndim != 1:
-        raise InvalidInput("importance and sensitivity must be 1-D vectors of equal length")
-    if not (np.all(np.isfinite(imp)) and np.all(np.isfinite(sens))):
-        raise InvalidInput("scores contain non-finite elements")
+    imp = check_array(importance, "importance", 1)
+    sens = check_array(sensitivity, "sensitivity", 1)
+    if imp.shape != sens.shape:
+        raise InvalidInput("importance and sensitivity must be of equal length")
     if np.any(imp < 0) or np.any(sens < 0):
         raise InvalidInput("scores are non-negative by construction")
     return imp * sens
@@ -230,11 +222,9 @@ def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssi
     overlap). Infinite thresholds are legal sentinels: (-inf, -inf) sends
     every channel to full precision, (+inf, +inf) to 2-bit.
     """
-    scores = np.asarray(salience, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise InvalidInput("salience must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(scores)):
-        raise InvalidInput("salience contains non-finite elements")
+    scores = check_array(salience, "salience", 1)
+    if scores.size == 0:
+        raise InvalidInput("salience must be a non-empty vector")
     tau_full, tau_mid = check_thresholds(tau_full, tau_mid)
     bits = np.full(scores.shape, 2, dtype=np.uint8)
     bits[scores > tau_mid] = 4
@@ -246,21 +236,23 @@ def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:
     """Rotate channel pairs (2j, 2j+1) of each row by its position angle.
 
     Row i is rotated by angles positions[i] * theta_base**(-2j / D) for
-    pair index j. The channel count D must be even, and `positions` must
-    supply one entry per row.
+    pair index j. The channel count D must be even, `positions` must
+    supply one finite entry per row, and theta_base must be finite and
+    positive; anything else raises InvalidInput.
     """
     mat = _as_matrix(x, "x")
     rows, dim = mat.shape
     if dim % 2 != 0:
         raise InvalidInput("rotary transform requires an even channel count")
-    pos = np.asarray(positions, dtype=np.float64).reshape(-1)
+    pos = check_array(positions, "positions", (0, 1)).reshape(-1)
     if pos.shape[0] != rows:
         raise InvalidInput(f"{rows} rows need {rows} positions, got {pos.shape[0]}")
-    if theta_base <= 0:
+    theta = check_array(theta_base, "theta_base", 0)
+    if theta <= 0:
         raise InvalidInput("theta_base must be positive")
 
     pair_exp = np.arange(dim // 2, dtype=np.float64) * (-2.0 / dim)
-    angles = pos[:, None] * (theta_base ** pair_exp)[None, :]
+    angles = pos[:, None] * (theta ** pair_exp)[None, :]
     cos, sin = np.cos(angles), np.sin(angles)
     even, odd = mat[:, 0::2], mat[:, 1::2]
     out = np.empty_like(mat)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attention import AttentionInstance, PlantedSpec, decode_simulation
 from .cache import CacheConfig
-from .errors import BudgetInfeasible, InvalidInput
+from .errors import BudgetInfeasible, InvalidInput, check_count
 from .policies import AllocationPolicy
 
 __all__ = [
@@ -67,7 +67,7 @@ class SearchSpec:
             raise InvalidInput("search needs at least one seed")
         _check_grid(self.lo, self.hi, self.grid_points)
         object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(check_count(s, "seed", 0) for s in self.seeds))
 
     def materialized(self) -> tuple[AttentionInstance, ...]:
         out = []
@@ -84,8 +84,7 @@ class SearchSpec:
 
 
 def _check_grid(lo: float, hi: float, grid_points: int) -> None:
-    if grid_points < 1:
-        raise InvalidInput("grid must contain at least one point per axis")
+    check_count(grid_points, "grid_points", 1)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidInput("threshold range must be finite")
     if lo > hi:

@@ -134,6 +134,21 @@ class TestResidualProtocol:
         with pytest.raises(InvalidInput):
             cache.append(bad, np.zeros(8), np.zeros(8))
 
+    def test_fed_rows_do_not_alias_the_callers_arrays(self):
+        rng = np.random.default_rng(3)
+        keys, values, queries = (rng.normal(size=(11, 8)) for _ in range(3))
+        by_block, by_row = MixedKVCache(small_config()), MixedKVCache(small_config())
+        by_block.extend(keys, values, queries)
+        for k, v, q in zip(keys, values, queries):
+            by_row.append(k, v, q)
+        want = (by_block.reconstruct_keys(), by_block.reconstruct_values())
+        keys[:] = 0.0
+        values[:] = 0.0
+        for cache in (by_block, by_row):
+            assert cache.residual_tokens == 3
+            assert np.array_equal(cache.reconstruct_keys(), want[0])
+            assert np.array_equal(cache.reconstruct_values(), want[1])
+
     @pytest.mark.parametrize("sink_len", [0, 1])
     @given(
         group_size=st.sampled_from([1, 2, 4]),

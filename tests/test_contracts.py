@@ -1,0 +1,108 @@
+"""The input contract, one probe per hole it closes.
+
+Non-finite, non-numeric or non-integral input to a public function
+raises InvalidInput: never a NaN returned in silence, a bare TypeError or
+ValueError, or a float count truncated to an int. Cache probes must also
+leave the cache exactly as it was.
+"""
+
+import numpy as np
+import pytest
+
+from kvmix import (
+    AllocationPolicy,
+    CacheConfig,
+    InvalidInput,
+    MixedKVCache,
+    PlantedSpec,
+    QueryAccumulator,
+    SearchSpec,
+    apply_rope,
+    attention_error,
+    attention_exact,
+    decode_simulation,
+    pack_codes,
+    quantize_group,
+    sensitivity_score,
+    threshold_grid,
+)
+
+NAN = float("nan")
+KEYS = np.arange(8.0).reshape(4, 2)
+SMALL = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
+SPEC = PlantedSpec(dim=8, length=16, n_outlier_scale=1, n_outlier_query=1)
+
+PROBES = {
+    "attention_error_nan_key": lambda: attention_error(
+        np.ones((1, 2)), [[NAN, 0.0], [0.0, 0.0]], np.zeros((2, 2))
+    ),
+    "apply_rope_nan_position": lambda: apply_rope(np.ones((1, 4)), [NAN]),
+    "apply_rope_nan_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=NAN),
+    "cache_config_fractional_dim": lambda: CacheConfig(dim=4.5),
+    "planted_spec_fractional_length": lambda: PlantedSpec(dim=16, length=2.5),
+    "threshold_grid_fractional_points": lambda: threshold_grid(0.1, 1.0, 2.5),
+    "decode_simulation_fractional_steps": lambda: decode_simulation(
+        SPEC, SMALL, AllocationPolicy.salience(), steps=2.5
+    ),
+    "quantize_group_strings": lambda: quantize_group(["a", "b"], 2),
+    "accumulator_add_strings": lambda: QueryAccumulator(4).add(["a", "b", "c", "d"]),
+    "salience_fractional_budget": lambda: AllocationPolicy.salience(budget=(1.5, 1)),
+    "fixed_uniform_width_2_7": lambda: AllocationPolicy.fixed_uniform(2.7),
+    "quantize_group_width_4_9": lambda: quantize_group([0.0, 1.0], 4.9),
+    "pack_codes_width_2_5": lambda: pack_codes([0, 1], 2.5),
+    "sensitivity_score_width_2_5": lambda: sensitivity_score(KEYS, 2.5),
+    "cache_config_value_bits_2_5": lambda: CacheConfig(dim=4, value_bits=2.5),
+    "salience_budget_of_three": lambda: AllocationPolicy.salience(budget=(1, 2, 3)),
+    "error_only_scalar_budget": lambda: AllocationPolicy.error_only(budget=5),
+    "attention_exact_nan_scale": lambda: attention_exact(KEYS, KEYS, KEYS, scale=NAN),
+    "planted_spec_fractional_value_dim": lambda: PlantedSpec(dim=8, length=4, value_dim=2.5),
+    "planted_spec_negative_seed": lambda: SPEC.materialize(-1),
+    "search_spec_fractional_seed": lambda: SearchSpec(config=SMALL, instances=(SPEC,), seeds=(2.5,)),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_probe_raises_invalid_input(probe):
+    with pytest.raises(InvalidInput):
+        PROBES[probe]()
+
+
+def _block(n: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.normal(size=(n, SMALL.dim)) for _ in range(3))
+
+
+def _nan_at_row_13():
+    keys, values, queries = _block(20, seed=1)
+    keys[13, 0] = NAN
+    return keys, values, queries
+
+
+def _string_values():
+    keys, _, queries = _block(20, seed=1)
+    return keys, [["a"] * SMALL.dim] * 20, queries
+
+
+CACHE_PROBES = {
+    "extend_nan_key_at_row_13": lambda cache: cache.extend(*_nan_at_row_13()),
+    "extend_string_values": lambda cache: cache.extend(*_string_values()),
+    "append_string_query": lambda cache: cache.append(
+        np.zeros(SMALL.dim), np.zeros(SMALL.dim), ["a"] * SMALL.dim
+    ),
+    "append_float_position": lambda cache: cache.append(
+        np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros(SMALL.dim), position=5.0
+    ),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CACHE_PROBES))
+def test_cache_probe_leaves_cache_unchanged(probe):
+    cache = MixedKVCache(SMALL)
+    cache.extend(*_block(5))
+    before = (cache.num_tokens, cache.flushed_tokens)
+    keys, values = cache.reconstruct_keys(), cache.reconstruct_values()
+    with pytest.raises(InvalidInput):
+        CACHE_PROBES[probe](cache)
+    assert (cache.num_tokens, cache.flushed_tokens) == before
+    assert np.array_equal(cache.reconstruct_keys(), keys)
+    assert np.array_equal(cache.reconstruct_values(), values)
