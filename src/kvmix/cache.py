@@ -157,7 +157,6 @@ class ValueBlock:
 
     start: int
     length: int
-    dim: int
     values_exact: np.ndarray | None = None
     rows: tuple[tuple[QuantizedGroup, ...], ...] | None = None
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -266,45 +265,60 @@ class MixedKVCache:
         (heads_per_kv_group, dim) when several query heads share this KV
         head; every head's row feeds the importance statistics. An
         explicit `position` is checked against the append counter.
-        When the flush this append triggers fails, the cache is left as it
-        was before the call and the error propagates.
+        A rejected append, including one whose flush fails, leaves the
+        cache unchanged and the error propagates.
         """
         if position is not None and check_count(position, "position", 0) != self.num_tokens:
             raise InvalidInput(
                 f"position {position} out of order, next token is {self.num_tokens}"
             )
-        self._feed(*self._check_tokens(k_row, v_row, q_row, lead=0))
+        self._feed([self._check_tokens(k_row, v_row, q_row, lead=0)])
 
-    def _feed(self, k: np.ndarray, v: np.ndarray, q: np.ndarray) -> None:
-        # Row copies: a residual row never aliases the caller's array, nor
-        # keeps a whole extend() block alive until the next flush.
-        flushing = len(self._res_keys) + 1 == self.config.residual_len
-        saved = self._running.copy() if flushing else None
-        self._running.add(q)
-        self._res_keys.append(k.copy())
-        self._res_values.append(v.copy())
-        if flushing:
-            try:
-                self.flush()
-            except BaseException:
-                self._running = saved
-                self._res_keys.pop()
-                self._res_values.pop()
-                raise
+    def _feed(self, rows: list) -> None:
+        """Feed checked (key, value, query) rows in order, all or none.
+
+        Only a flush can fail once the rows are checked, so the state is
+        saved only when the rows reach one. Blocks are append-only, so
+        restoring them is a truncation.
+        """
+        cap = self.config.residual_len
+        if len(self._res_keys) + len(rows) < cap:
+            saved = None
+        else:
+            saved = (
+                self._running.copy(),
+                list(self._res_keys),
+                list(self._res_values),
+                len(self._key_blocks),
+                self._flushed_tokens,
+            )
+        try:
+            for k, v, q in rows:
+                # Row copies: a residual row never aliases the caller's array,
+                # nor keeps a whole extend() block alive until the next flush.
+                self._running.add(q)
+                self._res_keys.append(k.copy())
+                self._res_values.append(v.copy())
+                if len(self._res_keys) == cap:
+                    self.flush()
+        except BaseException:
+            if saved is not None:
+                (self._running, self._res_keys, self._res_values,
+                 n_blocks, self._flushed_tokens) = saved
+                del self._key_blocks[n_blocks:]
+                del self._value_blocks[n_blocks:]
+            raise
 
     def extend(self, keys, values, queries) -> None:
         """Feed a block of tokens row by row (flushing at capacity).
 
         `keys` is (L, dim), `values` is (L, value_dim), `queries` is
-        (L, dim) or (L, heads_per_kv_group, dim). Equivalent, bit for bit,
-        to L append() calls. The whole block is checked before its first
-        row is fed, so a block of the wrong shape, or with a non-numeric
-        or non-finite entry, raises InvalidInput and leaves the cache
-        unchanged. A flush that fails partway keeps the rows fed before
-        it, as L append() calls would.
+        (L, dim) or (L, heads_per_kv_group, dim). A successful extend is
+        equivalent, bit for bit, to L append() calls. A rejected extend,
+        whether its block fails the input check or one of its flushes
+        fails, leaves the cache unchanged.
         """
-        for k, v, q in zip(*self._check_tokens(keys, values, queries, lead=1)):
-            self._feed(k, v, q)
+        self._feed(list(zip(*self._check_tokens(keys, values, queries, lead=1))))
 
     # -- flushing -----------------------------------------------------
 
@@ -313,7 +327,7 @@ class MixedKVCache:
 
         Splits off any sink-region rows first, then scores and quantizes
         the rest under the active policy. Every block is built before any
-        is stored, so a flush that raises leaves the cache unchanged.
+        is stored, so a rejected flush leaves the cache unchanged.
         Raises NothingToFlush when the residual buffer is empty.
         """
         if not self._res_keys:
@@ -331,12 +345,7 @@ class MixedKVCache:
                 KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut])
             )
             value_blocks.append(
-                ValueBlock(
-                    start=start,
-                    length=sink_cut,
-                    dim=self.config.value_dim,
-                    values_exact=values[:sink_cut],
-                )
+                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut])
             )
 
         if sink_cut < length:
@@ -380,22 +389,12 @@ class MixedKVCache:
         )
 
         if self._value_pass_through:
-            value_block = ValueBlock(
-                start=start,
-                length=length,
-                dim=self.config.value_dim,
-                values_exact=values.copy(),
-            )
+            value_block = ValueBlock(start=start, length=length, values_exact=values.copy())
         else:
             rows = tuple(
                 _quantize_column_runs(values.T, self.config.value_bits, self.config.group_size)
             )
-            value_block = ValueBlock(
-                start=start,
-                length=length,
-                dim=self.config.value_dim,
-                rows=rows,
-            )
+            value_block = ValueBlock(start=start, length=length, rows=rows)
         return key_block, value_block
 
     # -- reconstruction -----------------------------------------------

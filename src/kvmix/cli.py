@@ -298,21 +298,12 @@ def _cmd_search(args) -> int:
     log = evaluate_grid(spec)
     frontier = pareto_frontier(log)
 
-    def rows(points):
-        return [
-            {
-                "tau_full": p.tau_full,
-                "tau_mid": p.tau_mid,
-                "b_eff": p.b_eff,
-                "fidelity": p.fidelity,
-            }
-            for p in points
-        ]
-
-    write_records_csv(f"{args.out}_grid.csv", rows(log), _GRID_COLUMNS)
-    write_records_json(f"{args.out}_grid.json", {"config": asdict(config), "points": rows(log)})
-    write_records_csv(f"{args.out}_frontier.csv", rows(frontier), _GRID_COLUMNS)
-    payload = {"config": asdict(config), "frontier": rows(frontier)}
+    grid_rows = [asdict(p) for p in log]
+    frontier_rows = [asdict(p) for p in frontier]
+    write_records_csv(f"{args.out}_grid.csv", grid_rows, _GRID_COLUMNS)
+    write_records_json(f"{args.out}_grid.json", {"config": asdict(config), "points": grid_rows})
+    write_records_csv(f"{args.out}_frontier.csv", frontier_rows, _GRID_COLUMNS)
+    payload = {"config": asdict(config), "frontier": frontier_rows}
 
     print(f"evaluated {len(log)} candidates, frontier size {len(frontier)}")
     for p in frontier:
@@ -322,7 +313,7 @@ def _cmd_search(args) -> int:
         )
     if args.budget is not None:
         chosen = select_under_budget(frontier, args.budget)
-        payload["selected"] = rows([chosen])[0]
+        payload["selected"] = asdict(chosen)
         print(
             f"under budget {args.budget}: thresholds "
             f"({chosen.tau_full:.4f}, {chosen.tau_mid:.4f}), "

@@ -150,10 +150,16 @@ def salience_score(importance, sensitivity) -> np.ndarray:
 def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
     """Validate a (tau_full, tau_mid) pair and return it as floats.
 
-    Raises InvalidThresholds for a NaN threshold or tau_mid > tau_full
-    (the tiers would overlap). Infinite thresholds are legal sentinels.
+    Raises InvalidInput for a threshold that is not a number, and
+    InvalidThresholds for a NaN threshold or tau_mid > tau_full (the tiers
+    would overlap). Infinite thresholds are legal sentinels.
     """
-    tau_full, tau_mid = float(tau_full), float(tau_mid)
+    try:
+        tau_full, tau_mid = float(tau_full), float(tau_mid)
+    except (TypeError, ValueError):
+        raise InvalidInput(
+            f"thresholds must be numbers, got ({tau_full!r}, {tau_mid!r})"
+        ) from None
     if math.isnan(tau_full) or math.isnan(tau_mid):
         raise InvalidThresholds("thresholds must not be NaN")
     if tau_mid > tau_full:
@@ -167,7 +173,8 @@ def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
 class PrecisionAssignment:
     """Per-channel storage widths for one flushed block of keys.
 
-    `bits` holds 16, 4, or 2 per channel. `thresholds` records the
+    `bits` holds 16, 4, or 2 per channel; any other entry, a fraction
+    included, raises InvalidInput. `thresholds` records the
     (tau_full, tau_mid) pair that produced the assignment, or None when it
     came from a budgeted top-k policy instead.
     """
@@ -176,11 +183,12 @@ class PrecisionAssignment:
     thresholds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
-        if arr.ndim != 1 or arr.size == 0:
+        arr = check_array(self.bits, "bits", 1)
+        if arr.size == 0:
             raise InvalidInput("assignment must cover at least one channel")
         if not np.all(np.isin(arr, (2, 4, 16))):
             raise InvalidInput("channel widths must be 2, 4, or 16")
+        arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
         if self.thresholds is not None:

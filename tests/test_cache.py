@@ -33,6 +33,22 @@ def feed_random(cache: MixedKVCache, n: int, seed: int = 0, scale: float = 1.0):
     return keys, values, queries
 
 
+def cache_state(cache: MixedKVCache) -> tuple:
+    """Every public field a rejected feed must leave as it was."""
+    acc = cache.query_accumulator
+    return (
+        cache.num_tokens,
+        cache.residual_tokens,
+        cache.flushed_tokens,
+        len(cache.key_blocks),
+        len(cache.value_blocks),
+        acc.count,
+        acc.abs_sum.tolist(),
+        cache.reconstruct_keys().tolist(),
+        cache.reconstruct_values().tolist(),
+    )
+
+
 def small_config(**overrides) -> CacheConfig:
     base = dict(dim=8, group_size=4, residual_len=8, sink_len=2)
     base.update(overrides)
@@ -188,23 +204,10 @@ class TestResidualProtocol:
             bad_v[0], bad_v[1] = -0.9e308, 0.9e308
         cache.append(k, v, q)
 
-        def state():
-            acc = cache.query_accumulator
-            return (
-                cache.residual_tokens,
-                cache.flushed_tokens,
-                len(cache.key_blocks),
-                len(cache.value_blocks),
-                acc.count,
-                acc.abs_sum.tolist(),
-                cache.reconstruct_keys().tolist(),
-                cache.reconstruct_values().tolist(),
-            )
-
-        before = state()
+        before = cache_state(cache)
         with pytest.raises(InvalidInput):
             cache.append(bad_k, bad_v, bad_q)
-        assert state() == before
+        assert cache_state(cache) == before
         # the buffer still flushes at capacity, then keeps doing so
         cache.append(*row())
         assert cache.residual_tokens == 0
@@ -213,6 +216,61 @@ class TestResidualProtocol:
             cache.append(*row())
         assert cache.residual_tokens == 0
         assert cache.flushed_tokens == (earlier_flushes + 2) * residual
+
+    @pytest.mark.parametrize("sink_len", [0, 1])
+    @given(
+        group_size=st.sampled_from([1, 2, 4]),
+        runs=st.integers(min_value=1, max_value=3),
+        earlier_flushes=st.integers(min_value=0, max_value=2),
+        target=st.sampled_from(["keys", "values"]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_failed_extend_leaves_cache_unchanged(
+        self, sink_len, group_size, runs, earlier_flushes, target, data
+    ):
+        residual = group_size * runs
+        assume(target == "keys" or group_size >= 2)
+        cfg = CacheConfig(
+            dim=3, value_dim=4, group_size=group_size, residual_len=residual, sink_len=sink_len
+        )
+        cache = MixedKVCache(cfg, AllocationPolicy.salience())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+
+        def block(n):
+            # |q| <= 1 keeps importance * sensitivity finite for a 0.9e308 key
+            return (
+                rng.normal(size=(n, 3)),
+                rng.normal(size=(n, 4)),
+                rng.uniform(-1.0, 1.0, size=(n, 3)),
+            )
+
+        lead = data.draw(st.integers(0, residual - 1), label="lead")
+        cache.extend(*block(earlier_flushes * residual + lead))
+        # the block crosses three flush boundaries, and the bad rows sit in
+        # the scored part of the block of one of them
+        keys, values, queries = block(3 * residual - lead + data.draw(st.integers(0, residual)))
+        first = cache.num_tokens
+        flush = earlier_flushes + data.draw(st.integers(0, 2), label="failing flush")
+        lo = max(flush * residual, first, sink_len)
+        hi = (flush + 1) * residual - (2 if target == "keys" else 1)
+        assume(lo <= hi)
+        row = data.draw(st.integers(lo, hi), label="bad row") - first
+        # the pair spans 1.8e308, which overflows float64: as a key channel
+        # it cannot be scored, as a value group it cannot be quantized
+        if target == "keys":
+            keys[row, 1], keys[row + 1, 1] = -0.9e308, 0.9e308
+        else:
+            values[row, 0], values[row, 1] = -0.9e308, 0.9e308
+
+        before = cache_state(cache)
+        with pytest.raises(InvalidInput):
+            cache.extend(keys, values, queries)
+        assert cache_state(cache) == before
+        # the buffer still flushes at capacity
+        cache.extend(*block(residual - lead))
+        assert cache.residual_tokens == 0
+        assert cache.flushed_tokens == (earlier_flushes + 1) * residual
 
 
 class TestSinkHandling:

@@ -7,9 +7,11 @@ installed console script.
 
 import csv
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +310,9 @@ class TestConsoleScript:
         assert (tmp_path / "stats.csv").exists()
 
     def test_module_invocation(self, tmp_path):
+        # the child imports the same kvmix as this test, installed or not
+        package_root = str(Path(kvmix.cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -319,5 +324,6 @@ class TestConsoleScript:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0

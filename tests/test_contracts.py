@@ -15,14 +15,17 @@ from kvmix import (
     InvalidInput,
     MixedKVCache,
     PlantedSpec,
+    PrecisionAssignment,
     QueryAccumulator,
     SearchSpec,
     apply_rope,
+    assign_precision,
     attention_error,
     attention_exact,
     decode_simulation,
     pack_codes,
     quantize_group,
+    resolve_assignment,
     sensitivity_score,
     threshold_grid,
 )
@@ -58,6 +61,18 @@ PROBES = {
     "planted_spec_fractional_value_dim": lambda: PlantedSpec(dim=8, length=4, value_dim=2.5),
     "planted_spec_negative_seed": lambda: SPEC.materialize(-1),
     "search_spec_fractional_seed": lambda: SearchSpec(config=SMALL, instances=(SPEC,), seeds=(2.5,)),
+    "cache_config_string_threshold": lambda: CacheConfig(dim=4, tau_full="x"),
+    "cache_config_none_threshold": lambda: CacheConfig(dim=4, tau_full=None),
+    "cache_config_list_threshold": lambda: CacheConfig(dim=4, tau_mid=[0.1]),
+    "assign_precision_string_threshold": lambda: assign_precision(np.ones(3), "a", 0.5),
+    "resolve_assignment_string_threshold": lambda: resolve_assignment(
+        AllocationPolicy.salience(), np.ones(3), np.ones(3), (1.0, "b")
+    ),
+    "assignment_fractional_bits_2_7": lambda: PrecisionAssignment([2.7, 4, 16]),
+    "assignment_fractional_bits_16_9": lambda: PrecisionAssignment([16.9, 4.2]),
+    "assignment_bits_258": lambda: PrecisionAssignment([258, 4]),
+    "assignment_negative_bits": lambda: PrecisionAssignment([-2, 4]),
+    "assignment_nan_bits": lambda: PrecisionAssignment([NAN, 4]),
 }
 
 
@@ -106,3 +121,16 @@ def test_cache_probe_leaves_cache_unchanged(probe):
     assert (cache.num_tokens, cache.flushed_tokens) == before
     assert np.array_equal(cache.reconstruct_keys(), keys)
     assert np.array_equal(cache.reconstruct_values(), values)
+
+
+def test_extend_overflowing_flush_leaves_fresh_cache_empty():
+    # the second of two flushes in the block cannot score key channel 0,
+    # whose range 2e308 overflows float64; the first flush must be undone
+    cache = MixedKVCache(CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=0))
+    rng = np.random.default_rng(0)
+    keys, values, queries = (rng.normal(size=(20, 4)) for _ in range(3))
+    keys[12, 0], keys[13, 0] = 1e308, -1e308
+    with pytest.raises(InvalidInput):
+        cache.extend(keys, values, queries)
+    assert (cache.num_tokens, cache.flushed_tokens, cache.query_accumulator.count) == (0, 0, 0)
+    assert (len(cache.key_blocks), len(cache.value_blocks)) == (0, 0)
