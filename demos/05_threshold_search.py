@@ -13,29 +13,21 @@ from kvmix import (
     BudgetInfeasible,
     CacheConfig,
     PlantedSpec,
-    SearchSpec,
     evaluate_grid,
     pareto_frontier,
     select_under_budget,
 )
 
-spec = SearchSpec(
-    config=CacheConfig(dim=32, group_size=8, residual_len=32, sink_len=4),
-    instances=(
-        PlantedSpec(dim=32, length=64, n_outlier_scale=4, n_outlier_query=4, overlap=0),
-    ),
-    seeds=(0, 1, 2, 3, 4),
-    # the planted channels carry salience around 10 and the background
-    # sits near 1, so this range spans all-promoted to all-demoted
-    lo=0.1,
-    hi=12.0,
-    grid_points=8,
-)
+config = CacheConfig(dim=32, group_size=8, residual_len=32, sink_len=4)
+spec = PlantedSpec(dim=32, length=64, n_outlier_scale=4, n_outlier_query=4, overlap=0)
+instances = [spec.materialize(s) for s in range(5)]
 
 # Evaluate every ordered pair on the grid (tau_mid <= tau_full). Each
-# candidate runs the decode simulation on every seed and averages.
-log = evaluate_grid(spec)
-print(f"evaluated {len(log)} threshold pairs on {len(spec.seeds)} seeds each")
+# candidate runs the decode simulation on every instance and averages.
+# The planted channels carry salience around 10 and the background sits
+# near 1, so the range 0.1..12 spans all-promoted to all-demoted.
+log = evaluate_grid(instances, config, lo=0.1, hi=12.0, grid_points=8)
+print(f"evaluated {len(log)} threshold pairs on {len(instances)} seeds each")
 
 # Most candidates are dominated: some other pair is at least as good on
 # both objectives and strictly better on one. The frontier is what's

@@ -87,7 +87,6 @@ from .salience import (
 )
 from .search import (
     ParetoPoint,
-    SearchSpec,
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
@@ -121,7 +120,6 @@ __all__ = [
     "PrecisionAssignment",
     "QuantizedGroup",
     "QueryAccumulator",
-    "SearchSpec",
     "TensorDump",
     "UndefinedMetric",
     "UnsupportedFormat",

@@ -53,37 +53,11 @@ from .salience import (
     salience_score,
     sensitivity_score,
 )
-from .search import SearchSpec, evaluate_grid, pareto_frontier, select_under_budget
+from .search import evaluate_grid, pareto_frontier, select_under_budget
 
 __all__ = ["main", "build_parser"]
 
 _POLICY_CHOICES = ("salience", "error-only", "fixed2", "fixed4", "full-precision")
-
-_RUN_COLUMNS = [
-    "policy",
-    "seed",
-    "tau_full",
-    "tau_mid",
-    "budget_full",
-    "budget_mid",
-    "b_eff",
-    "e_attn_frobenius",
-    "e_attn_max",
-    "output_error_frobenius",
-    "metadata_bits_per_key_element",
-    "wall_time_s",
-]
-
-_GRID_COLUMNS = ["tau_full", "tau_mid", "b_eff", "fidelity"]
-
-_STATS_COLUMNS = [
-    "channel",
-    "importance",
-    "sensitivity",
-    "salience",
-    "tier",
-    "pearson_importance_sensitivity",
-]
 
 
 def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
@@ -97,19 +71,6 @@ def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
         return tuple(kind(p) for p in parts)
     except ValueError:
         raise InvalidInput(message) from None
-
-
-def _planted_spec(args) -> PlantedSpec:
-    """The synthetic workload of `run` and `search`: --dim, --length, --outliers."""
-    ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
-    check_count(args.seeds, "--seeds", 1)
-    return PlantedSpec(
-        dim=args.dim,
-        length=args.length,
-        n_outlier_scale=ns,
-        n_outlier_query=nq,
-        overlap=ov,
-    )
 
 
 def _make_policy(name: str, budget: tuple[int, int] | None) -> AllocationPolicy:
@@ -212,10 +173,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_instances(args):
+    """(seed, instance) pairs of `run` and `search`: the --dump trace, or --seeds planted ones."""
     if args.dump is not None:
         inst = instance_from_dump(_load_dump(args.dump))
         return [(0, inst)]
-    spec = _planted_spec(args)
+    ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
+    check_count(args.seeds, "--seeds", 1)
+    spec = PlantedSpec(
+        dim=args.dim,
+        length=args.length,
+        n_outlier_scale=ns,
+        n_outlier_query=nq,
+        overlap=ov,
+    )
     return [(seed, spec.materialize(seed)) for seed in range(args.seeds)]
 
 
@@ -257,7 +227,7 @@ def _cmd_run(args) -> int:
                 }
             )
 
-    write_records_csv(f"{args.out}.csv", records, _RUN_COLUMNS)
+    write_records_csv(f"{args.out}.csv", records, list(records[0]))
     write_records_json(
         f"{args.out}.json",
         {"config": asdict(config), "records": records},
@@ -277,32 +247,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_search(args) -> int:
     lo, hi = _parse_numbers(args.range_, 2, float, "--range")
-    if args.dump is not None:
-        inst = instance_from_dump(_load_dump(args.dump))
-        config = _config_from_args(args, inst.dim, inst.value_dim)
-        instances = (inst,)
-        seeds = (0,)
-    else:
-        instances = (_planted_spec(args),)
-        config = _config_from_args(args, args.dim, args.dim)
-        seeds = tuple(range(args.seeds))
-    spec = SearchSpec(
-        config=config,
-        instances=instances,
-        seeds=seeds,
-        lo=lo,
-        hi=hi,
-        grid_points=args.grid,
-        steps=args.steps,
-    )
-    log = evaluate_grid(spec)
+    instances = [inst for _, inst in _run_instances(args)]
+    config = _config_from_args(args, instances[0].dim, instances[0].value_dim)
+    log = evaluate_grid(instances, config, lo, hi, args.grid, args.steps)
     frontier = pareto_frontier(log)
 
     grid_rows = [asdict(p) for p in log]
     frontier_rows = [asdict(p) for p in frontier]
-    write_records_csv(f"{args.out}_grid.csv", grid_rows, _GRID_COLUMNS)
+    write_records_csv(f"{args.out}_grid.csv", grid_rows, list(grid_rows[0]))
     write_records_json(f"{args.out}_grid.json", {"config": asdict(config), "points": grid_rows})
-    write_records_csv(f"{args.out}_frontier.csv", frontier_rows, _GRID_COLUMNS)
+    write_records_csv(f"{args.out}_frontier.csv", frontier_rows, list(frontier_rows[0]))
     payload = {"config": asdict(config), "frontier": frontier_rows}
 
     print(f"evaluated {len(log)} candidates, frontier size {len(frontier)}")
@@ -352,7 +306,7 @@ def _cmd_stats(args) -> int:
         }
         for d in range(inst.dim)
     ]
-    write_records_csv(args.out, records, _STATS_COLUMNS)
+    write_records_csv(args.out, records, list(records[0]))
     n_full, n_mid, n_low = assignment.tier_counts()
     print(
         f"channels {inst.dim}: {n_full} full / {n_mid} mid / {n_low} low, "

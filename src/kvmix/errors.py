@@ -5,8 +5,8 @@ Every failure the library raises deliberately is a subclass of
 (the CLI does exactly that to map failures onto exit codes).
 
 check_count and check_array are the input contract of every public
-function: a non-integral count or a non-numeric, non-finite or
-wrongly shaped array raises InvalidInput.
+function: a non-integral count or a non-real (strings included),
+non-finite or wrongly shaped array raises InvalidInput.
 """
 
 import operator
@@ -78,14 +78,26 @@ def check_count(value, name: str, minimum: int) -> int:
     return count
 
 
+def _parses_as_non_real(arr: np.ndarray) -> bool:
+    """Whether `arr` holds text or complex numbers, which a float64 cast parses or truncates."""
+    if arr.dtype.kind == "O":
+        return any(isinstance(v, (str, bytes)) for v in arr.flat)
+    return arr.dtype.kind in "USc"
+
+
 def check_array(x, name: str, ndim) -> np.ndarray:
     """`x` as a finite float64 array with `ndim` axes (an int or a tuple of ints).
 
-    Raises InvalidInput when `x` does not convert, has another number of
+    Raises InvalidInput when `x` does not convert, is or holds a string
+    (even a numeric one) or a complex number, has another number of
     axes, or holds a NaN or an infinity.
     """
     try:
-        arr = np.asarray(x, dtype=np.float64)
+        arr = np.asarray(x)
+        if arr.dtype != np.float64:
+            if _parses_as_non_real(arr):
+                raise TypeError
+            arr = arr.astype(np.float64)
     except (TypeError, ValueError):
         raise InvalidInput(f"{name} must be numeric") from None
     if arr.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):

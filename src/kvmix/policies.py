@@ -125,7 +125,12 @@ def resolve_assignment(
 
     `importance` and `sensitivity` are the block's I and S vectors;
     `thresholds` is the (tau_full, tau_mid) pair used in threshold mode.
+    A `thresholds` argument that is not a pair raises InvalidInput.
     """
+    try:
+        tau_full, tau_mid = thresholds
+    except (TypeError, ValueError):
+        raise InvalidInput(f"thresholds is a pair (tau_full, tau_mid), got {thresholds!r}") from None
     sens = check_array(sensitivity, "sensitivity", 1)
     if policy.kind == PolicyKind.FULL_PRECISION:
         return PrecisionAssignment(np.full(sens.size, 16, dtype=np.uint8))
@@ -137,4 +142,4 @@ def resolve_assignment(
         scores = salience_score(importance, sens)
     if policy.budget is not None:
         return _topk_assignment(scores, policy.budget)
-    return assign_precision(scores, *thresholds)
+    return assign_precision(scores, tau_full, tau_mid)

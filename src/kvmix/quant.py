@@ -119,10 +119,22 @@ class QuantizedGroup:
     def __len__(self) -> int:
         return self.codes.length
 
-    @classmethod
-    def from_codes(cls, codes, bits, zero_point: float, scale: float) -> "QuantizedGroup":
-        """Build a group from an explicit code vector (packs it on the way in)."""
-        return cls(pack_codes(codes, bits), float(zero_point), float(scale))
+
+def _pack_bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """Pack uint8 codes (..., n) into bytes (..., ceil(n * width / 8)).
+
+    Each row along the last axis is one buffer: LSB-first within a code
+    and a byte, little-endian across bytes, its last byte zero-padded.
+    """
+    bits = (codes[..., None] >> np.arange(width, dtype=np.uint8)) & 1
+    return np.packbits(bits.reshape(*codes.shape[:-1], -1), axis=-1, bitorder="little")
+
+
+def _unpack_bits(raw: np.ndarray, width: int, n: int) -> np.ndarray:
+    """Invert _pack_bits: uint8 bytes (..., nbytes) back to codes (..., n)."""
+    bits = np.unpackbits(raw, axis=-1, count=n * width, bitorder="little")
+    shifts = np.arange(width, dtype=np.uint8)
+    return (bits.reshape(*raw.shape[:-1], n, width) << shifts).sum(axis=-1, dtype=np.uint8)
 
 
 def _round_half_away(y: np.ndarray) -> np.ndarray:
@@ -170,7 +182,6 @@ def _quantize_column_runs(
     levels = 2 ** int(width) - 1
     length, n_cols = x.shape
     cut = length - length % group_size
-    shifts = np.arange(int(width), dtype=np.uint8)
     batches = []
     for lo, hi, size in ((0, cut, group_size), (cut, length, length - cut)):
         if hi == lo:
@@ -186,9 +197,8 @@ def _quantize_column_runs(
         step = scale[:, None, :]
         np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
         codes = np.clip(_round_half_away(y), 0, levels).astype(np.uint8)
-        # One LSB-first bit row per (run, column) group, padded per group.
-        bitrows = (codes.transpose(0, 2, 1)[..., None] >> shifts) & 1
-        packed = np.packbits(bitrows.reshape(*zero.shape, -1), axis=-1, bitorder="little")
+        # One packed buffer per (run, column) group.
+        packed = _pack_bits(codes.transpose(0, 2, 1), int(width))
         batches.append((packed, zero.tolist(), scale.tolist(), size))
 
     columns: list[list[QuantizedGroup]] = [[] for _ in range(n_cols)]
@@ -210,15 +220,10 @@ def _dequantize_column_runs(columns) -> np.ndarray:
     per group.
     """
     width = int(columns[0][0].bit_width)
-    shifts = np.arange(width, dtype=np.uint8)
     parts = []
     for runs in zip(*columns):
-        size = len(runs[0])
         raw = np.frombuffer(b"".join(g.codes.data for g in runs), dtype=np.uint8)
-        bits = np.unpackbits(
-            raw.reshape(len(runs), -1), axis=1, count=size * width, bitorder="little"
-        )
-        codes = (bits.reshape(len(runs), size, width) << shifts).sum(axis=2, dtype=np.uint8)
+        codes = _unpack_bits(raw.reshape(len(runs), -1), width, len(runs[0]))
         zero = np.array([g.zero_point for g in runs])
         scale = np.array([g.scale for g in runs])
         parts.append(codes.astype(np.float64) * scale[:, None] + zero[:, None])
@@ -255,10 +260,7 @@ def pack_codes(codes, bits) -> PackedBuffer:
     if arr.min() < 0 or arr.max() >= 2 ** int(width):
         raise InvalidInput(f"codes out of range for {int(width)}-bit storage")
 
-    arr = arr.astype(np.uint8)
-    shifts = np.arange(int(width), dtype=np.uint8)
-    bitstream = ((arr[:, None] >> shifts) & 1).reshape(-1)
-    packed = np.packbits(bitstream, bitorder="little")
+    packed = _pack_bits(arr.astype(np.uint8), int(width))
     return PackedBuffer(packed.tobytes(), width, int(arr.size))
 
 
@@ -272,9 +274,4 @@ def unpack_codes(buffer: PackedBuffer) -> np.ndarray:
         raise CorruptBuffer(
             f"packed buffer holds {len(buffer.data)} bytes, expected {expected}"
         )
-    if buffer.length == 0:
-        return np.zeros(0, dtype=np.uint8)
-    raw = np.frombuffer(buffer.data, dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: buffer.length * width]
-    weights = (1 << np.arange(width, dtype=np.uint8)).astype(np.uint8)
-    return (bits.reshape(buffer.length, width) * weights).sum(axis=1).astype(np.uint8)
+    return _unpack_bits(np.frombuffer(buffer.data, dtype=np.uint8), width, buffer.length)

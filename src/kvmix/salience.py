@@ -32,7 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidInput, InvalidThresholds, check_array, check_count
+from .errors import (
+    EmptyWindow,
+    InvalidInput,
+    InvalidThresholds,
+    _parses_as_non_real,
+    check_array,
+    check_count,
+)
 from .quant import BitWidth, _as_bitwidth
 
 __all__ = [
@@ -150,11 +157,15 @@ def salience_score(importance, sensitivity) -> np.ndarray:
 def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
     """Validate a (tau_full, tau_mid) pair and return it as floats.
 
-    Raises InvalidInput for a threshold that is not a number, and
-    InvalidThresholds for a NaN threshold or tau_mid > tau_full (the tiers
-    would overlap). Infinite thresholds are legal sentinels.
+    Raises InvalidInput for a threshold that is not a number (a numeric
+    string included), and InvalidThresholds for a NaN threshold or
+    tau_mid > tau_full (the tiers would overlap). Infinite thresholds are
+    legal sentinels.
     """
     try:
+        # float() would parse a numeric string
+        if _parses_as_non_real(np.asarray(tau_full)) or _parses_as_non_real(np.asarray(tau_mid)):
+            raise TypeError
         tau_full, tau_mid = float(tau_full), float(tau_mid)
     except (TypeError, ValueError):
         raise InvalidInput(
@@ -174,13 +185,10 @@ class PrecisionAssignment:
     """Per-channel storage widths for one flushed block of keys.
 
     `bits` holds 16, 4, or 2 per channel; any other entry, a fraction
-    included, raises InvalidInput. `thresholds` records the
-    (tau_full, tau_mid) pair that produced the assignment, or None when it
-    came from a budgeted top-k policy instead.
+    included, raises InvalidInput.
     """
 
     bits: np.ndarray
-    thresholds: tuple[float, float] | None = None
 
     def __post_init__(self):
         arr = check_array(self.bits, "bits", 1)
@@ -191,8 +199,6 @@ class PrecisionAssignment:
         arr = arr.astype(np.uint8)
         arr.flags.writeable = False
         object.__setattr__(self, "bits", arr)
-        if self.thresholds is not None:
-            object.__setattr__(self, "thresholds", check_thresholds(*self.thresholds))
 
     @property
     def dim(self) -> int:
@@ -217,10 +223,10 @@ class PrecisionAssignment:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrecisionAssignment):
             return NotImplemented
-        return self.thresholds == other.thresholds and np.array_equal(self.bits, other.bits)
+        return np.array_equal(self.bits, other.bits)
 
     def __hash__(self):
-        return hash((self.thresholds, self.bits.tobytes()))
+        return hash(self.bits.tobytes())
 
 
 def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssignment:
@@ -237,7 +243,7 @@ def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssi
     bits = np.full(scores.shape, 2, dtype=np.uint8)
     bits[scores > tau_mid] = 4
     bits[scores > tau_full] = 16
-    return PrecisionAssignment(bits, (tau_full, tau_mid))
+    return PrecisionAssignment(bits)
 
 
 def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:

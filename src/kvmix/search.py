@@ -12,19 +12,17 @@ faithful point under a bit budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionInstance, PlantedSpec, decode_simulation
+from .attention import decode_simulation
 from .cache import CacheConfig
-from .errors import BudgetInfeasible, InvalidInput, check_count
+from .errors import BudgetInfeasible, InvalidInput, check_array, check_count
 from .policies import AllocationPolicy
 
 __all__ = [
     "ParetoPoint",
-    "SearchSpec",
     "threshold_grid",
     "evaluate_candidate",
     "evaluate_grid",
@@ -43,62 +41,18 @@ class ParetoPoint:
     fidelity: float
 
 
-@dataclass(frozen=True)
-class SearchSpec:
-    """A search problem: candidate grid plus the evaluation workload.
-
-    `instances` may mix concrete AttentionInstance objects and
-    PlantedSpec entries; planted specs are materialized once per seed in
-    `seeds`. `steps` caps the simulated decode length (None = full).
-    """
-
-    config: CacheConfig
-    instances: tuple = ()
-    seeds: tuple[int, ...] = (0,)
-    lo: float = 0.1
-    hi: float = 2.0
-    grid_points: int = 20
-    steps: int | None = None
-
-    def __post_init__(self):
-        if not self.instances:
-            raise InvalidInput("search needs at least one evaluation instance")
-        if not self.seeds:
-            raise InvalidInput("search needs at least one seed")
-        _check_grid(self.lo, self.hi, self.grid_points)
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "seeds", tuple(check_count(s, "seed", 0) for s in self.seeds))
-
-    def materialized(self) -> tuple[AttentionInstance, ...]:
-        out = []
-        for entry in self.instances:
-            if isinstance(entry, PlantedSpec):
-                out.extend(entry.materialize(seed) for seed in self.seeds)
-            elif isinstance(entry, AttentionInstance):
-                out.append(entry)
-            else:
-                raise InvalidInput(
-                    "instances must be AttentionInstance or PlantedSpec entries"
-                )
-        return tuple(out)
-
-
-def _check_grid(lo: float, hi: float, grid_points: int) -> None:
-    check_count(grid_points, "grid_points", 1)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidInput("threshold range must be finite")
-    if lo > hi:
-        raise InvalidInput(f"empty threshold range [{lo}, {hi}]")
-
-
 def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, float]]:
     """All (tau_full, tau_mid) grid pairs with tau_mid <= tau_full.
 
     The grid is an even linspace per axis over a finite [lo, hi]; only
     the ordered (upper triangle) pairs are kept, enumerated
-    tau_full-major, ascending.
+    tau_full-major, ascending. A range bound that is not a finite real
+    number, lo > hi, or a grid_points below 1 raises InvalidInput.
     """
-    _check_grid(lo, hi, grid_points)
+    check_count(grid_points, "grid_points", 1)
+    lo, hi = float(check_array(lo, "lo", 0)), float(check_array(hi, "hi", 0))
+    if lo > hi:
+        raise InvalidInput(f"empty threshold range [{lo}, {hi}]")
     axis = np.linspace(lo, hi, grid_points)
     return [
         (float(tf), float(tm))
@@ -136,12 +90,23 @@ def evaluate_candidate(
     )
 
 
-def evaluate_grid(spec: SearchSpec) -> list[ParetoPoint]:
-    """Evaluate every grid candidate; the full log, in grid order."""
-    instances = spec.materialized()
+def evaluate_grid(
+    instances,
+    config: CacheConfig,
+    lo: float = 0.1,
+    hi: float = 2.0,
+    grid_points: int = 20,
+    steps: int | None = None,
+) -> list[ParetoPoint]:
+    """Evaluate every threshold_grid(lo, hi, grid_points) candidate.
+
+    Each candidate is scored by evaluate_candidate on the same instances;
+    the result is the full log, in grid order.
+    """
+    instances = tuple(instances)
     return [
-        evaluate_candidate(tau_full, tau_mid, instances, spec.config, steps=spec.steps)
-        for tau_full, tau_mid in threshold_grid(spec.lo, spec.hi, spec.grid_points)
+        evaluate_candidate(tau_full, tau_mid, instances, config, steps=steps)
+        for tau_full, tau_mid in threshold_grid(lo, hi, grid_points)
     ]
 
 

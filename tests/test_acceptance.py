@@ -21,7 +21,6 @@ from kvmix import (
     CacheConfig,
     MixedKVCache,
     PlantedSpec,
-    SearchSpec,
     assign_precision,
     decode_simulation,
     dequantize_group,
@@ -275,15 +274,8 @@ def test_threshold_search_frontier_is_nondominated():
     force dominance scan and keeps the all-full-precision corner."""
     with criterion("pareto-correctness"):
         started = time.perf_counter()
-        spec = SearchSpec(
-            config=SIM_CONFIG,
-            instances=(SIM_SPEC,),
-            seeds=tuple(range(20)),
-            lo=0.1,
-            hi=2.0,
-            grid_points=10,
-        )
-        log = evaluate_grid(spec)
+        instances = [SIM_SPEC.materialize(seed) for seed in range(20)]
+        log = evaluate_grid(instances, SIM_CONFIG, lo=0.1, hi=2.0, grid_points=10)
         front = pareto_frontier(log)
         front_set = {(p.tau_full, p.tau_mid) for p in front}
 

@@ -17,7 +17,6 @@ from kvmix import (
     PlantedSpec,
     PrecisionAssignment,
     QueryAccumulator,
-    SearchSpec,
     apply_rope,
     assign_precision,
     attention_error,
@@ -60,7 +59,7 @@ PROBES = {
     "attention_exact_nan_scale": lambda: attention_exact(KEYS, KEYS, KEYS, scale=NAN),
     "planted_spec_fractional_value_dim": lambda: PlantedSpec(dim=8, length=4, value_dim=2.5),
     "planted_spec_negative_seed": lambda: SPEC.materialize(-1),
-    "search_spec_fractional_seed": lambda: SearchSpec(config=SMALL, instances=(SPEC,), seeds=(2.5,)),
+    "planted_spec_fractional_seed": lambda: SPEC.materialize(2.5),
     "cache_config_string_threshold": lambda: CacheConfig(dim=4, tau_full="x"),
     "cache_config_none_threshold": lambda: CacheConfig(dim=4, tau_full=None),
     "cache_config_list_threshold": lambda: CacheConfig(dim=4, tau_mid=[0.1]),
@@ -73,6 +72,27 @@ PROBES = {
     "assignment_bits_258": lambda: PrecisionAssignment([258, 4]),
     "assignment_negative_bits": lambda: PrecisionAssignment([-2, 4]),
     "assignment_nan_bits": lambda: PrecisionAssignment([NAN, 4]),
+    "threshold_grid_string_bound": lambda: threshold_grid("x", 1.0, 3),
+    "threshold_grid_none_bound": lambda: threshold_grid(None, 1.0, 3),
+    "threshold_grid_list_bound": lambda: threshold_grid([0.1], 1.0, 3),
+    "quantize_group_numeric_strings": lambda: quantize_group(["1.0", "2.0"], 2),
+    "quantize_group_numeric_bytes": lambda: quantize_group([b"1.0", b"2.0"], 2),
+    "quantize_group_object_strings": lambda: quantize_group(np.array(["1", "2"], dtype=object), 2),
+    "quantize_group_complex": lambda: quantize_group(np.array([1 + 2j, 0.0]), 2),
+    "accumulator_add_numeric_strings": lambda: QueryAccumulator(2).add(["1", "2"]),
+    "cache_config_numeric_string_threshold": lambda: CacheConfig(dim=4, tau_full="1.5"),
+    "cache_config_bytes_threshold": lambda: CacheConfig(dim=4, tau_mid=b"0.5"),
+    "cache_config_string_array_threshold": lambda: CacheConfig(dim=4, tau_full=np.array("1.5")),
+    "assign_precision_numeric_string_threshold": lambda: assign_precision(np.ones(3), 1.0, "0.5"),
+    "resolve_assignment_one_threshold": lambda: resolve_assignment(
+        AllocationPolicy.salience(), np.ones(3), np.ones(3), (1.0,)
+    ),
+    "resolve_assignment_three_thresholds": lambda: resolve_assignment(
+        AllocationPolicy.salience(), np.ones(3), np.ones(3), (1.0, 2.0, 3.0)
+    ),
+    "resolve_assignment_scalar_thresholds": lambda: resolve_assignment(
+        AllocationPolicy.salience(), np.ones(3), np.ones(3), 5
+    ),
 }
 
 
@@ -103,6 +123,9 @@ CACHE_PROBES = {
     "extend_string_values": lambda cache: cache.extend(*_string_values()),
     "append_string_query": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), ["a"] * SMALL.dim
+    ),
+    "append_numeric_string_key": lambda cache: cache.append(
+        ["1"] * SMALL.dim, np.zeros(SMALL.dim), np.zeros(SMALL.dim)
     ),
     "append_float_position": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros(SMALL.dim), position=5.0

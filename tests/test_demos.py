@@ -52,7 +52,6 @@ def test_export_list():
         "PrecisionAssignment",
         "QuantizedGroup",
         "QueryAccumulator",
-        "SearchSpec",
         "TensorDump",
         "UndefinedMetric",
         "UnsupportedFormat",

@@ -115,15 +115,15 @@ class TestQuantizeGroup:
 
 class TestErrorBound:
     def test_bound_is_half_scale(self):
-        g = QuantizedGroup.from_codes([0, 1], BitWidth.UINT2, zero_point=0.0, scale=1.0)
+        g = QuantizedGroup(pack_codes([0, 1], BitWidth.UINT2), zero_point=0.0, scale=1.0)
         assert quantization_error_bound(g) == 0.5
 
     def test_bound_zero_for_degenerate_scale(self):
-        g = QuantizedGroup.from_codes([0, 0], BitWidth.UINT2, zero_point=3.0, scale=0.0)
+        g = QuantizedGroup(pack_codes([0, 0], BitWidth.UINT2), zero_point=3.0, scale=0.0)
         assert quantization_error_bound(g) == 0.0
 
     def test_bound_third_scale_example(self):
-        g = QuantizedGroup.from_codes([0, 3], BitWidth.UINT2, zero_point=0.0, scale=1 / 3)
+        g = QuantizedGroup(pack_codes([0, 3], BitWidth.UINT2), zero_point=0.0, scale=1 / 3)
         assert quantization_error_bound(g) == pytest.approx(1.0 / 6.0)
 
 

@@ -14,7 +14,6 @@ from kvmix import (
     InvalidThresholds,
     ParetoPoint,
     PlantedSpec,
-    SearchSpec,
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
@@ -143,45 +142,18 @@ class TestSelectUnderBudget:
 
 
 class TestSearchSpec:
+    """The inputs of one search: its instances and its threshold range."""
+
     CFG = CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2)
 
     def test_requires_instances(self):
         with pytest.raises(InvalidInput):
-            SearchSpec(config=self.CFG, instances=(), seeds=(0,))
-
-    def test_requires_seeds(self):
-        with pytest.raises(InvalidInput):
-            SearchSpec(
-                config=self.CFG,
-                instances=(PlantedSpec(dim=16, length=16),),
-                seeds=(),
-            )
+            evaluate_grid((), self.CFG)
 
     def test_rejects_inverted_range(self):
         with pytest.raises(InvalidInput):
-            SearchSpec(
-                config=self.CFG,
-                instances=(PlantedSpec(dim=16, length=16),),
-                lo=2.0,
-                hi=0.1,
-            )
-
-    def test_materializes_spec_per_seed(self):
-        spec = SearchSpec(
-            config=self.CFG,
-            instances=(PlantedSpec(dim=16, length=16, n_outlier_scale=2, n_outlier_query=2),),
-            seeds=(0, 1, 2),
-        )
-        instances = spec.materialized()
-        assert len(instances) == 3
-        assert not np.array_equal(instances[0].keys, instances[1].keys)
-
-    def test_concrete_instances_pass_through(self):
-        inst = PlantedSpec(dim=16, length=16, n_outlier_scale=2, n_outlier_query=2).materialize(9)
-        spec = SearchSpec(config=self.CFG, instances=(inst,), seeds=(0, 1, 2))
-        materialized = spec.materialized()
-        assert len(materialized) == 1
-        assert materialized[0] is inst
+            inst = PlantedSpec(dim=16, length=16).materialize(0)
+            evaluate_grid([inst], self.CFG, lo=2.0, hi=0.1)
 
 
 class TestEvaluation:
@@ -203,17 +175,10 @@ class TestEvaluation:
         assert point.b_eff == pytest.approx(np.mean([s.b_eff for s in singles]))
 
     def test_tiny_end_to_end_search(self):
-        spec = SearchSpec(
-            config=self.CFG,
-            instances=(self.SPEC,),
-            seeds=(0, 1),
-            lo=0.05,
-            hi=3.0,
-            grid_points=4,
-        )
-        log = evaluate_grid(spec)
+        insts = [self.SPEC.materialize(s) for s in (0, 1)]
+        log = evaluate_grid(insts, self.CFG, lo=0.05, hi=3.0, grid_points=4)
         assert len(log) == 4 * 5 // 2
-        front = pareto_frontier(evaluate_grid(spec))
+        front = pareto_frontier(evaluate_grid(insts, self.CFG, lo=0.05, hi=3.0, grid_points=4))
         assert front == pareto_frontier(log)
         evaluated = coords(log)
         assert coords(front) <= evaluated
