@@ -11,9 +11,11 @@ immutable storage:
   index list plus dense float columns);
 - 4-bit and 2-bit channels are quantized per channel in runs of
   `group_size` consecutive tokens, each run with its own (zero, scale);
+  each tier holds a packed uint8 code array and (run, channel) zero and
+  scale arrays, and `KeyBlock.groups` is an object view of them;
 - values are quantized per token, in runs of `group_size` consecutive
   elements along the hidden dimension, so no (zero, scale) pair ever
-  spans two tokens.
+  spans two tokens; held the same way, `ValueBlock.rows` is their view.
 
 The first `sink_len` tokens of the sequence are exempt: at flush time they
 are split off into their own full-precision block and never quantized or
@@ -43,6 +45,7 @@ from .quant import (  # noqa: F401
     BitWidth,
     QuantizedGroup,
     _as_bitwidth,
+    _column_groups,
     _dequantize_column_runs,
     _quantize_column_runs,
     dequantize_group,
@@ -114,9 +117,10 @@ class KeyBlock:
     """One immutable flushed block of keys.
 
     Sink blocks carry `keys_exact` and no assignment. Quantized blocks
-    carry the assignment, the full-precision outlier columns, and the
-    packed groups of every 4-/2-bit channel (in token runs of the
-    configured group size).
+    carry the assignment, the full-precision outlier columns, and for
+    each 4-/2-bit tier the arrays that _quantize_column_runs returns for
+    that tier's channels (ascending), in token runs of the configured
+    group size. `groups` is a view of those arrays as objects.
     """
 
     start: int
@@ -125,12 +129,23 @@ class KeyBlock:
     assignment: PrecisionAssignment | None = None
     outlier_channels: np.ndarray | None = None
     outlier_columns: np.ndarray | None = None
-    groups: dict[int, tuple[QuantizedGroup, ...]] | None = None
+    _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_sink(self) -> bool:
         return self.keys_exact is not None
+
+    @property
+    def groups(self) -> dict[int, tuple[QuantizedGroup, ...]] | None:
+        """{channel: its groups} by ascending channel, built on each call; None for a sink."""
+        if self.is_sink:
+            return None
+        by_channel = {}
+        for width, runs in self._runs.items():
+            channels = self.assignment.channels_at(width).tolist()
+            by_channel.update(zip(channels, _column_groups(runs, width)))
+        return {channel: by_channel[channel] for channel in sorted(by_channel)}
 
     def dense(self) -> np.ndarray:
         """Reconstructed (length, dim) block; cached, treat as read-only."""
@@ -141,29 +156,39 @@ class KeyBlock:
                 out = np.empty((self.length, self.assignment.dim), dtype=np.float64)
                 if self.outlier_channels.size:
                     out[:, self.outlier_channels] = self.outlier_columns
-                for width in _QUANT_WIDTHS:
-                    channels = self.assignment.channels_at(width).tolist()
-                    if channels:
-                        out[:, channels] = _dequantize_column_runs(
-                            [self.groups[c] for c in channels]
-                        ).T
+                for width, runs in self._runs.items():
+                    channels = self.assignment.channels_at(width)
+                    out[:, channels] = _dequantize_column_runs(runs, width).T
                 self._dense = out
         return self._dense
 
 
 @dataclass(eq=False)
 class ValueBlock:
-    """One immutable flushed block of values (per-token quantized rows)."""
+    """One immutable flushed block of values, quantized per token.
+
+    Exact blocks carry `values_exact`; quantized ones the arrays of the
+    transposed block (one column per token) under the value width, of
+    which `rows` is a view.
+    """
 
     start: int
     length: int
     values_exact: np.ndarray | None = None
-    rows: tuple[tuple[QuantizedGroup, ...], ...] | None = None
+    _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def is_exact(self) -> bool:
         return self.values_exact is not None
+
+    @property
+    def rows(self) -> tuple[tuple[QuantizedGroup, ...], ...] | None:
+        """Each token's groups, built on each call; None for an exact block."""
+        if self.is_exact:
+            return None
+        ((width, runs),) = self._runs.items()
+        return tuple(_column_groups(runs, width))
 
     def dense(self) -> np.ndarray:
         """Reconstructed (length, dim) block; cached, treat as read-only."""
@@ -171,7 +196,8 @@ class ValueBlock:
             if self.is_exact:
                 self._dense = self.values_exact
             else:
-                self._dense = _dequantize_column_runs(self.rows)
+                ((width, runs),) = self._runs.items()
+                self._dense = _dequantize_column_runs(runs, width)
         return self._dense
 
 
@@ -364,37 +390,32 @@ class MixedKVCache:
     def _freeze_scored(
         self, keys: np.ndarray, values: np.ndarray, start: int
     ) -> tuple[KeyBlock, ValueBlock]:
+        cfg = self.config
         length = keys.shape[0]
         sensitivity = sensitivity_score(keys, BitWidth.UINT2)
         importance = self._running.importance()
-        assignment = resolve_assignment(
-            self.policy, importance, sensitivity, self.config.thresholds
-        )
+        assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
 
         outliers = assignment.channels_at(BitWidth.FULL)
-        by_channel: dict[int, tuple[QuantizedGroup, ...]] = {}
+        runs = {}
         for width in _QUANT_WIDTHS:
             channels = assignment.channels_at(width)
             if channels.size:
-                runs = _quantize_column_runs(keys[:, channels], width, self.config.group_size)
-                by_channel.update(zip(channels.tolist(), runs))
-        groups = {channel: by_channel[channel] for channel in sorted(by_channel)}
+                runs[width] = _quantize_column_runs(keys[:, channels], width, cfg.group_size)
         key_block = KeyBlock(
             start=start,
             length=length,
             assignment=assignment,
             outlier_channels=outliers,
             outlier_columns=keys[:, outliers].copy(),
-            groups=groups,
+            _runs=runs,
         )
 
         if self._value_pass_through:
             value_block = ValueBlock(start=start, length=length, values_exact=values.copy())
         else:
-            rows = tuple(
-                _quantize_column_runs(values.T, self.config.value_bits, self.config.group_size)
-            )
-            value_block = ValueBlock(start=start, length=length, rows=rows)
+            value_runs = _quantize_column_runs(values.T, cfg.value_bits, cfg.group_size)
+            value_block = ValueBlock(start=start, length=length, _runs={cfg.value_bits: value_runs})
         return key_block, value_block
 
     # -- reconstruction -----------------------------------------------
@@ -418,32 +439,20 @@ class MixedKVCache:
         if not self._key_blocks:
             raise UndefinedMetric("no block has been flushed yet")
         dim = self.config.dim
-        total_bits = 0
-        total_elems = 0
+        total_bits = len(self._res_keys) * dim * 16
         for blk in self._key_blocks:
-            total_elems += blk.length * dim
             if blk.assignment is None:
                 total_bits += blk.length * dim * 16
             else:
                 n_full, n_mid, n_low = blk.assignment.tier_counts()
                 total_bits += blk.length * (n_full * 16 + n_mid * 4 + n_low * 2)
-        residual = len(self._res_keys)
-        total_bits += residual * dim * 16
-        total_elems += residual * dim
-        return total_bits / total_elems
+        # integer sums, so their order does not change the quotient
+        return total_bits / (self.num_tokens * dim)
 
     def metadata_counts(self) -> dict[str, int]:
         """Count of stored (zero, scale) scalars, keys and values apart."""
-        key_groups = sum(
-            len(runs)
-            for blk in self._key_blocks
-            if blk.groups is not None
-            for runs in blk.groups.values()
-        )
-        value_groups = sum(
-            len(row)
-            for blk in self._value_blocks
-            if blk.rows is not None
-            for row in blk.rows
-        )
-        return {"key_scalars": 2 * key_groups, "value_scalars": 2 * value_groups}
+        counts = {}
+        for name, blocks in (("key_scalars", self._key_blocks), ("value_scalars", self._value_blocks)):
+            tiers = [runs for blk in blocks if blk._runs is not None for runs in blk._runs.values()]
+            counts[name] = sum(2 * zero.size for runs in tiers for _, _, zero, _ in runs)
+        return counts

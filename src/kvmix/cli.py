@@ -6,10 +6,10 @@ run      replay seeded synthetic instances (or one trace dump) through
 search   sweep the salience threshold grid, write the full evaluation
          log and its Pareto frontier, optionally pick the most faithful
          point under a bit budget.
-stats    score the channels of an instance (importance / sensitivity /
-         salience / tier) and write the per-channel table as CSV; the
-         printed Pearson correlation summarizes how decoupled importance
-         and sensitivity are.
+stats    score the channels of one seeded synthetic instance (or one
+         trace dump): importance / sensitivity / salience / tier; write
+         the per-channel table as CSV; the printed Pearson correlation
+         summarizes how decoupled importance and sensitivity are.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
 dump file, 1 any other failure. Every failure prints a single
@@ -162,23 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(search)
 
     stats = sub.add_parser("stats", help="per-channel importance/sensitivity/salience table")
-    source = stats.add_mutually_exclusive_group(required=True)
-    source.add_argument("--dump", default=None, help="trace dump to score")
-    source.add_argument("--planted", default=None,
-                        help="dim,length,ns,nq,overlap synthetic instance")
-    stats.add_argument("--seed", type=int, default=0, help="seed for --planted")
+    stats.add_argument("--seed", type=int, default=0, help="seed of the synthetic instance")
+    stats.add_argument("--dump", default=None, help="trace dump to score instead of synthetic data")
     stats.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid tier cutoffs")
     stats.add_argument("--out", default="channel_stats.csv", help="output CSV path")
+    _add_instance_flags(stats)
     return parser
 
 
-def _run_instances(args):
-    """(seed, instance) pairs of `run` and `search`: the --dump trace, or --seeds planted ones."""
+def _load_instances(args, seeds):
+    """(seed, instance) pairs: the --dump trace as seed 0, or one planted instance per seed."""
     if args.dump is not None:
-        inst = instance_from_dump(_load_dump(args.dump))
-        return [(0, inst)]
+        return [(0, instance_from_dump(_load_dump(args.dump)))]
     ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
-    check_count(args.seeds, "--seeds", 1)
     spec = PlantedSpec(
         dim=args.dim,
         length=args.length,
@@ -186,7 +182,7 @@ def _run_instances(args):
         n_outlier_query=nq,
         overlap=ov,
     )
-    return [(seed, spec.materialize(seed)) for seed in range(args.seeds)]
+    return [(seed, spec.materialize(seed)) for seed in seeds]
 
 
 def _cmd_run(args) -> int:
@@ -196,7 +192,7 @@ def _cmd_run(args) -> int:
     policies = [_make_policy(args.policy, budget)]
     if args.compare is not None:
         policies.append(_make_policy(args.compare, budget))
-    instances = _run_instances(args)
+    instances = _load_instances(args, range(check_count(args.seeds, "--seeds", 1)))
     first = instances[0][1]
     config = _config_from_args(args, first.dim, first.value_dim)
 
@@ -227,7 +223,7 @@ def _cmd_run(args) -> int:
                 }
             )
 
-    write_records_csv(f"{args.out}.csv", records, list(records[0]))
+    write_records_csv(f"{args.out}.csv", records)
     write_records_json(
         f"{args.out}.json",
         {"config": asdict(config), "records": records},
@@ -247,16 +243,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_search(args) -> int:
     lo, hi = _parse_numbers(args.range_, 2, float, "--range")
-    instances = [inst for _, inst in _run_instances(args)]
+    seeds = range(check_count(args.seeds, "--seeds", 1))
+    instances = [inst for _, inst in _load_instances(args, seeds)]
     config = _config_from_args(args, instances[0].dim, instances[0].value_dim)
     log = evaluate_grid(instances, config, lo, hi, args.grid, args.steps)
     frontier = pareto_frontier(log)
 
     grid_rows = [asdict(p) for p in log]
     frontier_rows = [asdict(p) for p in frontier]
-    write_records_csv(f"{args.out}_grid.csv", grid_rows, list(grid_rows[0]))
+    write_records_csv(f"{args.out}_grid.csv", grid_rows)
     write_records_json(f"{args.out}_grid.json", {"config": asdict(config), "points": grid_rows})
-    write_records_csv(f"{args.out}_frontier.csv", frontier_rows, list(frontier_rows[0]))
+    write_records_csv(f"{args.out}_frontier.csv", frontier_rows)
     payload = {"config": asdict(config), "frontier": frontier_rows}
 
     print(f"evaluated {len(log)} candidates, frontier size {len(frontier)}")
@@ -280,11 +277,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_stats(args) -> int:
     tau_full, tau_mid = _parse_numbers(args.thresholds, 2, float, "--thresholds")
-    if args.dump is not None:
-        inst = instance_from_dump(_load_dump(args.dump))
-    else:
-        planted = _parse_numbers(args.planted, 5, int, "--planted")
-        inst = PlantedSpec(*planted).materialize(args.seed)
+    ((_, inst),) = _load_instances(args, [args.seed])
 
     importance = QueryAccumulator(inst.dim).add(inst.queries).importance()
     sensitivity = sensitivity_score(inst.keys, BitWidth.UINT2)
@@ -306,7 +299,7 @@ def _cmd_stats(args) -> int:
         }
         for d in range(inst.dim)
     ]
-    write_records_csv(args.out, records, list(records[0]))
+    write_records_csv(args.out, records)
     n_full, n_mid, n_low = assignment.tier_counts()
     print(
         f"channels {inst.dim}: {n_full} full / {n_mid} mid / {n_low} low, "

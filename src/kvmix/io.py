@@ -206,14 +206,20 @@ def _render_cell(value) -> str:
     return str(value)
 
 
-def write_records_csv(path, records, columns) -> None:
-    """Write records as CSV with a fixed column order and \\n line ends."""
-    columns = list(columns)
+def write_records_csv(path, records) -> None:
+    """Write records as CSV with \\n line ends, headed by the first record's keys.
+
+    A record with other keys raises InvalidInput before the file opens.
+    """
+    columns = list(records[0]) if records else []
+    for record in records:
+        if record.keys() != records[0].keys():
+            raise InvalidInput(f"record keys {list(record)} differ from the header {columns}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for record in records:
-            writer.writerow([_render_cell(record.get(col, "")) for col in columns])
+            writer.writerow([_render_cell(record[col]) for col in columns])
 
 
 def _jsonable(value):

@@ -112,10 +112,6 @@ class QuantizedGroup:
     zero_point: float
     scale: float
 
-    @property
-    def bit_width(self) -> BitWidth:
-        return self.codes.bit_width
-
     def __len__(self) -> int:
         return self.codes.length
 
@@ -166,23 +162,22 @@ def quantize_group(values, bits) -> QuantizedGroup:
     return QuantizedGroup(pack_codes(codes, width), zero_point, scale)
 
 
-def _quantize_column_runs(
-    x: np.ndarray, bits, group_size: int
-) -> list[tuple[QuantizedGroup, ...]]:
+def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
     """Quantize every column of an (L, C) matrix in runs of group_size rows.
 
-    Returns one tuple of groups per column; each group equals what
-    quantize_group returns for that run (same zero point, scale, rounding,
-    clamp, overflow check and packing), but the arithmetic is one numpy
-    pass over all full runs plus one over a partial last run, not one
-    call per group. Rows are assumed finite. A run whose range overflows
-    raises InvalidInput before any group is built.
+    Returns one (size, packed, zero, scale) per run length, full runs
+    first, then a partial last run if any: `packed` is (n_runs, C, nbytes)
+    uint8, `zero` and `scale` are (n_runs, C). Run r of column c equals
+    quantize_group of that run (zero point, scale, rounding, clamp,
+    overflow check, packing), as _column_groups builds it, but the
+    arithmetic is one numpy pass per run length. Rows are assumed finite;
+    a run whose range overflows raises InvalidInput.
     """
     width = _require_quant_width(bits)
     levels = 2 ** int(width) - 1
     length, n_cols = x.shape
     cut = length - length % group_size
-    batches = []
+    out = []
     for lo, hi, size in ((0, cut, group_size), (cut, length, length - cut)):
         if hi == lo:
             continue
@@ -197,37 +192,33 @@ def _quantize_column_runs(
         step = scale[:, None, :]
         np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
         codes = np.clip(_round_half_away(y), 0, levels).astype(np.uint8)
-        # One packed buffer per (run, column) group.
-        packed = _pack_bits(codes.transpose(0, 2, 1), int(width))
-        batches.append((packed, zero.tolist(), scale.tolist(), size))
+        out.append((size, _pack_bits(codes.transpose(0, 2, 1), int(width)), zero, scale))
+    return out
 
-    columns: list[list[QuantizedGroup]] = [[] for _ in range(n_cols)]
-    for packed, zeros, scales, size in batches:
-        for run_bytes, run_zeros, run_scales in zip(packed, zeros, scales):
+
+def _dequantize_column_runs(runs, bits) -> np.ndarray:
+    """Decode the output of _quantize_column_runs, one numpy pass per run length.
+
+    Returns a (C, L) matrix, the transpose of the matrix quantized, whose
+    row c equals the dequantize_group of column c's groups, concatenated.
+    """
+    parts = []
+    for size, packed, zero, scale in runs:
+        codes = _unpack_bits(packed, int(bits), size).astype(np.float64)
+        part = codes * scale[..., None] + zero[..., None]
+        parts.append(part.transpose(1, 0, 2).reshape(part.shape[1], -1))
+    return np.hstack(parts)
+
+
+def _column_groups(runs, bits) -> list[tuple[QuantizedGroup, ...]]:
+    """The groups of _quantize_column_runs output as objects, per column."""
+    width = _require_quant_width(bits)
+    columns: list[list[QuantizedGroup]] = [[] for _ in range(runs[0][1].shape[1])]
+    for size, packed, zeros, scales in runs:
+        for run_bytes, run_zeros, run_scales in zip(packed, zeros.tolist(), scales.tolist()):
             for column, data, z, s in zip(columns, run_bytes, run_zeros, run_scales):
                 column.append(QuantizedGroup(PackedBuffer(data.tobytes(), width, size), z, s))
     return [tuple(column) for column in columns]
-
-
-def _dequantize_column_runs(columns) -> np.ndarray:
-    """Decode the output of _quantize_column_runs, one row per column.
-
-    Returns a (C, L) matrix whose row c equals the concatenated
-    dequantize_group of columns[c], value for value: the transpose of
-    the matrix that was quantized. Every column must share one bit width
-    and one run layout, as the columns of one _quantize_column_runs call
-    do. The arithmetic is one numpy pass per run position, not one call
-    per group.
-    """
-    width = int(columns[0][0].bit_width)
-    parts = []
-    for runs in zip(*columns):
-        raw = np.frombuffer(b"".join(g.codes.data for g in runs), dtype=np.uint8)
-        codes = _unpack_bits(raw.reshape(len(runs), -1), width, len(runs[0]))
-        zero = np.array([g.zero_point for g in runs])
-        scale = np.array([g.scale for g in runs])
-        parts.append(codes.astype(np.float64) * scale[:, None] + zero[:, None])
-    return np.hstack(parts)
 
 
 def dequantize_group(group: QuantizedGroup) -> np.ndarray:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import kvmix.quant
+
 from kvmix import (
     AllocationPolicy,
     BitWidth,
@@ -431,6 +433,37 @@ class TestTierStorage:
                     quantize_group(row[lo : lo + g], cfg.value_bits)
                     for lo in range(0, cfg.value_dim, g)
                 )
+
+    def test_storage_builds_no_group_objects(self, monkeypatch):
+        # blocks hold each tier as arrays; only the groups/rows views build
+        # QuantizedGroup and PackedBuffer objects, never a feed or a read
+        cfg = small_config(sink_len=3)
+        policy = AllocationPolicy.salience(budget=(2, 3))
+        keys, values, queries = np.random.default_rng(31).normal(size=(3, 30, 8))
+        reference = MixedKVCache(cfg, policy)
+        reference.extend(keys, values, queries)
+        reference.flush()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("storage built a group object")
+
+        monkeypatch.setattr(kvmix.quant, "QuantizedGroup", refuse)
+        monkeypatch.setattr(kvmix.quant, "PackedBuffer", refuse)
+        cache = MixedKVCache(cfg, policy)
+        # a sink split in the first of three flushes, then 6 residual rows
+        cache.extend(keys, values, queries)
+        assert cache.flushed_tokens == 24 and cache.key_blocks[0].is_sink
+        cache.flush()  # a partial block: one run of 4 tokens, one of 2
+        assert {2, 4, 16} <= {int(b) for a in cache.assignments[1:] for b in a.bits}
+        np.testing.assert_array_equal(cache.reconstruct_keys(), reference.reconstruct_keys())
+        np.testing.assert_array_equal(
+            cache.reconstruct_values(), reference.reconstruct_values()
+        )
+        assert cache.metadata_counts() == reference.metadata_counts()
+        assert cache.metadata_counts()["value_scalars"] > 0
+        assert cache.effective_bitwidth() == reference.effective_bitwidth()
+        with pytest.raises(AssertionError, match="group object"):
+            cache.key_blocks[1].groups
 
 
 class TestValueStorage:

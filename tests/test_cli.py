@@ -235,7 +235,8 @@ class TestStatsCommand:
     def test_planted_table_shape_and_decorrelation(self, tmp_path, capsys):
         out = tmp_path / "stats.csv"
         assert main(
-            ["stats", "--planted", "32,64,4,4,0", "--seed", "0", "--out", str(out)]
+            ["stats", "--dim", "32", "--length", "64", "--outliers", "4,4,0",
+             "--seed", "0", "--out", str(out)]
         ) == 0
         rows = read_csv(out)
         assert len(rows) == 32
@@ -275,10 +276,12 @@ class TestStatsCommand:
         # correlation against a constant vector is undefined
         assert rows[0]["pearson_importance_sensitivity"] == "nan"
 
-    def test_requires_exactly_one_source(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["stats"])
-        assert exc.value.code == 2
+    def test_defaults_to_the_shared_instance_flags(self, tmp_path, monkeypatch):
+        # no source flag: the --dim/--length/--outliers defaults of run and search
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats"]) == 0
+        rows = read_csv(tmp_path / "channel_stats.csv")
+        assert [int(row["channel"]) for row in rows] == list(range(64))
 
     def test_missing_dump_exits_3(self, tmp_path, capsys):
         code = main(["stats", "--dump", str(tmp_path / "gone.mkvq")])
@@ -286,7 +289,7 @@ class TestStatsCommand:
         assert capsys.readouterr().err.startswith("error: missing-dump:")
 
     def test_malformed_planted_exits_2(self, tmp_path, capsys):
-        code = main(["stats", "--planted", "32,64", "--out", str(tmp_path / "s.csv")])
+        code = main(["stats", "--outliers", "32,64", "--out", str(tmp_path / "s.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid-config:")
 
@@ -300,7 +303,7 @@ class TestConsoleScript:
             [
                 exe,
                 "stats",
-                "--planted", "8,16,1,1,0",
+                "--dim", "8", "--length", "16", "--outliers", "1,1,0",
                 "--out", str(tmp_path / "stats.csv"),
             ],
             capture_output=True,
@@ -319,7 +322,7 @@ class TestConsoleScript:
                 "-m",
                 "kvmix.cli",
                 "stats",
-                "--planted", "8,16,1,1,0",
+                "--dim", "8", "--length", "16", "--outliers", "1,1,0",
                 "--out", str(tmp_path / "stats.csv"),
             ],
             capture_output=True,

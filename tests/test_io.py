@@ -196,29 +196,32 @@ class TestReportWriters:
 
     def test_csv_layout(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_records_csv(path, self.RECORDS, ["name", "score", "count"])
+        write_records_csv(path, self.RECORDS)
         lines = path.read_text().splitlines()
         assert lines[0] == "name,score,count"
         assert lines[1] == "first,0.1,3"
         assert lines[2] == "second,2.0,4"
 
-    def test_csv_missing_column_renders_empty(self, tmp_path):
+    def test_csv_mismatched_keys_raise(self, tmp_path):
+        # the header is the first record's keys; no cell is left empty
         path = tmp_path / "report.csv"
-        write_records_csv(path, [{"a": 1}], ["a", "b"])
-        assert path.read_text().splitlines()[1] == "1,"
+        for records in ([{"a": 1, "b": 2}, {"a": 3}], [{"a": 1}, {"a": 2, "b": 3}]):
+            with pytest.raises(InvalidInput):
+                write_records_csv(path, records)
+        assert not path.exists()
 
     def test_csv_floats_round_trip_exactly(self, tmp_path):
         # repr rendering means reading the text back loses nothing
         value = 0.1 + 0.2
         path = tmp_path / "report.csv"
-        write_records_csv(path, [{"x": value}], ["x"])
+        write_records_csv(path, [{"x": value}])
         text = path.read_text().splitlines()[1]
         assert float(text) == value
 
     def test_csv_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_records_csv(p1, self.RECORDS, ["name", "score"])
-        write_records_csv(p2, self.RECORDS, ["name", "score"])
+        write_records_csv(p1, self.RECORDS)
+        write_records_csv(p2, self.RECORDS)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_structure_and_numpy_coercion(self, tmp_path):

@@ -1,28 +1,36 @@
-"""The benchmark's tracer must find every kvmix name it wraps.
+"""The benchmark must find every kvmix name and field it reads.
 
 perfbench/tracer.py traces kvmix from outside by replacing functions and
 methods where callers look them up (for instance kvmix.cache's own
-binding of quantize_group). A refactor that drops one of those bindings
-breaks the traced benchmark with a KeyError; this test catches that in
-the suite. It imports the tracer without writing bytecode next to it.
+binding of quantize_group), and perfbench/workloads.py counts the
+payload of a cache from its blocks' `groups` and `rows`. A refactor
+that drops one of those names breaks the benchmark; these tests catch
+that in the suite. They import the benchmark's modules without writing
+bytecode next to them.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import kvmix.attention
 import kvmix.cache
 import kvmix.quant
-from kvmix import AllocationPolicy, CacheConfig, PlantedSpec
+from kvmix import AllocationPolicy, CacheConfig, MixedKVCache, PlantedSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_tracer_installs_and_restores(monkeypatch):
+def import_perfbench(monkeypatch, name: str):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer_mod = importlib.import_module("tracer")
+    return importlib.import_module(name)
+
+
+def test_tracer_installs_and_restores(monkeypatch):
+    tracer_mod = import_perfbench(monkeypatch, "tracer")
     try:
         tracer = tracer_mod.Tracer()
         tracer_mod.install(tracer)
@@ -43,3 +51,35 @@ def test_tracer_installs_and_restores(monkeypatch):
     assert kvmix.cache.quantize_group is kvmix.quant.quantize_group
     assert kvmix.cache.dequantize_group is kvmix.quant.dequantize_group
     assert not hasattr(kvmix.cache.MixedKVCache.flush, "__wrapped__")
+
+
+def test_accounting_matches_the_storage_arrays(monkeypatch):
+    workloads = import_perfbench(monkeypatch, "workloads")
+    try:
+        # a sink block, a 6-token scored block (a run of 4 and a partial
+        # run of 2) and an 8-token one, each with 16-, 4- and 2-bit key
+        # channels, 2-bit values, and 3 residual rows
+        cfg = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
+        cache = MixedKVCache(cfg, AllocationPolicy.salience(budget=(2, 3)))
+        keys, values, queries = np.random.default_rng(5).normal(size=(3, 19, 8))
+        cache.extend(keys, values, queries)
+        scored = [blk for blk in cache.key_blocks if not blk.is_sink]
+        assert scored and cache.key_blocks[0].is_sink and cache.residual_tokens == 3
+        assert all(set(blk.assignment.bits.tolist()) == {2, 4, 16} for blk in scored)
+        tiers = [runs for blk in cache.key_blocks + cache.value_blocks
+                 if blk._runs is not None for runs in blk._runs.values()]
+        assert {size for runs in tiers for size, *_ in runs} == {4, 2}
+
+        payload = sum(packed.nbytes + 16 * zero.size for runs in tiers for _, packed, zero, _ in runs)
+        groups = sum(zero.size for runs in tiers for *_, zero, _ in runs)
+        for blk in cache.key_blocks:
+            payload += 8 * (blk.keys_exact if blk.is_sink else blk.outlier_columns).size
+        payload += sum(8 * blk.values_exact.size for blk in cache.value_blocks if blk.is_exact)
+        payload += 8 * cache.residual_tokens * (cfg.dim + cfg.value_dim)
+
+        accounting = workloads.accounting(cache)
+        assert accounting["cache.payload_bytes_per_token"] == payload / cache.num_tokens
+        assert accounting["cache.groups_per_token"] == groups / cache.num_tokens
+        assert workloads.recomputed_key_bits(cache) == cache.effective_bitwidth()
+    finally:
+        sys.modules.pop("workloads", None)

@@ -22,7 +22,7 @@ from kvmix import (
     quantize_group,
     unpack_codes,
 )
-from kvmix.quant import _dequantize_column_runs, _quantize_column_runs
+from kvmix.quant import _column_groups, _dequantize_column_runs, _quantize_column_runs
 
 
 def codes_of(group: QuantizedGroup) -> np.ndarray:
@@ -287,7 +287,8 @@ def test_column_runs_match_scalar_quantizer(
         x = rng.normal(size=(length, n_cols)) * 10.0 ** rng.uniform(-3, 3)
     if 0 <= constant_col < n_cols:
         x[:, constant_col] = rng.normal()
-    columns = _quantize_column_runs(x, bits, group_size)
+    arrays = _quantize_column_runs(x, bits, group_size)
+    columns = _column_groups(arrays, bits)
     assert len(columns) == n_cols
     for c, runs in enumerate(columns):
         expect = scalar_runs(x[:, c], bits, group_size)
@@ -300,7 +301,7 @@ def test_column_runs_match_scalar_quantizer(
     decoded = np.stack(
         [np.concatenate([dequantize_group(g) for g in runs]) for runs in columns]
     )
-    np.testing.assert_array_equal(_dequantize_column_runs(columns), decoded)
+    np.testing.assert_array_equal(_dequantize_column_runs(arrays, bits), decoded)
 
 
 @pytest.mark.parametrize("bits", [BitWidth.UINT2, BitWidth.UINT4])
