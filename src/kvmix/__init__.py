@@ -73,7 +73,6 @@ from .quant import (
     QuantizedGroup,
     dequantize_group,
     pack_codes,
-    quantization_error_bound,
     quantize_group,
     unpack_codes,
 )
@@ -137,7 +136,6 @@ __all__ = [
     "instance_from_dump",
     "pack_codes",
     "pareto_frontier",
-    "quantization_error_bound",
     "quantize_group",
     "resolve_assignment",
     "salience_score",

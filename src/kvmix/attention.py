@@ -157,16 +157,20 @@ def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
     return q @ (k - kh).T
 
 
+_BOOST = 10.0
+_DAMP = 0.1
+
+
 @dataclass(frozen=True)
 class PlantedSpec:
     """Parameters of a Gaussian workload with planted outlier channels.
 
-    `n_outlier_scale` key channels get roughly scale_boost times the base
-    range; `n_outlier_query` query channels get roughly query_boost times
-    the base magnitude; exactly `overlap` channels belong to both sets.
-    Queries on scale-outlier-only channels are damped by `query_damp`
-    (large keys paired with small queries). materialize(seed) builds the
-    instance, deterministically in the seed.
+    `n_outlier_scale` key channels get 10 times the base range;
+    `n_outlier_query` query channels get 10 times the base magnitude;
+    exactly `overlap` channels belong to both sets. Queries on
+    scale-outlier-only channels are damped to a tenth (large keys paired
+    with small queries). Keys, queries and values are all (length, dim).
+    materialize(seed) builds the instance, deterministically in the seed.
     """
 
     dim: int
@@ -174,18 +178,11 @@ class PlantedSpec:
     n_outlier_scale: int = 4
     n_outlier_query: int = 4
     overlap: int = 0
-    value_dim: int | None = None
-    scale_boost: float = 10.0
-    query_boost: float = 10.0
-    query_damp: float = 0.1
 
     def __post_init__(self):
-        if self.value_dim is None:
-            object.__setattr__(self, "value_dim", self.dim)
         for name, minimum in (
             ("dim", 1),
             ("length", 1),
-            ("value_dim", 1),
             ("n_outlier_scale", 0),
             ("n_outlier_query", 0),
             ("overlap", 0),
@@ -195,8 +192,6 @@ class PlantedSpec:
             raise InvalidInput("overlap cannot exceed either outlier count")
         if self.n_outlier_scale + self.n_outlier_query - self.overlap > self.dim:
             raise InvalidInput("outlier sets do not fit in the channel count")
-        if min(self.scale_boost, self.query_boost, self.query_damp) <= 0:
-            raise InvalidInput("boost and damp factors must be positive")
 
     def materialize(self, seed: int) -> AttentionInstance:
         dim, ns, overlap = self.dim, self.n_outlier_scale, self.overlap
@@ -210,11 +205,11 @@ class PlantedSpec:
         scale_only = np.setdiff1d(scale_channels, query_channels)
 
         keys = rng.normal(size=(self.length, dim))
-        keys[:, scale_channels] *= self.scale_boost
+        keys[:, scale_channels] *= _BOOST
         queries = rng.normal(size=(self.length, dim))
-        queries[:, query_channels] *= self.query_boost
-        queries[:, scale_only] *= self.query_damp
-        values = rng.normal(size=(self.length, self.value_dim))
+        queries[:, query_channels] *= _BOOST
+        queries[:, scale_only] *= _DAMP
+        values = rng.normal(size=(self.length, dim))
         return AttentionInstance(
             queries,
             keys,
@@ -272,8 +267,6 @@ def decode_simulation(
         raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
     if inst.dim != config.dim or inst.value_dim != config.value_dim:
         raise InvalidInput("instance geometry disagrees with the cache config")
-    if config.heads_per_kv_group != 1:
-        raise InvalidInput("the decode simulation drives a single query head")
 
     queries = inst.queries[:steps]
     keys = inst.keys[:steps]

@@ -72,7 +72,6 @@ class CacheConfig:
     sink_len            leading tokens always kept full-precision
     tau_full, tau_mid   salience thresholds for the 16/4/2-bit tiers
     value_bits          value storage width; FULL disables value quantization
-    heads_per_kv_group  query heads feeding one KV head (GQA)
     """
 
     dim: int
@@ -83,7 +82,6 @@ class CacheConfig:
     tau_full: float = 1.0
     tau_mid: float = 0.5
     value_bits: BitWidth = BitWidth.UINT2
-    heads_per_kv_group: int = 1
 
     def __post_init__(self):
         if self.value_dim is None:
@@ -94,7 +92,6 @@ class CacheConfig:
             ("group_size", 1),
             ("residual_len", 1),
             ("sink_len", 0),
-            ("heads_per_kv_group", 1),
         ):
             object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
         if self.residual_len % self.group_size != 0:
@@ -272,25 +269,19 @@ class MixedKVCache:
         cfg = self.config
         k = check_array(keys, "keys", lead + 1)
         v = check_array(values, "values", lead + 1)
-        q = check_array(queries, "queries", (lead + 1, lead + 2))
-        one_head = q.ndim == lead + 1 and cfg.heads_per_kv_group == 1
+        q = check_array(queries, "queries", lead + 1)
         tokens = k.shape[:lead]
-        for name, arr, shape in (
-            ("keys", k, (cfg.dim,)),
-            ("values", v, (cfg.value_dim,)),
-            ("queries", q, (cfg.dim,) if one_head else (cfg.heads_per_kv_group, cfg.dim)),
-        ):
-            if arr.shape != tokens + shape:
-                raise InvalidInput(f"{name} must have shape {tokens + shape}, got {arr.shape}")
+        for name, arr, width in (("keys", k, cfg.dim), ("values", v, cfg.value_dim), ("queries", q, cfg.dim)):
+            if arr.shape != tokens + (width,):
+                raise InvalidInput(f"{name} must have shape {tokens + (width,)}, got {arr.shape}")
         return k, v, q
 
     def append(self, k_row, v_row, q_row, position: int | None = None) -> None:
         """Feed one token; auto-flushes when the residual buffer fills.
 
-        `q_row` is (dim,) for a single query head, or
-        (heads_per_kv_group, dim) when several query heads share this KV
-        head; every head's row feeds the importance statistics. An
-        explicit `position` is checked against the append counter.
+        `k_row` and `q_row` are (dim,), `v_row` is (value_dim,); the
+        query row feeds the importance statistics. An explicit `position`
+        is checked against the append counter.
         A rejected append, including one whose flush fails, leaves the
         cache unchanged and the error propagates.
         """
@@ -338,11 +329,10 @@ class MixedKVCache:
     def extend(self, keys, values, queries) -> None:
         """Feed a block of tokens row by row (flushing at capacity).
 
-        `keys` is (L, dim), `values` is (L, value_dim), `queries` is
-        (L, dim) or (L, heads_per_kv_group, dim). A successful extend is
-        equivalent, bit for bit, to L append() calls. A rejected extend,
-        whether its block fails the input check or one of its flushes
-        fails, leaves the cache unchanged.
+        `keys` and `queries` are (L, dim), `values` is (L, value_dim). A
+        successful extend is equivalent, bit for bit, to L append() calls.
+        A rejected extend, whether its block fails the input check or one
+        of its flushes fails, leaves the cache unchanged.
         """
         self._feed(list(zip(*self._check_tokens(keys, values, queries, lead=1))))
 
@@ -367,11 +357,12 @@ class MixedKVCache:
 
         sink_cut = min(max(self.config.sink_len - start, 0), length)
         if sink_cut > 0:
+            # Copies, so the sink rows do not pin the whole flushed matrix.
             key_blocks.append(
-                KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut])
+                KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut].copy())
             )
             value_blocks.append(
-                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut])
+                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut].copy())
             )
 
         if sink_cut < length:
@@ -392,7 +383,7 @@ class MixedKVCache:
     ) -> tuple[KeyBlock, ValueBlock]:
         cfg = self.config
         length = keys.shape[0]
-        sensitivity = sensitivity_score(keys, BitWidth.UINT2)
+        sensitivity = sensitivity_score(keys)
         importance = self._running.importance()
         assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
 

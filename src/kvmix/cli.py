@@ -12,8 +12,10 @@ stats    score the channels of one seeded synthetic instance (or one
          summarizes how decoupled importance and sensitivity are.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
-dump file, 1 any other failure. Every failure prints a single
-"error: <category>: <detail>" line to stderr.
+dump file, 1 any other failure: a corrupt dump, an infeasible budget, or
+a file that cannot be read or written ("io", such as a dump path that is
+a directory or an output in a missing directory). Every failure prints a
+single "error: <category>: <detail>" line to stderr.
 
 For fixed seeds and flags the CSV/JSON outputs are byte-identical across
 runs, with one documented exception: the wall_time_s column of run
@@ -280,7 +282,7 @@ def _cmd_stats(args) -> int:
     ((_, inst),) = _load_instances(args, [args.seed])
 
     importance = QueryAccumulator(inst.dim).add(inst.queries).importance()
-    sensitivity = sensitivity_score(inst.keys, BitWidth.UINT2)
+    sensitivity = sensitivity_score(inst.keys)
     salience = salience_score(importance, sensitivity)
     assignment = assign_precision(salience, tau_full, tau_mid)
     if importance.std() == 0.0 or sensitivity.std() == 0.0:
@@ -332,6 +334,9 @@ def main(argv=None) -> int:
         return 2
     except KVMixError as exc:
         print(f"error: failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
         return 1
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "QuantizedGroup",
     "quantize_group",
     "dequantize_group",
-    "quantization_error_bound",
     "pack_codes",
     "unpack_codes",
 ]
@@ -225,11 +224,6 @@ def dequantize_group(group: QuantizedGroup) -> np.ndarray:
     """Decode a group back to float64: code * scale + zero_point."""
     codes = unpack_codes(group.codes)
     return codes.astype(np.float64) * group.scale + group.zero_point
-
-
-def quantization_error_bound(group: QuantizedGroup) -> float:
-    """Worst-case absolute reconstruction error for any element of the group."""
-    return group.scale / 2.0
 
 
 def pack_codes(codes, bits) -> PackedBuffer:

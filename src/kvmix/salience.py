@@ -3,7 +3,7 @@
 The score of a key channel d combines two ingredients:
 
     importance   I_d = mean over accumulated query rows of |Q[i, d]|
-    sensitivity  S_d = (max_t K[t, d] - min_t K[t, d]) / (2**bits - 1)
+    sensitivity  S_d = (max_t K[t, d] - min_t K[t, d]) / 3
     salience     A_d = I_d * S_d
 
 Importance is a property of the whole query history (a running mean, never
@@ -40,7 +40,6 @@ from .errors import (
     check_array,
     check_count,
 )
-from .quant import BitWidth, _as_bitwidth
 
 __all__ = [
     "QueryAccumulator",
@@ -119,28 +118,23 @@ class QueryAccumulator:
         return dup
 
 
-def sensitivity_score(key_block, bits=BitWidth.UINT2) -> np.ndarray:
-    """Per-channel quantization step (max - min) / (2**bits - 1).
+def sensitivity_score(key_block) -> np.ndarray:
+    """Per-channel 2-bit quantization step (max - min) / 3.
 
-    `key_block` is T x D (at least one row). By convention the reference
-    bit width is 2 regardless of the tier a channel later lands in, so
-    that the score reflects the worst quantization the channel could get.
-    Raises InvalidInput for a non-numeric or non-finite block, a width
-    other than the integer 2 or 4, or a channel range that overflows
-    float64.
+    `key_block` is T x D (at least one row). The reference width is 2
+    bits regardless of the tier a channel later lands in, so that the
+    score reflects the worst quantization the channel could get. Raises
+    InvalidInput for a non-numeric or non-finite block, or a channel
+    range that overflows float64.
     """
-    width = _as_bitwidth(bits)
-    if width == BitWidth.FULL:
-        raise InvalidInput("sensitivity is defined for quantized widths 2 and 4")
     keys = _as_matrix(key_block, "key_block")
     if keys.shape[0] == 0 or keys.size == 0:
         raise InvalidInput("key block must contain at least one row")
-    levels = 2 ** int(width) - 1
     with np.errstate(over="ignore"):
         span = keys.max(axis=0) - keys.min(axis=0)
     if not np.all(np.isfinite(span)):
         raise InvalidInput("key block has a channel range that overflows float64")
-    return span / levels
+    return span / 3
 
 
 def salience_score(importance, sensitivity) -> np.ndarray:

@@ -201,10 +201,6 @@ class TestPlantedGenerator:
         with pytest.raises(InvalidInput):
             PlantedSpec(6, 16, 4, 4, 0)
 
-    def test_value_dim_override(self):
-        inst = PlantedSpec(8, 16, 1, 1, 0, value_dim=3).materialize(0)
-        assert inst.values.shape == (16, 3)
-
 
 def sim_config(**overrides) -> CacheConfig:
     base = dict(dim=32, group_size=8, residual_len=32, sink_len=4)
@@ -414,3 +410,19 @@ def test_closed_form_decode_matches_step_loop(
     if policy == "full":
         errors = (got.e_attn_frobenius, got.e_attn_max, got.output_error_frobenius)
         assert errors == (0.0, 0.0, 0.0)
+
+
+def test_decode_with_values_narrower_than_keys():
+    # a trace may store values of another width than keys (value_dim != dim)
+    rng = np.random.default_rng(11)
+    inst = AttentionInstance(*(rng.normal(size=(40, width)) for width in (8, 8, 3)))
+    config = CacheConfig(dim=8, value_dim=3, group_size=4, residual_len=8, sink_len=2)
+    policy = AllocationPolicy.salience()
+    got = decode_simulation(inst, config, policy)
+    want = step_loop_reference(inst, config, policy, 40)
+    assert got.effective_bits == want.effective_bits < 16.0
+    for field in ("e_attn_frobenius", "e_attn_max", "output_error_frobenius"):
+        assert math.isclose(getattr(got, field), getattr(want, field), rel_tol=1e-9), field
+    assert got.output_error_frobenius > 0.0
+    with pytest.raises(InvalidInput):
+        decode_simulation(inst, CacheConfig(dim=8, group_size=4, residual_len=8), policy)

@@ -132,6 +132,13 @@ class TestRunCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad-dump:")
 
+    def test_directory_as_dump_exits_1(self, tmp_path, capsys):
+        code = main(["run", "--dump", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:")
+        assert err.count("\n") == 1
+
     def test_inverted_thresholds_exit_2(self, tmp_path, capsys):
         code = main(run_args(tmp_path, "--thresholds", "0.5,1.0"))
         assert code == 2
@@ -287,6 +294,14 @@ class TestStatsCommand:
         code = main(["stats", "--dump", str(tmp_path / "gone.mkvq")])
         assert code == 3
         assert capsys.readouterr().err.startswith("error: missing-dump:")
+
+    def test_output_in_missing_directory_exits_1(self, tmp_path, capsys):
+        code = main(["stats", "--dim", "8", "--length", "16", "--outliers", "1,1,0",
+                     "--out", str(tmp_path / "missing_dir" / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: io:")
+        assert err.count("\n") == 1
 
     def test_malformed_planted_exits_2(self, tmp_path, capsys):
         code = main(["stats", "--outliers", "32,64", "--out", str(tmp_path / "s.csv")])

@@ -25,7 +25,6 @@ from kvmix import (
     pack_codes,
     quantize_group,
     resolve_assignment,
-    sensitivity_score,
     threshold_grid,
 )
 
@@ -52,12 +51,10 @@ PROBES = {
     "fixed_uniform_width_2_7": lambda: AllocationPolicy.fixed_uniform(2.7),
     "quantize_group_width_4_9": lambda: quantize_group([0.0, 1.0], 4.9),
     "pack_codes_width_2_5": lambda: pack_codes([0, 1], 2.5),
-    "sensitivity_score_width_2_5": lambda: sensitivity_score(KEYS, 2.5),
     "cache_config_value_bits_2_5": lambda: CacheConfig(dim=4, value_bits=2.5),
     "salience_budget_of_three": lambda: AllocationPolicy.salience(budget=(1, 2, 3)),
     "error_only_scalar_budget": lambda: AllocationPolicy.error_only(budget=5),
     "attention_exact_nan_scale": lambda: attention_exact(KEYS, KEYS, KEYS, scale=NAN),
-    "planted_spec_fractional_value_dim": lambda: PlantedSpec(dim=8, length=4, value_dim=2.5),
     "planted_spec_negative_seed": lambda: SPEC.materialize(-1),
     "planted_spec_fractional_seed": lambda: SPEC.materialize(2.5),
     "cache_config_string_threshold": lambda: CacheConfig(dim=4, tau_full="x"),
@@ -129,6 +126,9 @@ CACHE_PROBES = {
     ),
     "append_float_position": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros(SMALL.dim), position=5.0
+    ),
+    "append_one_row_query_matrix": lambda cache: cache.append(
+        np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros((1, SMALL.dim))
     ),
 }
 

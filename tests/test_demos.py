@@ -69,7 +69,6 @@ def test_export_list():
         "instance_from_dump",
         "pack_codes",
         "pareto_frontier",
-        "quantization_error_bound",
         "quantize_group",
         "resolve_assignment",
         "salience_score",

@@ -18,7 +18,6 @@ from kvmix import (
     QuantizedGroup,
     dequantize_group,
     pack_codes,
-    quantization_error_bound,
     quantize_group,
     unpack_codes,
 )
@@ -55,7 +54,7 @@ class TestQuantizeGroup:
         x_hat = dequantize_group(g)
         np.testing.assert_allclose(x_hat, [0.0, 1 / 3, 2 / 3, 1.0])
         assert np.max(np.abs(x - x_hat)) == pytest.approx(1.0 / 30.0)
-        assert np.max(np.abs(x - x_hat)) <= quantization_error_bound(g)
+        assert np.max(np.abs(x - x_hat)) <= g.scale / 2
 
     def test_four_bit_scale_is_one_fifth_of_two_bit(self):
         # (max-min)/15 vs (max-min)/3
@@ -116,15 +115,15 @@ class TestQuantizeGroup:
 class TestErrorBound:
     def test_bound_is_half_scale(self):
         g = QuantizedGroup(pack_codes([0, 1], BitWidth.UINT2), zero_point=0.0, scale=1.0)
-        assert quantization_error_bound(g) == 0.5
+        assert g.scale / 2 == 0.5
 
     def test_bound_zero_for_degenerate_scale(self):
         g = QuantizedGroup(pack_codes([0, 0], BitWidth.UINT2), zero_point=3.0, scale=0.0)
-        assert quantization_error_bound(g) == 0.0
+        assert g.scale / 2 == 0.0
 
     def test_bound_third_scale_example(self):
         g = QuantizedGroup(pack_codes([0, 3], BitWidth.UINT2), zero_point=0.0, scale=1 / 3)
-        assert quantization_error_bound(g) == pytest.approx(1.0 / 6.0)
+        assert g.scale / 2 == pytest.approx(1.0 / 6.0)
 
 
 class TestPacking:

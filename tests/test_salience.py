@@ -93,11 +93,7 @@ class TestQueryAccumulator:
 class TestSensitivityScore:
     def test_two_bit_step_of_unit_ramp(self):
         keys = np.array([[0.0], [1.0], [2.0], [3.0]])
-        np.testing.assert_array_equal(sensitivity_score(keys, BitWidth.UINT2), [1.0])
-
-    def test_four_bit_step(self):
-        keys = np.array([[-1.0], [1.0]])
-        np.testing.assert_allclose(sensitivity_score(keys, BitWidth.UINT4), [2.0 / 15.0])
+        np.testing.assert_array_equal(sensitivity_score(keys), [1.0])
 
     def test_default_width_is_two_bit(self):
         keys = np.array([[0.0, 5.0], [3.0, 5.0]])
@@ -105,7 +101,7 @@ class TestSensitivityScore:
 
     def test_per_channel_ranges(self):
         keys = np.array([[0.0, -6.0], [3.0, 0.0]])
-        np.testing.assert_array_equal(sensitivity_score(keys, BitWidth.UINT2), [1.0, 2.0])
+        np.testing.assert_array_equal(sensitivity_score(keys), [1.0, 2.0])
 
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidInput):
@@ -114,10 +110,6 @@ class TestSensitivityScore:
     def test_overflowing_range_rejected(self):
         with pytest.raises(InvalidInput):
             sensitivity_score(np.array([[-1e308, 0.0], [1e308, 0.0]]))
-
-    def test_unknown_width_is_a_typed_error(self):
-        with pytest.raises(InvalidInput):
-            sensitivity_score(np.array([[0.0], [1.0]]), 3)
 
 
 class TestSalienceScore:
