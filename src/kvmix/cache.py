@@ -1,11 +1,15 @@
 """Streaming mixed-precision KV cache with a residual-buffer protocol.
 
 Incoming (key, value, query) rows accumulate in a full-precision residual
-buffer. When the buffer reaches `residual_len` tokens it is flushed: the
-buffered keys are scored (sensitivity from the buffered block itself,
-importance from the query history), each key channel is assigned a
-precision tier by the active policy, and the block is frozen into
-immutable storage:
+buffer: three float64 arrays (keys, values, queries) of up to
+`residual_len` rows plus a fill count. The first row after a flush
+allocates them, they grow by doubling, and each flush releases them, so
+no buffer is reused. When the buffer reaches `residual_len` tokens it is
+flushed: the buffered queries are folded into the running query
+statistics, the buffered keys are scored (sensitivity from the buffered
+block itself, importance from the whole query history), each key channel
+is assigned a precision tier by the active policy, and the block is
+frozen into immutable, read-only storage:
 
 - full-precision channels become a sparse outlier store (sorted channel
   index list plus dense float columns);
@@ -129,6 +133,9 @@ class KeyBlock:
     _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        _freeze(self.keys_exact, self.outlier_channels, self.outlier_columns, *_run_arrays(self._runs))
+
     @property
     def is_sink(self) -> bool:
         return self.keys_exact is not None
@@ -145,7 +152,7 @@ class KeyBlock:
         return {channel: by_channel[channel] for channel in sorted(by_channel)}
 
     def dense(self) -> np.ndarray:
-        """Reconstructed (length, dim) block; cached, treat as read-only."""
+        """Reconstructed (length, dim) block; cached and read-only."""
         if self._dense is None:
             if self.is_sink:
                 self._dense = self.keys_exact
@@ -156,6 +163,7 @@ class KeyBlock:
                 for width, runs in self._runs.items():
                     channels = self.assignment.channels_at(width)
                     out[:, channels] = _dequantize_column_runs(runs, width).T
+                _freeze(out)
                 self._dense = out
         return self._dense
 
@@ -175,6 +183,9 @@ class ValueBlock:
     _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        _freeze(self.values_exact, *_run_arrays(self._runs))
+
     @property
     def is_exact(self) -> bool:
         return self.values_exact is not None
@@ -188,21 +199,37 @@ class ValueBlock:
         return tuple(_column_groups(runs, width))
 
     def dense(self) -> np.ndarray:
-        """Reconstructed (length, dim) block; cached, treat as read-only."""
+        """Reconstructed (length, dim) block; cached and read-only."""
         if self._dense is None:
             if self.is_exact:
                 self._dense = self.values_exact
             else:
                 ((width, runs),) = self._runs.items()
-                self._dense = _dequantize_column_runs(runs, width)
+                out = _dequantize_column_runs(runs, width)
+                _freeze(out)
+                self._dense = out
         return self._dense
 
 
-def _reconstruct(blocks, residual: list[np.ndarray], dim: int) -> np.ndarray:
+def _run_arrays(runs: dict[BitWidth, list] | None) -> list[np.ndarray]:
+    """The packed, zero and scale arrays of every run length of every tier."""
+    if runs is None:
+        return []
+    return [arr for tier in runs.values() for _, *arrays in tier for arr in arrays]
+
+
+def _freeze(*arrays: np.ndarray | None) -> None:
+    """Make each array read-only, since a flushed block never changes."""
+    for arr in arrays:
+        if arr is not None:
+            arr.setflags(write=False)
+
+
+def _reconstruct(blocks, residual: np.ndarray | None, dim: int) -> np.ndarray:
     """Every block's dense rows, then the residual rows, as one matrix."""
     parts = [blk.dense() for blk in blocks]
-    if residual:
-        parts.append(np.array(residual, dtype=np.float64))
+    if residual is not None:
+        parts.append(residual)
     if not parts:
         return np.zeros((0, dim), dtype=np.float64)
     return np.vstack(parts)
@@ -226,8 +253,10 @@ class MixedKVCache:
         self._running = QueryAccumulator(config.dim)
         self._key_blocks: list[KeyBlock] = []
         self._value_blocks: list[ValueBlock] = []
-        self._res_keys: list[np.ndarray] = []
-        self._res_values: list[np.ndarray] = []
+        # (keys, values, queries) arrays whose first _fill rows are the
+        # residual buffer; None while the buffer is empty
+        self._res: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._fill = 0
         self._flushed_tokens = 0
 
     # -- inspection ---------------------------------------------------
@@ -247,7 +276,7 @@ class MixedKVCache:
 
     @property
     def num_tokens(self) -> int:
-        return self._flushed_tokens + len(self._res_keys)
+        return self._flushed_tokens + self._fill
 
     @property
     def flushed_tokens(self) -> int:
@@ -255,12 +284,24 @@ class MixedKVCache:
 
     @property
     def residual_tokens(self) -> int:
-        return len(self._res_keys)
+        return self._fill
 
     @property
     def query_accumulator(self) -> QueryAccumulator:
-        """The running (sequence-wide) accumulator; treat as read-only."""
-        return self._running
+        """A copy of the sequence-wide accumulator, residual queries folded in.
+
+        Flushes fold the queries of the rows they freeze; the copy adds the
+        rows still buffered, so it covers every query fed so far, and adding
+        to it does not change the cache.
+        """
+        acc = self._running.copy()
+        if self._fill:
+            acc.add(self._residual(2))
+        return acc
+
+    def _residual(self, index: int) -> np.ndarray | None:
+        """The buffered keys (0), values (1) or queries (2); None when empty."""
+        return self._res[index][: self._fill] if self._fill else None
 
     # -- feeding ------------------------------------------------------
 
@@ -289,67 +330,93 @@ class MixedKVCache:
             raise InvalidInput(
                 f"position {position} out of order, next token is {self.num_tokens}"
             )
-        self._feed([self._check_tokens(k_row, v_row, q_row, lead=0)])
+        self._feed(*(row[None] for row in self._check_tokens(k_row, v_row, q_row, lead=0)))
 
-    def _feed(self, rows: list) -> None:
-        """Feed checked (key, value, query) rows in order, all or none.
+    def _feed(self, keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> None:
+        """Feed checked (L, ·) blocks of rows in order, all or none.
 
-        Only a flush can fail once the rows are checked, so the state is
-        saved only when the rows reach one. Blocks are append-only, so
-        restoring them is a truncation.
+        Rows are copied into the residual arrays one segment at a time,
+        each segment ending at the next flush boundary. Only a flush can
+        fail once the rows are checked, so the state is saved only when the
+        rows reach one. Saving references is enough: a flush replaces the
+        accumulator and the residual arrays without mutating them, rows
+        past the saved fill count are ignored, and blocks are append-only,
+        so restoring them is a truncation.
         """
         cap = self.config.residual_len
-        if len(self._res_keys) + len(rows) < cap:
+        total = keys.shape[0]
+        if self._fill + total < cap:
             saved = None
         else:
             saved = (
-                self._running.copy(),
-                list(self._res_keys),
-                list(self._res_values),
+                self._running,
+                self._res,
+                self._fill,
                 len(self._key_blocks),
                 self._flushed_tokens,
             )
         try:
-            for k, v, q in rows:
-                # Row copies: a residual row never aliases the caller's array,
-                # nor keeps a whole extend() block alive until the next flush.
-                self._running.add(q)
-                self._res_keys.append(k.copy())
-                self._res_values.append(v.copy())
-                if len(self._res_keys) == cap:
+            lo = 0
+            while lo < total:
+                hi = min(total, lo + cap - self._fill)
+                self._store(keys[lo:hi], values[lo:hi], queries[lo:hi])
+                lo = hi
+                if self._fill == cap:
                     self.flush()
         except BaseException:
             if saved is not None:
-                (self._running, self._res_keys, self._res_values,
+                (self._running, self._res, self._fill,
                  n_blocks, self._flushed_tokens) = saved
                 del self._key_blocks[n_blocks:]
                 del self._value_blocks[n_blocks:]
             raise
 
+    def _store(self, *segment: np.ndarray) -> None:
+        """Copy a (keys, values, queries) segment behind the buffered rows.
+
+        The copy never aliases the caller's arrays. Arrays too short for
+        the segment are replaced by new ones of at least twice the fill
+        (at most residual_len rows); the old ones are left as they were.
+        """
+        fill = self._fill
+        end = fill + segment[0].shape[0]
+        if self._res is None or self._res[0].shape[0] < end:
+            size = min(self.config.residual_len, max(end, 2 * fill))
+            grown = tuple(np.empty((size, part.shape[1])) for part in segment)
+            if fill:
+                for new, old in zip(grown, self._res):
+                    new[:fill] = old[:fill]
+            self._res = grown
+        for buf, part in zip(self._res, segment):
+            buf[fill:end] = part
+        self._fill = end
+
     def extend(self, keys, values, queries) -> None:
-        """Feed a block of tokens row by row (flushing at capacity).
+        """Feed a block of tokens in segments up to each flush boundary.
 
         `keys` and `queries` are (L, dim), `values` is (L, value_dim). A
         successful extend is equivalent, bit for bit, to L append() calls.
         A rejected extend, whether its block fails the input check or one
         of its flushes fails, leaves the cache unchanged.
         """
-        self._feed(list(zip(*self._check_tokens(keys, values, queries, lead=1))))
+        self._feed(*self._check_tokens(keys, values, queries, lead=1))
 
     # -- flushing -----------------------------------------------------
 
     def flush(self) -> None:
         """Freeze the residual buffer into immutable block storage.
 
-        Splits off any sink-region rows first, then scores and quantizes
-        the rest under the active policy. Every block is built before any
-        is stored, so a rejected flush leaves the cache unchanged.
+        Folds the buffered queries into the running statistics, splits off
+        any sink-region rows, then scores and quantizes the rest under the
+        active policy. Every block and the new accumulator are built before
+        any is stored, so a rejected flush leaves the cache unchanged.
         Raises NothingToFlush when the residual buffer is empty.
         """
-        if not self._res_keys:
+        if not self._fill:
             raise NothingToFlush("residual buffer is empty")
-        keys = np.array(self._res_keys, dtype=np.float64)
-        values = np.array(self._res_values, dtype=np.float64)
+        # views: every array a block keeps is a copy of its rows
+        keys, values, queries = (self._residual(i) for i in range(3))
+        running = self._running.copy().add(queries)
         start = self._flushed_tokens
         length = keys.shape[0]
         key_blocks: list[KeyBlock] = []
@@ -367,24 +434,24 @@ class MixedKVCache:
 
         if sink_cut < length:
             key_block, value_block = self._freeze_scored(
-                keys[sink_cut:], values[sink_cut:], start + sink_cut
+                keys[sink_cut:], values[sink_cut:], start + sink_cut, running.importance()
             )
             key_blocks.append(key_block)
             value_blocks.append(value_block)
 
         self._key_blocks.extend(key_blocks)
         self._value_blocks.extend(value_blocks)
-        self._res_keys.clear()
-        self._res_values.clear()
+        self._running = running
+        self._res = None
+        self._fill = 0
         self._flushed_tokens += length
 
     def _freeze_scored(
-        self, keys: np.ndarray, values: np.ndarray, start: int
+        self, keys: np.ndarray, values: np.ndarray, start: int, importance: np.ndarray
     ) -> tuple[KeyBlock, ValueBlock]:
         cfg = self.config
         length = keys.shape[0]
         sensitivity = sensitivity_score(keys)
-        importance = self._running.importance()
         assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
 
         outliers = assignment.channels_at(BitWidth.FULL)
@@ -413,11 +480,11 @@ class MixedKVCache:
 
     def reconstruct_keys(self) -> np.ndarray:
         """Dequantized view of every stored key row, residual included."""
-        return _reconstruct(self._key_blocks, self._res_keys, self.config.dim)
+        return _reconstruct(self._key_blocks, self._residual(0), self.config.dim)
 
     def reconstruct_values(self) -> np.ndarray:
         """Dequantized view of every stored value row, residual included."""
-        return _reconstruct(self._value_blocks, self._res_values, self.config.value_dim)
+        return _reconstruct(self._value_blocks, self._residual(1), self.config.value_dim)
 
     # -- accounting ---------------------------------------------------
 
@@ -430,7 +497,7 @@ class MixedKVCache:
         if not self._key_blocks:
             raise UndefinedMetric("no block has been flushed yet")
         dim = self.config.dim
-        total_bits = len(self._res_keys) * dim * 16
+        total_bits = self._fill * dim * 16
         for blk in self._key_blocks:
             if blk.assignment is None:
                 total_bits += blk.length * dim * 16

@@ -125,11 +125,23 @@ def _pack_bits(codes: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.reshape(*codes.shape[:-1], -1), axis=-1, bitorder="little")
 
 
+def _byte_codes(width: int) -> np.ndarray:
+    """(256, 8 // width) table: the codes each byte value holds, lowest bits first."""
+    shifts = np.arange(0, 8, width, dtype=np.uint8)
+    return (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & np.uint8(2**width - 1)
+
+
+_LUT = {int(width): _byte_codes(int(width)) for width in _QUANT_WIDTHS}
+
+
 def _unpack_bits(raw: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Invert _pack_bits: uint8 bytes (..., nbytes) back to codes (..., n)."""
-    bits = np.unpackbits(raw, axis=-1, count=n * width, bitorder="little")
-    shifts = np.arange(width, dtype=np.uint8)
-    return (bits.reshape(*raw.shape[:-1], n, width) << shifts).sum(axis=-1, dtype=np.uint8)
+    """Invert _pack_bits: uint8 bytes (..., nbytes) back to codes (..., n).
+
+    Each byte is looked up in a per-width table of the codes it holds;
+    the padding codes of the last byte are trimmed.
+    """
+    codes = _LUT[width][raw]
+    return codes.reshape(*raw.shape[:-1], raw.shape[-1] * (8 // width))[..., :n]
 
 
 def _round_half_away(y: np.ndarray) -> np.ndarray:

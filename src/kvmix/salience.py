@@ -59,11 +59,12 @@ def _as_matrix(x, name: str) -> np.ndarray:
 class QueryAccumulator:
     """Running per-channel mean of absolute query activations.
 
-    Rows are folded into the sum strictly one at a time, in arrival order.
-    That makes the accumulator exactly invariant to how a fixed row stream
-    is split into blocks (float addition is not associative, so a blocked
-    reduction would not be), which the streaming cache relies on for
-    bit-identical replay.
+    Rows are folded into the sum in arrival order by the left-to-right
+    recurrence sum_i = sum_{i-1} + |q_i|, which np.add.accumulate computes
+    for a whole block in one call. That makes the accumulator exactly
+    invariant to how a fixed row stream is split into blocks (float
+    addition is not associative, so a pairwise or blocked reduction would
+    not be), which the streaming cache relies on for bit-identical replay.
     """
 
     __slots__ = ("_abs_sum", "_count")
@@ -100,8 +101,10 @@ class QueryAccumulator:
             raise InvalidInput(
                 f"q_block has {q.shape[1]} channels, accumulator expects {self.dim}"
             )
-        for row in np.abs(q):
-            self._abs_sum += row
+        folded = np.abs(q)
+        folded[0] += self._abs_sum
+        np.add.accumulate(folded, axis=0, out=folded)
+        self._abs_sum = folded[-1].copy()
         self._count += q.shape[0]
         return self
 

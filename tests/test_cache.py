@@ -275,6 +275,117 @@ class TestResidualProtocol:
         assert cache.flushed_tokens == (earlier_flushes + 1) * residual
 
 
+def stored_fields(blk) -> list:
+    """Everything a flushed key or value block stores, in a fixed order."""
+    fields = [type(blk).__name__, blk.start, blk.length]
+    for name in ("keys_exact", "values_exact", "outlier_channels", "outlier_columns"):
+        fields.append(getattr(blk, name, None))
+    assignment = getattr(blk, "assignment", None)
+    fields.append(None if assignment is None else assignment.bits)
+    for width, tier in sorted((blk._runs or {}).items()):
+        fields.append(int(width))
+        for size, *arrays in tier:
+            fields.append(size)
+            fields.extend(arrays)
+    return fields
+
+
+def assert_same_state(got: MixedKVCache, want: MixedKVCache) -> None:
+    """Equal blocks, reconstructions, assignments and query statistics, bit for bit."""
+    assert (got.num_tokens, got.flushed_tokens, got.residual_tokens) == (
+        want.num_tokens,
+        want.flushed_tokens,
+        want.residual_tokens,
+    )
+    assert len(got.key_blocks) == len(want.key_blocks)
+    assert len(got.value_blocks) == len(want.value_blocks)
+    for mine, theirs in zip(got.key_blocks + got.value_blocks, want.key_blocks + want.value_blocks):
+        a, b = stored_fields(mine), stored_fields(theirs)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert (x is None) == (y is None)
+            assert x is None or np.array_equal(x, y)
+    assert got.assignments == want.assignments
+    assert np.array_equal(got.reconstruct_keys(), want.reconstruct_keys())
+    assert np.array_equal(got.reconstruct_values(), want.reconstruct_values())
+    acc, ref = got.query_accumulator, want.query_accumulator
+    assert acc.count == ref.count
+    assert np.array_equal(acc.abs_sum, ref.abs_sum)
+
+
+class TestSegmentFeed:
+    @given(
+        sink_len=st.integers(min_value=0, max_value=10),
+        runs=st.integers(min_value=1, max_value=3),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_split_feed_matches_row_feed(self, sink_len, runs, data, seed):
+        # one row stream, split into random append/extend calls of 0..3R
+        # rows, against one append per row; manual flushes at the same token
+        # counts on both sides; compared after every call, mid-residual too
+        residual = 4 * runs
+        cfg = small_config(
+            dim=5, value_dim=6, group_size=4, residual_len=residual, sink_len=sink_len
+        )
+        policy = AllocationPolicy.salience(budget=(1, 2))
+        split, by_row = MixedKVCache(cfg, policy), MixedKVCache(cfg, policy)
+        calls = data.draw(
+            st.lists(
+                st.one_of(
+                    st.just(("append", 1)),
+                    st.just(("flush", 0)),
+                    st.tuples(st.just("extend"), st.integers(0, 3 * residual)),
+                ),
+                min_size=1,
+                max_size=12,
+            ),
+            label="calls",
+        )
+        total = sum(n for _, n in calls)
+        rng = np.random.default_rng(seed)
+        keys = rng.normal(size=(total, 5)) * 10.0 ** rng.uniform(-3, 3, size=(total, 5))
+        values = rng.normal(size=(total, 6))
+        queries = rng.normal(size=(total, 5)) * 10.0 ** rng.uniform(-3, 3, size=(total, 5))
+        fed = 0
+        folded = np.zeros(5)  # the query statistic, folded one row at a time
+        for kind, n in calls:
+            if kind == "flush":
+                if split.residual_tokens:
+                    split.flush()
+                    by_row.flush()
+                else:
+                    with pytest.raises(NothingToFlush):
+                        split.flush()
+            else:
+                if kind == "extend":
+                    split.extend(keys[fed : fed + n], values[fed : fed + n], queries[fed : fed + n])
+                else:
+                    split.append(keys[fed], values[fed], queries[fed])
+                for t in range(fed, fed + n):
+                    by_row.append(keys[t], values[t], queries[t])
+                    folded += np.abs(queries[t])
+                fed += n
+            assert_same_state(split, by_row)
+            assert np.array_equal(split.query_accumulator.abs_sum, folded)
+        assert fed == total
+
+    def test_unbounded_residual_allocates_as_rows_arrive(self):
+        # a residual far larger than memory: its arrays grow with the rows
+        # fed, so one append and a manual flush must work
+        cache = MixedKVCache(CacheConfig(dim=64, group_size=32, residual_len=2**34, sink_len=0))
+        rng = np.random.default_rng(2)
+        k, v, q = rng.normal(size=(3, 64))
+        cache.append(k, v, q)
+        assert cache.residual_tokens == 1
+        np.testing.assert_array_equal(cache.reconstruct_keys(), k[None])
+        cache.flush()
+        assert (cache.flushed_tokens, cache.residual_tokens) == (1, 0)
+        assert cache.query_accumulator.count == 1
+        assert cache.reconstruct_keys().shape == (1, 64)
+
+
 class TestSinkHandling:
     def test_sink_rows_reconstruct_exactly(self):
         cache = MixedKVCache(small_config(sink_len=2))

@@ -157,3 +157,62 @@ def test_extend_overflowing_flush_leaves_fresh_cache_empty():
         cache.extend(keys, values, queries)
     assert (cache.num_tokens, cache.flushed_tokens, cache.query_accumulator.count) == (0, 0, 0)
     assert (len(cache.key_blocks), len(cache.value_blocks)) == (0, 0)
+
+
+# Prefix immutability: every array a flushed block holds, and each memo
+# of its reconstruction, is read-only, and the accumulator a cache hands
+# out is a copy. A probe either writes into one of them, which must be
+# refused, or adds to the accumulator, which must change nothing.
+FROZEN_PROBES = {
+    "key_block_dense": (True, lambda cache: cache.key_blocks[1].dense().__setitem__(0, 0.0)),
+    "value_block_dense": (True, lambda cache: cache.value_blocks[1].dense().__setitem__(0, 0.0)),
+    "sink_keys_exact": (True, lambda cache: cache.key_blocks[0].keys_exact.__setitem__(0, 9.0)),
+    "sink_values_exact": (True, lambda cache: cache.value_blocks[0].values_exact.__setitem__(0, 9.0)),
+    "outlier_columns": (True, lambda cache: cache.key_blocks[1].outlier_columns.__setitem__(0, 9.0)),
+    "outlier_channels": (True, lambda cache: cache.key_blocks[1].outlier_channels.__setitem__(0, 7)),
+    "run_arrays": (
+        True,
+        lambda cache: [
+            arr.__setitem__(0, 1)
+            for tier in cache.key_blocks[1]._runs.values()
+            for _, *arrays in tier
+            for arr in arrays
+        ],
+    ),
+    # loud on the high channels, which the planted rows leave quiet
+    "query_accumulator_add": (
+        False,
+        lambda cache: cache.query_accumulator.add(10.0 ** np.arange(SMALL.dim)),
+    ),
+}
+
+
+def _frozen_cache() -> MixedKVCache:
+    # a sink block, a scored block with every tier, and 3 residual rows
+    cache = MixedKVCache(SMALL, AllocationPolicy.salience(budget=(2, 3)))
+    cache.extend(*_block(11, seed=4))
+    return cache
+
+
+@pytest.mark.parametrize("probe", sorted(FROZEN_PROBES))
+def test_frozen_probe_changes_nothing(probe):
+    refused, write = FROZEN_PROBES[probe]
+    cache, reference = _frozen_cache(), _frozen_cache()
+    assert cache.key_blocks[0].is_sink and cache.key_blocks[1].outlier_channels.size
+    if refused:
+        with pytest.raises(ValueError, match="read-only"):
+            write(cache)
+    else:
+        write(cache)
+    assert np.array_equal(cache.reconstruct_keys(), reference.reconstruct_keys())
+    assert np.array_equal(cache.reconstruct_values(), reference.reconstruct_values())
+    # the next flush scores and stores as if nothing had been tried
+    for c in (cache, reference):
+        c.extend(*_block(5, seed=5))
+    assert cache.flushed_tokens == 16
+    assert cache.assignments == reference.assignments
+    assert np.array_equal(cache.reconstruct_keys(), reference.reconstruct_keys())
+    assert np.array_equal(cache.reconstruct_values(), reference.reconstruct_values())
+    assert np.array_equal(cache.query_accumulator.abs_sum, reference.query_accumulator.abs_sum)
+    # reconstructions are fresh copies, so callers may still write into them
+    assert cache.reconstruct_keys().flags.writeable and cache.reconstruct_values().flags.writeable

@@ -21,7 +21,12 @@ from kvmix import (
     quantize_group,
     unpack_codes,
 )
-from kvmix.quant import _column_groups, _dequantize_column_runs, _quantize_column_runs
+from kvmix.quant import (
+    _column_groups,
+    _dequantize_column_runs,
+    _quantize_column_runs,
+    _unpack_bits,
+)
 
 
 def codes_of(group: QuantizedGroup) -> np.ndarray:
@@ -236,6 +241,35 @@ def test_pack_unpack_identity_two_bit(codes):
 def test_pack_unpack_identity_four_bit(codes):
     buf = pack_codes(codes, BitWidth.UINT4)
     assert unpack_codes(buf).tolist() == codes
+
+
+def unpack_bits_oracle(raw: np.ndarray, width: int, n: int) -> np.ndarray:
+    """The bit-level decode: unpack every bit, then shift-and-sum each code."""
+    bits = np.unpackbits(raw, axis=-1, count=n * width, bitorder="little")
+    shifts = np.arange(width, dtype=np.uint8)
+    return (bits.reshape(*raw.shape[:-1], n, width) << shifts).sum(axis=-1, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("width", [2, 4])
+@pytest.mark.parametrize("nbytes", [1, 2, 3])
+def test_byte_table_unpack_matches_bit_oracle(width, nbytes):
+    # every byte value at every byte position, and every code count that
+    # needs exactly nbytes bytes, partial last bytes included
+    per_byte = 8 // width
+    values = np.arange(256, dtype=np.uint8)
+    raw = np.stack([np.roll(values, 37 * i) for i in range(nbytes)], axis=-1)
+    for n in range((nbytes - 1) * per_byte + 1, nbytes * per_byte + 1):
+        got = _unpack_bits(raw, width, n)
+        want = unpack_bits_oracle(raw, width, n)
+        assert got.shape == want.shape == (256, n)
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, want)
+    # a batch with two leading axes, as the flushed tiers hold it
+    batch = raw.reshape(16, 16, nbytes)
+    np.testing.assert_array_equal(
+        _unpack_bits(batch, width, nbytes * per_byte),
+        unpack_bits_oracle(batch, width, nbytes * per_byte),
+    )
 
 
 @given(

@@ -2,7 +2,7 @@
 
 The accumulator's partition invariance is checked bit-exactly: feeding
 the same rows in different chunkings must give an identical float sum,
-which the row-sequential fold guarantees.
+which the left-to-right fold guarantees.
 """
 
 import numpy as np
@@ -78,6 +78,32 @@ class TestQueryAccumulator:
         for row in q:
             rows.add(row)
         np.testing.assert_array_equal(rows.abs_sum, block.abs_sum)
+
+    @given(
+        dim=st.integers(min_value=1, max_value=200),
+        rows=st.integers(min_value=1, max_value=300),
+        prior_rows=st.integers(min_value=0, max_value=3),
+        low=st.integers(min_value=-3, max_value=3),
+        decades=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_block_fold_equals_row_loop(self, dim, rows, prior_rows, low, decades, seed):
+        # the block fold against the row-by-row recurrence, bit for bit,
+        # on magnitudes spread over up to six decades in [1e-3, 1e3]
+        high = min(low + decades, 3)
+        rng = np.random.default_rng(seed)
+        prior, q = (
+            rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(low, high, size=(n, dim))
+            for n in (prior_rows, rows)
+        )
+        acc = QueryAccumulator(dim).add(prior)
+        want = np.zeros(dim)
+        for row in np.vstack([prior, q]):
+            want += np.abs(row)
+        acc.add(q)
+        assert np.array_equal(acc.abs_sum, want)
+        assert acc.count == prior_rows + rows
 
     def test_copy_is_independent(self):
         acc = QueryAccumulator(2).add(np.array([[1.0, 2.0]]))
