@@ -10,10 +10,13 @@ bits, which channels should get them? Four policies compete:
     fixed-uniform   every channel at one width (2 or 4 bits)
     full-precision  nothing quantized (the zero-error reference)
 
-The decode simulation replays a sequence token by token: each step
-appends to the cache, reconstructs the prefix, and accumulates the
-pre-softmax logit error  E_attn = Q (K - K_hat)^T  and the attended
-output error against exact attention.
+The decode simulation measures what a decoder feeding the sequence token
+by token would see: at each step the query attends over the prefix as
+the cache holds it, flushed tokens reconstructed and the rest exact.
+Flushed blocks never change, so it ingests the sequence once, builds one
+reconstruction, and evaluates every step in a few matrix passes,
+accumulating the pre-softmax logit error  E_attn = Q (K - K_hat)^T  and
+the attended output error against exact attention.
 """
 
 import numpy as np

@@ -13,7 +13,10 @@ to the cache token by token and attended each new query over the
 reconstructed prefix. Flushed blocks never change, so the prefix seen at
 every step follows from one final reconstruction and a mask of which
 tokens had been flushed by then; all steps are evaluated in a few chunked
-matrix passes and their errors aggregated into a FidelityReport.
+matrix passes and their errors aggregated into a FidelityReport. The
+chunk loop is one private evaluator, _decode_errors, which scores any
+number of key reconstructions of the same rows against one exact pass;
+the threshold search (kvmix.search) scores every candidate through it.
 
 PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
@@ -220,6 +223,63 @@ class PlantedSpec:
         )
 
 
+def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
+    """The checked (queries, keys, values) rows of the first `steps` decode steps."""
+    if isinstance(source, PlantedSpec):
+        inst = source.materialize(seed)
+    elif isinstance(source, AttentionInstance):
+        inst = source
+    else:
+        raise InvalidInput("source must be an AttentionInstance or a PlantedSpec")
+    steps = inst.length if steps is None else check_count(steps, "steps", 1)
+    if steps > inst.length:
+        raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
+    if inst.dim != config.dim or inst.value_dim != config.value_dim:
+        raise InvalidInput("instance geometry disagrees with the cache config")
+    return inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
+
+
+def _decode_errors(queries, keys, values, value_err, residual_len: int, k_hats):
+    """Decode errors of each key reconstruction in `k_hats`, every step at once.
+
+    `value_err` is values minus their reconstruction; each entry of
+    `k_hats` is sliced `k_hat[:hi]` for the rows a chunk attends to. At
+    step t the cache has flushed the first ((t + 1) // residual_len) *
+    residual_len tokens; those read back as reconstructed, the rest
+    exactly. Logits are scaled by 1/sqrt(dim). Returns one (sum of squared
+    logit errors, max |logit error|, sum of squared output errors) per
+    reconstruction, in order.
+
+    Chunks of query rows form the outer loop, so the masks, the exact
+    logits and the exact softmax of a chunk are computed once, and only
+    the logit error, the perturbed softmax and the output difference once
+    per reconstruction.
+    """
+    steps, dim = keys.shape
+    scale = 1.0 / math.sqrt(dim)
+    totals = [[0.0, 0.0, 0.0] for _ in k_hats]
+    for lo in range(0, steps, _DECODE_CHUNK):
+        hi = min(lo + _DECODE_CHUNK, steps)
+        step = np.arange(lo, hi)[:, None]
+        token = np.arange(hi)[None, :]
+        flushed = token < (step + 1) // residual_len * residual_len
+        unflushed = ~flushed
+        future = token > step
+        q = queries[lo:hi]
+        exact = q @ keys[:hi].T
+        weights = _softmax_rows(np.where(future, -np.inf, exact * scale))
+        for k_hat, total in zip(k_hats, totals):
+            # attention_error's expression, on rows that are checked already
+            err = q @ (keys[:hi] - k_hat[:hi]).T
+            err[unflushed] = 0.0
+            total[0] += float(np.sum(err * err))
+            total[1] = max(total[1], float(np.abs(err).max()))
+            weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * scale))
+            diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
+            total[2] += float(np.sum(diff * diff))
+    return [tuple(total) for total in totals]
+
+
 def decode_simulation(
     source: AttentionInstance | PlantedSpec,
     config: CacheConfig,
@@ -256,50 +316,14 @@ def decode_simulation(
     so the run is lossless end to end. With return_cache=True the final
     cache comes back alongside the report.
     """
-    if isinstance(source, PlantedSpec):
-        inst = source.materialize(seed)
-    elif isinstance(source, AttentionInstance):
-        inst = source
-    else:
-        raise InvalidInput("source must be an AttentionInstance or a PlantedSpec")
-    steps = inst.length if steps is None else check_count(steps, "steps", 1)
-    if steps > inst.length:
-        raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
-    if inst.dim != config.dim or inst.value_dim != config.value_dim:
-        raise InvalidInput("instance geometry disagrees with the cache config")
-
-    queries = inst.queries[:steps]
-    keys = inst.keys[:steps]
-    values = inst.values[:steps]
+    queries, keys, values = _decode_rows(source, config, steps, seed)
     cache = MixedKVCache(config, policy)
     cache.extend(keys, values, queries)
     k_hat = cache.reconstruct_keys()
     value_err = values - cache.reconstruct_values()
-
-    residual = config.residual_len
-    sq_logit = 0.0
-    max_logit = 0.0
-    sq_output = 0.0
-    for lo in range(0, steps, _DECODE_CHUNK):
-        hi = min(lo + _DECODE_CHUNK, steps)
-        step = np.arange(lo, hi)[:, None]
-        token = np.arange(hi)[None, :]
-        # At step t the cache has flushed the first ((t+1)//R)*R tokens;
-        # those read back as their frozen reconstruction, the rest exactly.
-        flushed = token < (step + 1) // residual * residual
-        future = token > step
-        q = queries[lo:hi]
-
-        err = attention_error(q, keys[:hi], k_hat[:hi])
-        err[~flushed] = 0.0
-        sq_logit += float(np.sum(err * err))
-        max_logit = max(max_logit, float(np.abs(err).max()))
-
-        exact = q @ keys[:hi].T
-        weights = _softmax_rows(np.where(future, -np.inf, exact * inst.scale))
-        weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * inst.scale))
-        diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
-        sq_output += float(np.sum(diff * diff))
+    ((sq_logit, max_logit, sq_output),) = _decode_errors(
+        queries, keys, values, value_err, config.residual_len, [k_hat]
+    )
 
     try:
         effective_bits = cache.effective_bitwidth()

@@ -39,11 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NothingToFlush, UndefinedMetric, check_array, check_count
-from .policies import AllocationPolicy, PolicyKind, resolve_assignment
-# quantize_group and dequantize_group are bound here, unused, so that tools
-# which wrap the quantizer where the cache looks it up keep names to patch.
-# Blocks are built and decoded by the batch forms _quantize_column_runs and
-# _dequantize_column_runs, which give bit-identical groups and values.
+# resolve_assignment, quantize_group and dequantize_group are bound here,
+# unused, so that tools which wrap them where the cache looks them up keep
+# names to patch. A flush resolves its tiers with the unchecked _resolve,
+# and blocks are built and decoded by the batch forms _quantize_column_runs
+# and _dequantize_column_runs, which give bit-identical groups and values.
+from .policies import AllocationPolicy, PolicyKind, _resolve, resolve_assignment  # noqa: F401
 from .quant import (  # noqa: F401
     _QUANT_WIDTHS,
     BitWidth,
@@ -452,7 +453,7 @@ class MixedKVCache:
         cfg = self.config
         length = keys.shape[0]
         sensitivity = sensitivity_score(keys)
-        assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
+        assignment = _resolve(self.policy, importance, sensitivity, cfg.thresholds)
 
         outliers = assignment.channels_at(BitWidth.FULL)
         runs = {}

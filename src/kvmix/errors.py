@@ -4,9 +4,10 @@ Every failure the library raises deliberately is a subclass of
 :class:`KVMixError`, so callers can catch one type at an API boundary
 (the CLI does exactly that to map failures onto exit codes).
 
-check_count and check_array are the input contract of every public
-function: a non-integral count or a non-real (strings included),
-non-finite or wrongly shaped array raises InvalidInput.
+check_count, check_real and check_array are the input contract of every
+public function: a non-integral count, a scalar that is not a real number
+(strings included), or a non-real, non-finite or wrongly shaped array
+raises InvalidInput.
 """
 
 import operator
@@ -83,6 +84,20 @@ def _parses_as_non_real(arr: np.ndarray) -> bool:
     if arr.dtype.kind == "O":
         return any(isinstance(v, (str, bytes)) for v in arr.flat)
     return arr.dtype.kind in "USc"
+
+
+def check_real(x, name: str) -> float:
+    """`x` as a float; InvalidInput unless it is a real number.
+
+    A numeric string, which float() would parse, is rejected too. NaN and
+    the infinities pass; callers decide what they mean.
+    """
+    try:
+        if _parses_as_non_real(np.asarray(x)):
+            raise TypeError
+        return float(x)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{name} must be a number, got {x!r}") from None
 
 
 def check_array(x, name: str, ndim) -> np.ndarray:

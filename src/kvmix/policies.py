@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput, check_array, check_count
 from .quant import BitWidth, _as_bitwidth
-from .salience import PrecisionAssignment, assign_precision, salience_score
+from .salience import PrecisionAssignment, _tier_bits, check_thresholds, salience_score
 
 __all__ = [
     "PolicyKind",
@@ -97,22 +97,19 @@ class AllocationPolicy:
         return cls(PolicyKind.FULL_PRECISION)
 
 
-def _topk_assignment(scores, budget: tuple[int, int]) -> PrecisionAssignment:
-    vec = check_array(scores, "scores", 1)
-    if vec.size == 0:
-        raise InvalidInput("scores must be a non-empty vector")
+def _topk_bits(scores: np.ndarray, budget: tuple[int, int]) -> np.ndarray:
     n_full, n_mid = budget
-    if n_full + n_mid > vec.size:
+    if n_full + n_mid > scores.size:
         raise InvalidInput(
-            f"budget {n_full}+{n_mid} exceeds the {vec.size} available channels"
+            f"budget {n_full}+{n_mid} exceeds the {scores.size} available channels"
         )
     # Stable sort on the negated scores: equal scores keep index order, so
     # ties always resolve to the lower channel.
-    order = np.argsort(-vec, kind="stable")
-    bits = np.full(vec.size, 2, dtype=np.uint8)
+    order = np.argsort(-scores, kind="stable")
+    bits = np.full(scores.size, 2, dtype=np.uint8)
     bits[order[:n_full]] = 16
     bits[order[n_full : n_full + n_mid]] = 4
-    return PrecisionAssignment(bits)
+    return bits
 
 
 def resolve_assignment(
@@ -132,14 +129,40 @@ def resolve_assignment(
     except (TypeError, ValueError):
         raise InvalidInput(f"thresholds is a pair (tau_full, tau_mid), got {thresholds!r}") from None
     sens = check_array(sensitivity, "sensitivity", 1)
+    if sens.size == 0:
+        raise InvalidInput("assignment must cover at least one channel")
+    if policy.kind == PolicyKind.SALIENCE:
+        importance = check_array(importance, "importance", 1)
+        salience_score(importance, sens)  # for its checks of the pair
+    if policy.kind in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY) and policy.budget is None:
+        tau_full, tau_mid = check_thresholds(tau_full, tau_mid)
+    return _resolve(policy, importance, sens, (tau_full, tau_mid))
+
+
+def _resolve(
+    policy: AllocationPolicy,
+    importance: np.ndarray,
+    sensitivity: np.ndarray,
+    thresholds: tuple[float, float],
+) -> PrecisionAssignment:
+    """resolve_assignment for checked vectors and thresholds.
+
+    A cache's flush calls it directly: the cache computes importance and
+    sensitivity itself (finite, non-negative, one entry per channel) and
+    checked its thresholds with its config. Only a salience that
+    overflows float64 is rejected here, with InvalidInput.
+    """
     if policy.kind == PolicyKind.FULL_PRECISION:
-        return PrecisionAssignment(np.full(sens.size, 16, dtype=np.uint8))
-    if policy.kind == PolicyKind.FIXED_UNIFORM:
-        return PrecisionAssignment(np.full(sens.size, int(policy.bits), dtype=np.uint8))
-    if policy.kind == PolicyKind.ERROR_ONLY:
-        scores = sens
+        bits = np.full(sensitivity.size, 16, dtype=np.uint8)
+    elif policy.kind == PolicyKind.FIXED_UNIFORM:
+        bits = np.full(sensitivity.size, int(policy.bits), dtype=np.uint8)
     else:
-        scores = salience_score(importance, sens)
-    if policy.budget is not None:
-        return _topk_assignment(scores, policy.budget)
-    return assign_precision(scores, tau_full, tau_mid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = sensitivity if policy.kind == PolicyKind.ERROR_ONLY else importance * sensitivity
+        if not np.isfinite(scores).all():
+            raise InvalidInput("salience contains non-finite elements")
+        if policy.budget is None:
+            bits = _tier_bits(scores, *thresholds)
+        else:
+            bits = _topk_bits(scores, policy.budget)
+    return PrecisionAssignment._of(bits)

@@ -36,9 +36,9 @@ from .errors import (
     EmptyWindow,
     InvalidInput,
     InvalidThresholds,
-    _parses_as_non_real,
     check_array,
     check_count,
+    check_real,
 )
 
 __all__ = [
@@ -159,15 +159,7 @@ def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
     tau_mid > tau_full (the tiers would overlap). Infinite thresholds are
     legal sentinels.
     """
-    try:
-        # float() would parse a numeric string
-        if _parses_as_non_real(np.asarray(tau_full)) or _parses_as_non_real(np.asarray(tau_mid)):
-            raise TypeError
-        tau_full, tau_mid = float(tau_full), float(tau_mid)
-    except (TypeError, ValueError):
-        raise InvalidInput(
-            f"thresholds must be numbers, got ({tau_full!r}, {tau_mid!r})"
-        ) from None
+    tau_full, tau_mid = check_real(tau_full, "tau_full"), check_real(tau_mid, "tau_mid")
     if math.isnan(tau_full) or math.isnan(tau_mid):
         raise InvalidThresholds("thresholds must not be NaN")
     if tau_mid > tau_full:
@@ -194,8 +186,20 @@ class PrecisionAssignment:
         if not np.all(np.isin(arr, (2, 4, 16))):
             raise InvalidInput("channel widths must be 2, 4, or 16")
         arr = arr.astype(np.uint8)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
+
+    @classmethod
+    def _of(cls, bits: np.ndarray) -> "PrecisionAssignment":
+        """Wrap a non-empty uint8 vector of 2/4/16 that the library built itself.
+
+        The checks of the constructor are skipped; the vector is taken
+        over and made read-only.
+        """
+        bits.setflags(write=False)
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "bits", bits)
+        return assignment
 
     @property
     def dim(self) -> int:
@@ -226,6 +230,17 @@ class PrecisionAssignment:
         return hash(self.bits.tobytes())
 
 
+def _tier_bits(salience: np.ndarray, tau_full: float, tau_mid: float) -> np.ndarray:
+    """uint8 widths of the tier rule, elementwise over checked scores of any shape.
+
+    2 bits, then 4 above tau_mid, then 16 above tau_full.
+    """
+    bits = np.full(salience.shape, 2, dtype=np.uint8)
+    bits[salience > tau_mid] = 4
+    bits[salience > tau_full] = 16
+    return bits
+
+
 def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssignment:
     """Split channels into 16/4/2-bit tiers by two salience thresholds.
 
@@ -236,11 +251,7 @@ def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssi
     scores = check_array(salience, "salience", 1)
     if scores.size == 0:
         raise InvalidInput("salience must be a non-empty vector")
-    tau_full, tau_mid = check_thresholds(tau_full, tau_mid)
-    bits = np.full(scores.shape, 2, dtype=np.uint8)
-    bits[scores > tau_mid] = 4
-    bits[scores > tau_full] = 16
-    return PrecisionAssignment(bits)
+    return PrecisionAssignment._of(_tier_bits(scores, *check_thresholds(tau_full, tau_mid)))
 
 
 def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:

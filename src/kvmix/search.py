@@ -8,18 +8,28 @@ norm (fidelity, lower is better) and the effective key bit width
 (b_eff, lower is cheaper). Both objectives are minimized; the result of
 the search is the nondominated set, plus a selector that picks the most
 faithful point under a bit budget.
+
+The thresholds reach a replay only through each block's tiers. The block
+layout, the salience of every key channel, its 2- and 4-bit
+reconstruction and the value error do not depend on them. So
+evaluate_grid ingests each instance once per quantized width and then,
+for each candidate, re-selects the tiers and assembles the key
+reconstruction from those parts; its scores equal evaluate_candidate's,
+which replays the cache once per candidate, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import decode_simulation
-from .cache import CacheConfig
-from .errors import BudgetInfeasible, InvalidInput, check_array, check_count
+from .attention import _decode_errors, _decode_rows, decode_simulation
+from .cache import CacheConfig, MixedKVCache
+from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
 from .policies import AllocationPolicy
+from .salience import QueryAccumulator, _tier_bits, sensitivity_score
 
 __all__ = [
     "ParetoPoint",
@@ -100,13 +110,100 @@ def evaluate_grid(
 ) -> list[ParetoPoint]:
     """Evaluate every threshold_grid(lo, hi, grid_points) candidate.
 
-    Each candidate is scored by evaluate_candidate on the same instances;
-    the result is the full log, in grid order.
+    The result is the full log, in grid order, and each point equals
+    evaluate_candidate's on the same instances bit for bit. Each instance
+    is ingested once per quantized width rather than once per candidate;
+    each candidate then re-selects the tiers of every block from the
+    blocks' salience and is scored from the assembled reconstruction.
     """
     instances = tuple(instances)
+    grid = threshold_grid(lo, hi, grid_points)
+    if not instances:
+        raise InvalidInput("need at least one instance to evaluate")
+    fidelity = [0.0] * len(grid)
+    b_eff = [0.0] * len(grid)
+    # summed in instance order, then averaged, as evaluate_candidate does
+    for inst in instances:
+        for i, (f, b) in enumerate(_score_instance(inst, config, grid, steps)):
+            fidelity[i] += f
+            b_eff[i] += b
+    n = len(instances)
     return [
-        evaluate_candidate(tau_full, tau_mid, instances, config, steps=steps)
-        for tau_full, tau_mid in threshold_grid(lo, hi, grid_points)
+        ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b / n, fidelity=f / n)
+        for (tf, tm), f, b in zip(grid, fidelity, b_eff)
+    ]
+
+
+class _Selection:
+    """One candidate's key reconstruction, assembled for the rows asked for.
+
+    `widths` holds the candidate's tiers, one row per scored block plus a
+    16-bit row 0; `owner` gives each token's row. A channel at 16 bits
+    reads the exact keys, at 4 or 2 bits the all-4-bit or all-2-bit
+    reconstruction. The quantizer works column by column, so these equal
+    the rows the candidate's own cache reconstructs. (A plain class: a
+    dataclass would add milliseconds to every import of kvmix.)
+    """
+
+    __slots__ = ("widths", "owner", "keys", "k4", "k2")
+
+    def __init__(self, widths, owner, keys, k4, k2):
+        self.widths, self.owner, self.keys, self.k4, self.k2 = widths, owner, keys, k4, k2
+
+    def __getitem__(self, rows) -> np.ndarray:
+        bits = self.widths[self.owner[rows]]
+        return np.where(bits == 16, self.keys[rows], np.where(bits == 4, self.k4[rows], self.k2[rows]))
+
+    def total_bits(self) -> int:
+        counts = np.bincount(self.owner, minlength=self.widths.shape[0])
+        return int(counts @ self.widths.sum(axis=1, dtype=np.int64))
+
+
+def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float, float]]:
+    """(fidelity, b_eff) of each candidate on one instance."""
+    queries, keys, values = _decode_rows(inst, config, steps)
+    try:
+        # tau (inf, inf) stores every scored channel at 2 bits, (inf, -inf) at 4
+        low, mid = (
+            MixedKVCache(replace(config, tau_full=math.inf, tau_mid=tau_mid))
+            for tau_mid in (math.inf, -math.inf)
+        )
+        low.extend(keys, values, queries)
+        mid.extend(keys, values, queries)
+    except InvalidInput:
+        # A channel may overflow once quantized, which a candidate that
+        # keeps it at 16 bits never does; replay each candidate instead.
+        policy = AllocationPolicy.salience()
+        reports = [
+            decode_simulation(inst, replace(config, tau_full=tf, tau_mid=tm), policy, steps=steps)
+            for tf, tm in grid
+        ]
+        return [(r.e_attn_frobenius, r.effective_bits) for r in reports]
+
+    # Each scored block's salience, from the queries up to its end folded
+    # left to right as the cache folds them. Row 0 (+inf, above every
+    # finite grid threshold) stands for the sink and residual tokens,
+    # which every candidate keeps at 16 bits.
+    acc = QueryAccumulator(config.dim)
+    salience = [np.full(config.dim, np.inf)]
+    owner = np.zeros(keys.shape[0], dtype=np.intp)
+    for blk in low.key_blocks:
+        if blk.is_sink:
+            continue
+        end = blk.start + blk.length
+        acc.add(queries[acc.count : end])
+        salience.append(acc.importance() * sensitivity_score(keys[blk.start : end]))
+        owner[blk.start : end] = len(salience) - 1
+    salience = np.vstack(salience)
+
+    k2, k4 = low.reconstruct_keys(), mid.reconstruct_keys()
+    selections = [_Selection(_tier_bits(salience, tf, tm), owner, keys, k4, k2) for tf, tm in grid]
+    value_err = values - low.reconstruct_values()
+    errors = _decode_errors(queries, keys, values, value_err, config.residual_len, selections)
+    # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
+    return [
+        (math.sqrt(sq_logit), sel.total_bits() / keys.size)
+        for sel, (sq_logit, _, _) in zip(selections, errors)
     ]
 
 
@@ -139,9 +236,14 @@ def pareto_frontier(points) -> list[ParetoPoint]:
 def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:
     """Most faithful frontier point with b_eff <= max_b_eff.
 
-    Raises BudgetInfeasible when every point exceeds the budget. Fidelity
-    ties resolve to the cheaper point.
+    Raises BudgetInfeasible when every point exceeds the budget, and
+    InvalidInput for a budget that is not a number or is NaN; +inf
+    selects the global minimum. Fidelity ties resolve to the cheaper
+    point.
     """
+    max_b_eff = check_real(max_b_eff, "max_b_eff")
+    if math.isnan(max_b_eff):
+        raise InvalidInput("max_b_eff must not be NaN")
     feasible = [p for p in frontier if p.b_eff <= max_b_eff]
     if not feasible:
         raise BudgetInfeasible(

@@ -224,6 +224,11 @@ class TestSearchCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: budget-infeasible:")
 
+    def test_nan_budget_exits_2(self, tmp_path, capsys):
+        code = main(search_args(tmp_path, "--budget", "nan"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config:")
+
     def test_search_deterministic(self, tmp_path):
         assert main(search_args(tmp_path, "--out", str(tmp_path / "s1"))) == 0
         assert main(search_args(tmp_path, "--out", str(tmp_path / "s2"))) == 0

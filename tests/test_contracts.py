@@ -14,6 +14,7 @@ from kvmix import (
     CacheConfig,
     InvalidInput,
     MixedKVCache,
+    ParetoPoint,
     PlantedSpec,
     PrecisionAssignment,
     QueryAccumulator,
@@ -25,6 +26,7 @@ from kvmix import (
     pack_codes,
     quantize_group,
     resolve_assignment,
+    select_under_budget,
     threshold_grid,
 )
 
@@ -32,6 +34,7 @@ NAN = float("nan")
 KEYS = np.arange(8.0).reshape(4, 2)
 SMALL = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
 SPEC = PlantedSpec(dim=8, length=16, n_outlier_scale=1, n_outlier_query=1)
+FRONT = [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=2.0, fidelity=1.0)]
 
 PROBES = {
     "attention_error_nan_key": lambda: attention_error(
@@ -90,6 +93,8 @@ PROBES = {
     "resolve_assignment_scalar_thresholds": lambda: resolve_assignment(
         AllocationPolicy.salience(), np.ones(3), np.ones(3), 5
     ),
+    "select_under_budget_string": lambda: select_under_budget(FRONT, "x"),
+    "select_under_budget_nan": lambda: select_under_budget(FRONT, NAN),
 }
 
 
@@ -110,6 +115,14 @@ def _nan_at_row_13():
     return keys, values, queries
 
 
+def _salience_overflow():
+    # channel 0's importance times its sensitivity overflows float64
+    keys, values, queries = _block(20, seed=1)
+    keys[:, 0] *= 1e200
+    queries[:, 0] *= 1e200
+    return keys, values, queries
+
+
 def _string_values():
     keys, _, queries = _block(20, seed=1)
     return keys, [["a"] * SMALL.dim] * 20, queries
@@ -118,6 +131,7 @@ def _string_values():
 CACHE_PROBES = {
     "extend_nan_key_at_row_13": lambda cache: cache.extend(*_nan_at_row_13()),
     "extend_string_values": lambda cache: cache.extend(*_string_values()),
+    "extend_salience_overflow": lambda cache: cache.extend(*_salience_overflow()),
     "append_string_query": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), ["a"] * SMALL.dim
     ),

@@ -1,17 +1,24 @@
 """Threshold grid search and Pareto frontier tests.
 
 The frontier routine is checked against a literal O(n^2) dominance scan
-on synthetic point clouds, then end to end on a tiny real search.
+on synthetic point clouds, then end to end on a tiny real search. The
+ingest-once grid is checked against evaluate_candidate, one replay per
+candidate, for exact equality.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kvmix.search
 from kvmix import (
+    AttentionInstance,
     BudgetInfeasible,
     CacheConfig,
     InvalidInput,
     InvalidThresholds,
+    MixedKVCache,
     ParetoPoint,
     PlantedSpec,
     evaluate_candidate,
@@ -140,6 +147,10 @@ class TestSelectUnderBudget:
         chosen = select_under_budget([mk(3.0, 1.0), mk(2.0, 1.0)], 10.0)
         assert chosen.b_eff == 2.0
 
+    def test_infinite_budget_takes_global_minimum(self):
+        chosen = select_under_budget(self.FRONT, float("inf"))
+        assert (chosen.b_eff, chosen.fidelity) == (3.4, 1.0)
+
 
 class TestSearchSpec:
     """The inputs of one search: its instances and its threshold range."""
@@ -196,3 +207,142 @@ class TestEvaluation:
         loose = evaluate_candidate(50.0, 50.0, insts, self.CFG)
         assert tight.b_eff > loose.b_eff
         assert tight.fidelity <= loose.fidelity
+
+
+def per_candidate(instances, config, lo, hi, grid_points, steps=None):
+    """The grid as evaluate_candidate scores it, one replay per candidate."""
+    return [
+        evaluate_candidate(tf, tm, instances, config, steps=steps)
+        for tf, tm in threshold_grid(lo, hi, grid_points)
+    ]
+
+
+def raised(fn):
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001 - the type is the result
+        return type(exc)
+    return None
+
+
+@st.composite
+def search_cases(draw):
+    group = draw(st.integers(1, 4))
+    residual = group * draw(st.integers(1, 4))
+    config = CacheConfig(
+        dim=draw(st.integers(1, 6)),
+        value_dim=draw(st.integers(1, 6)),
+        group_size=group,
+        residual_len=residual,
+        # sink lengths that split a run, and sinks past the whole instance
+        sink_len=draw(st.integers(0, 3 * residual)),
+        value_bits=draw(st.sampled_from([2, 4, 16])),
+    )
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    steps = draw(st.one_of(st.none(), st.integers(1, min(lengths))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    instances = []
+    for length in lengths:
+        # per-channel key ranges spread the salience across all three tiers
+        keys = rng.normal(size=(length, config.dim)) * rng.uniform(0.1, 10.0, config.dim)
+        queries = rng.normal(size=(length, config.dim))
+        values = rng.normal(size=(length, config.value_dim))
+        instances.append(AttentionInstance(queries, keys, values))
+    lo = draw(st.floats(0.0, 2.0))
+    hi = lo + draw(st.floats(0.0, 6.0))
+    return instances, config, lo, hi, draw(st.integers(1, 4)), steps
+
+
+class TestIngestOnceGrid:
+    """evaluate_grid equals one evaluate_candidate replay per candidate."""
+
+    CFG = CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2)
+    SPEC = PlantedSpec(dim=16, length=40, n_outlier_scale=2, n_outlier_query=2)
+
+    @given(search_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_grid_equals_per_candidate_replay(self, case):
+        instances, config, lo, hi, grid_points, steps = case
+        assert evaluate_grid(instances, config, lo, hi, grid_points, steps) == per_candidate(
+            instances, config, lo, hi, grid_points, steps
+        )
+
+    @pytest.mark.parametrize("query_scale", [1e-10, 0.0])
+    def test_channel_that_overflows_once_quantized(self, query_scale, monkeypatch):
+        # Key channel 0 spans [0, float max]: its sensitivity is finite, but
+        # quantizing it at 2 or 4 bits overflows. With small nonzero queries
+        # its salience sends it to 16 bits in every candidate, so the grid
+        # replays that instance candidate by candidate; with zero queries
+        # every candidate quantizes it and both paths raise.
+        rng = np.random.default_rng(0)
+        instances = [AttentionInstance(*(rng.normal(size=(40, 4)) for _ in range(3))) for _ in range(2)]
+        instances[0].keys[:, 0] = np.where(np.arange(40) % 2, np.finfo(np.float64).max, 0.0)
+        instances[0].queries[:, 0] = query_scale
+        config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=2)
+        if query_scale:
+            expected = per_candidate(instances, config, 0.1, 2.0, 3)
+        else:
+            assert raised(lambda: per_candidate(instances, config, 0.1, 2.0, 3)) is InvalidInput
+        replays = []
+        replay = kvmix.search.decode_simulation
+        monkeypatch.setattr(
+            kvmix.search, "decode_simulation", lambda *a, **k: replays.append(1) or replay(*a, **k)
+        )
+        if query_scale:
+            assert evaluate_grid(instances, config, 0.1, 2.0, 3) == expected
+            # only the overflowing instance is replayed, once per candidate
+            assert len(replays) == len(expected)
+        else:
+            assert raised(lambda: evaluate_grid(instances, config, 0.1, 2.0, 3)) is InvalidInput
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no_instances", "inverted_range", "geometry_mismatch", "steps_past_length", "not_an_instance"],
+    )
+    def test_errors_match_per_candidate_path(self, case):
+        inst = self.SPEC.materialize(0)
+        args = {
+            "no_instances": ((), self.CFG, 0.1, 2.0, 3, None),
+            "inverted_range": ([inst], self.CFG, 2.0, 0.1, 3, None),
+            "geometry_mismatch": ([inst], CacheConfig(dim=8, group_size=8, residual_len=16), 0.1, 2.0, 3, None),
+            "steps_past_length": ([inst], self.CFG, 0.1, 2.0, 3, 41),
+            "not_an_instance": ([inst, "trace"], self.CFG, 0.1, 2.0, 3, None),
+        }[case]
+        expected = raised(lambda: per_candidate(*args))
+        assert expected is not None and issubclass(expected, InvalidInput)
+        assert raised(lambda: evaluate_grid(*args)) is expected
+
+    def test_ingest_count_does_not_grow_with_the_grid(self, monkeypatch):
+        calls = []
+        extend = MixedKVCache.extend
+
+        def counting(cache, *rows):
+            calls.append(cache)
+            return extend(cache, *rows)
+
+        monkeypatch.setattr(MixedKVCache, "extend", counting)
+        counts = []
+        for grid_points in (2, 6):
+            calls.clear()
+            evaluate_grid([self.SPEC.materialize(0)], self.CFG, 0.05, 3.0, grid_points)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_reconstruction_matches_the_candidate_cache(self, monkeypatch):
+        # the assembled K_hat of each candidate is the candidate cache's own
+        inst = self.SPEC.materialize(2)
+        grid = threshold_grid(0.05, 3.0, 4)
+        captured = []
+        original = kvmix.search._decode_errors
+
+        def capture(queries, keys, values, value_err, residual_len, k_hats):
+            captured.extend(k_hat[: keys.shape[0]] for k_hat in k_hats)
+            return original(queries, keys, values, value_err, residual_len, k_hats)
+
+        monkeypatch.setattr(kvmix.search, "_decode_errors", capture)
+        evaluate_grid([inst], self.CFG, 0.05, 3.0, 4)
+        assert len(captured) == len(grid)
+        for (tf, tm), k_hat in zip(grid, captured):
+            cache = MixedKVCache(CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2, tau_full=tf, tau_mid=tm))
+            cache.extend(inst.keys, inst.values, inst.queries)
+            assert np.array_equal(k_hat, cache.reconstruct_keys())
