@@ -13,10 +13,10 @@ to the cache token by token and attended each new query over the
 reconstructed prefix. Flushed blocks never change, so the prefix seen at
 every step follows from one final reconstruction and a mask of which
 tokens had been flushed by then; all steps are evaluated in a few chunked
-matrix passes and their errors aggregated into a FidelityReport. The
-chunk loop is one private evaluator, _decode_errors, which scores any
-number of key reconstructions of the same rows against one exact pass;
-the threshold search (kvmix.search) scores every candidate through it.
+matrix passes and their errors aggregated into a FidelityReport. Two
+private helpers hold what the threshold search (kvmix.search) shares with
+it: _flushed_chunks, the chunks of query rows and which tokens each step
+reads back reconstructed, and _logit_error, the masked logit error.
 
 PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
@@ -112,15 +112,17 @@ class FidelityReport:
     policy_label: str
 
 
-# Query rows per matrix pass in decode_simulation: at length 2048 each
+# Query rows per matrix pass of a decode or a threshold search: at length 2048 each
 # (rows, prefix) float64 matrix stays near 4 MB.
 _DECODE_CHUNK = 256
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    weights = np.exp(shifted)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    # in place: each fresh (rows, prefix) temporary of a decode chunk costs page faults
+    weights = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def attention_exact(queries, keys, values, causal: bool = True, scale: float | None = None):
@@ -231,6 +233,8 @@ def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
         inst = source
     else:
         raise InvalidInput("source must be an AttentionInstance or a PlantedSpec")
+    if not isinstance(config, CacheConfig):
+        raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
     steps = inst.length if steps is None else check_count(steps, "steps", 1)
     if steps > inst.length:
         raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
@@ -239,45 +243,24 @@ def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
     return inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
 
 
-def _decode_errors(queries, keys, values, value_err, residual_len: int, k_hats):
-    """Decode errors of each key reconstruction in `k_hats`, every step at once.
+def _flushed_chunks(steps: int, residual_len: int):
+    """(lo, hi, flushed) for each _DECODE_CHUNK of the query rows lo..hi-1.
 
-    `value_err` is values minus their reconstruction; each entry of
-    `k_hats` is sliced `k_hat[:hi]` for the rows a chunk attends to. At
-    step t the cache has flushed the first ((t + 1) // residual_len) *
-    residual_len tokens; those read back as reconstructed, the rest
-    exactly. Logits are scaled by 1/sqrt(dim). Returns one (sum of squared
-    logit errors, max |logit error|, sum of squared output errors) per
-    reconstruction, in order.
-
-    Chunks of query rows form the outer loop, so the masks, the exact
-    logits and the exact softmax of a chunk are computed once, and only
-    the logit error, the perturbed softmax and the output difference once
-    per reconstruction.
+    At step t the cache has flushed the first ((t + 1) // residual_len) *
+    residual_len tokens: flushed[t - lo, j] says whether token j < hi then
+    reads back reconstructed, or else exactly.
     """
-    steps, dim = keys.shape
-    scale = 1.0 / math.sqrt(dim)
-    totals = [[0.0, 0.0, 0.0] for _ in k_hats]
     for lo in range(0, steps, _DECODE_CHUNK):
         hi = min(lo + _DECODE_CHUNK, steps)
         step = np.arange(lo, hi)[:, None]
-        token = np.arange(hi)[None, :]
-        flushed = token < (step + 1) // residual_len * residual_len
-        unflushed = ~flushed
-        future = token > step
-        q = queries[lo:hi]
-        exact = q @ keys[:hi].T
-        weights = _softmax_rows(np.where(future, -np.inf, exact * scale))
-        for k_hat, total in zip(k_hats, totals):
-            # attention_error's expression, on rows that are checked already
-            err = q @ (keys[:hi] - k_hat[:hi]).T
-            err[unflushed] = 0.0
-            total[0] += float(np.sum(err * err))
-            total[1] = max(total[1], float(np.abs(err).max()))
-            weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * scale))
-            diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
-            total[2] += float(np.sum(diff * diff))
-    return [tuple(total) for total in totals]
+        yield lo, hi, np.arange(hi)[None, :] < (step + 1) // residual_len * residual_len
+
+
+def _logit_error(q, keys, k_hat, flushed) -> np.ndarray:
+    """attention_error's Q (K - K_hat)^T on checked rows, 0 where not flushed."""
+    err = q @ (keys - k_hat).T
+    err[~flushed] = 0.0
+    return err
 
 
 def decode_simulation(
@@ -321,9 +304,19 @@ def decode_simulation(
     cache.extend(keys, values, queries)
     k_hat = cache.reconstruct_keys()
     value_err = values - cache.reconstruct_values()
-    ((sq_logit, max_logit, sq_output),) = _decode_errors(
-        queries, keys, values, value_err, config.residual_len, [k_hat]
-    )
+    scale = 1.0 / math.sqrt(config.dim)
+    sq_logit = max_logit = sq_output = 0.0
+    for lo, hi, flushed in _flushed_chunks(keys.shape[0], config.residual_len):
+        future = np.arange(hi)[None, :] > np.arange(lo, hi)[:, None]
+        q = queries[lo:hi]
+        exact = q @ keys[:hi].T
+        weights = _softmax_rows(np.where(future, -np.inf, exact * scale))
+        err = _logit_error(q, keys[:hi], k_hat[:hi], flushed)
+        sq_logit += float(np.sum(err * err))
+        max_logit = max(max_logit, float(np.abs(err).max()))
+        weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * scale))
+        diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
+        sq_output += float(np.sum(diff * diff))
 
     try:
         effective_bits = cache.effective_bitwidth()
@@ -336,7 +329,7 @@ def decode_simulation(
         e_attn_max=max_logit,
         output_error_frobenius=math.sqrt(sq_output),
         effective_bits=effective_bits,
-        policy_label=policy.label,
+        policy_label=cache.policy.label,
     )
     if return_cache:
         return report, cache

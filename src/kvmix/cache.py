@@ -245,6 +245,10 @@ class MixedKVCache:
     """
 
     def __init__(self, config: CacheConfig, policy: AllocationPolicy | None = None):
+        if not isinstance(config, CacheConfig):
+            raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
+        if not isinstance(policy, (AllocationPolicy, type(None))):
+            raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
         self.config = config
         self.policy = policy if policy is not None else AllocationPolicy.salience()
         self._value_pass_through = (

@@ -34,7 +34,7 @@ import numpy as np
 
 from .attention import AttentionInstance
 from .cache import MixedKVCache
-from .errors import CorruptFile, InvalidInput, UnsupportedFormat
+from .errors import CorruptFile, InvalidInput, UnsupportedFormat, _parses_as_non_real
 
 __all__ = [
     "TensorDump",
@@ -58,13 +58,19 @@ class TensorDump:
     sections: dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, name: str, array) -> "TensorDump":
-        if not name:
-            raise InvalidInput("section name must be non-empty")
+        if not isinstance(name, str) or not name:
+            raise InvalidInput(f"section name must be a non-empty string, got {name!r}")
         if len(name.encode("utf-8")) > 0xFFFF:
             raise InvalidInput("section name too long")
         if name in self.sections:
             raise InvalidInput(f"duplicate section {name!r}")
-        arr = np.asarray(array, dtype=np.float32)
+        try:
+            arr = np.asarray(array)
+            if _parses_as_non_real(arr):
+                raise TypeError
+            arr = arr.astype(np.float32, copy=False)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"section {name!r} must be numeric") from None
         if arr.ndim < 1 or arr.ndim > _MAX_RANK:
             raise InvalidInput(f"section rank must be 1..{_MAX_RANK}, got {arr.ndim}")
         self.sections[name] = np.ascontiguousarray(arr)
@@ -118,7 +124,10 @@ class TensorDump:
         dump = cls()
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(2, "section name length"))
-            name = bytes(take(name_len, "section name")).decode("utf-8")
+            try:
+                name = bytes(take(name_len, "section name")).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptFile("section name is not valid UTF-8") from None
             if name in dump.sections:
                 raise CorruptFile(f"duplicate section {name!r}")
             (rank,) = struct.unpack("<B", take(1, "section rank"))

@@ -45,8 +45,9 @@ class PolicyKind(enum.Enum):
 class AllocationPolicy:
     """A policy kind plus its parameters.
 
-    `bits` applies only to FIXED_UNIFORM. `budget` switches SALIENCE and
-    ERROR_ONLY from threshold mode to top-k mode.
+    `kind` is a PolicyKind or its value ("salience", ...). `bits` applies
+    only to FIXED_UNIFORM. `budget` switches SALIENCE and ERROR_ONLY from
+    threshold mode to top-k mode.
     """
 
     kind: PolicyKind
@@ -54,6 +55,10 @@ class AllocationPolicy:
     budget: tuple[int, int] | None = None
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "kind", PolicyKind(self.kind))
+        except ValueError:
+            raise InvalidInput(f"unknown policy kind {self.kind!r}") from None
         if self.kind == PolicyKind.FIXED_UNIFORM:
             if self.bits is None:
                 raise InvalidInput("fixed-uniform policy needs a bit width")
@@ -122,8 +127,11 @@ def resolve_assignment(
 
     `importance` and `sensitivity` are the block's I and S vectors;
     `thresholds` is the (tau_full, tau_mid) pair used in threshold mode.
-    A `thresholds` argument that is not a pair raises InvalidInput.
+    A `policy` that is not an AllocationPolicy, or a `thresholds`
+    argument that is not a pair, raises InvalidInput.
     """
+    if not isinstance(policy, AllocationPolicy):
+        raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
     try:
         tau_full, tau_mid = thresholds
     except (TypeError, ValueError):

@@ -9,13 +9,13 @@ norm (fidelity, lower is better) and the effective key bit width
 the search is the nondominated set, plus a selector that picks the most
 faithful point under a bit budget.
 
-The thresholds reach a replay only through each block's tiers. The block
-layout, the salience of every key channel, its 2- and 4-bit
-reconstruction and the value error do not depend on them. So
+Only the logit error is scored, and the thresholds reach it only
+through each block's tiers. The block layout, the salience of every key
+channel and its 2- and 4-bit reconstruction do not depend on them. So
 evaluate_grid ingests each instance once per quantized width and then,
 for each candidate, re-selects the tiers and assembles the key
-reconstruction from those parts; its scores equal evaluate_candidate's,
-which replays the cache once per candidate, bit for bit.
+reconstruction from those parts, reconstructing no values. Its scores
+equal evaluate_candidate's, a replay per candidate, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import _decode_errors, _decode_rows, decode_simulation
+from .attention import _decode_rows, _flushed_chunks, _logit_error, decode_simulation
 from .cache import CacheConfig, MixedKVCache
 from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
 from .policies import AllocationPolicy
@@ -114,7 +114,8 @@ def evaluate_grid(
     evaluate_candidate's on the same instances bit for bit. Each instance
     is ingested once per quantized width rather than once per candidate;
     each candidate then re-selects the tiers of every block from the
-    blocks' salience and is scored from the assembled reconstruction.
+    blocks' salience and is scored on the logit error of the assembled
+    key reconstruction alone, without values or a softmax.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
@@ -132,31 +133,6 @@ def evaluate_grid(
         ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b / n, fidelity=f / n)
         for (tf, tm), f, b in zip(grid, fidelity, b_eff)
     ]
-
-
-class _Selection:
-    """One candidate's key reconstruction, assembled for the rows asked for.
-
-    `widths` holds the candidate's tiers, one row per scored block plus a
-    16-bit row 0; `owner` gives each token's row. A channel at 16 bits
-    reads the exact keys, at 4 or 2 bits the all-4-bit or all-2-bit
-    reconstruction. The quantizer works column by column, so these equal
-    the rows the candidate's own cache reconstructs. (A plain class: a
-    dataclass would add milliseconds to every import of kvmix.)
-    """
-
-    __slots__ = ("widths", "owner", "keys", "k4", "k2")
-
-    def __init__(self, widths, owner, keys, k4, k2):
-        self.widths, self.owner, self.keys, self.k4, self.k2 = widths, owner, keys, k4, k2
-
-    def __getitem__(self, rows) -> np.ndarray:
-        bits = self.widths[self.owner[rows]]
-        return np.where(bits == 16, self.keys[rows], np.where(bits == 4, self.k4[rows], self.k2[rows]))
-
-    def total_bits(self) -> int:
-        counts = np.bincount(self.owner, minlength=self.widths.shape[0])
-        return int(counts @ self.widths.sum(axis=1, dtype=np.int64))
 
 
 def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float, float]]:
@@ -196,15 +172,22 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
         owner[blk.start : end] = len(salience) - 1
     salience = np.vstack(salience)
 
+    # A channel at 16 bits reads the exact keys, at 4 or 2 bits the
+    # all-4-bit or all-2-bit reconstruction. The quantizer works column by
+    # column, so these equal the rows the candidate's own cache reconstructs.
     k2, k4 = low.reconstruct_keys(), mid.reconstruct_keys()
-    selections = [_Selection(_tier_bits(salience, tf, tm), owner, keys, k4, k2) for tf, tm in grid]
-    value_err = values - low.reconstruct_values()
-    errors = _decode_errors(queries, keys, values, value_err, config.residual_len, selections)
-    # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
-    return [
-        (math.sqrt(sq_logit), sel.total_bits() / keys.size)
-        for sel, (sq_logit, _, _) in zip(selections, errors)
-    ]
+    chunks = list(_flushed_chunks(keys.shape[0], config.residual_len))
+    scores = []
+    for tf, tm in grid:
+        bits = _tier_bits(salience, tf, tm)[owner]
+        k_hat = np.where(bits == 16, keys, np.where(bits == 4, k4, k2))
+        sq_logit = 0.0
+        for lo, hi, flushed in chunks:
+            err = _logit_error(queries[lo:hi], keys[:hi], k_hat[:hi], flushed)
+            sq_logit += float(np.sum(err * err))
+        # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
+        scores.append((math.sqrt(sq_logit), int(bits.sum(dtype=np.int64)) / keys.size))
+    return scores
 
 
 def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:

@@ -8,12 +8,14 @@ closed-form evaluation.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kvmix.attention
 from kvmix import (
     AllocationPolicy,
     AttentionInstance,
@@ -236,6 +238,12 @@ class TestDecodeSimulation:
         assert report.effective_bits < 16.0
         assert report.policy_label == "fixed-uniform-2"
 
+    def test_no_policy_runs_the_cache_default(self):
+        # MixedKVCache takes policy None as salience; so does the report
+        spec = PlantedSpec(dim=32, length=64)
+        report = decode_simulation(spec, sim_config(), None, seed=0)
+        assert report == decode_simulation(spec, sim_config(), AllocationPolicy.salience(), seed=0)
+
     def test_effective_bits_fall_back_to_full_before_any_flush(self):
         spec = PlantedSpec(dim=32, length=64)
         report = decode_simulation(
@@ -372,17 +380,22 @@ REFERENCE_POLICIES = {
         st.floats(min_value=0.0, max_value=3.0), st.floats(min_value=0.0, max_value=3.0)
     ),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    chunk=st.sampled_from([256, 7, 1]),
 )
 @settings(max_examples=150, deadline=None)
-# sink 0 and > 0, steps < length, a partial tail, every policy
-@example(8, 40, 4, 2, 0, 0, "salience", BitWidth.UINT2, (1.5, 0.3), 0)
-@example(8, 40, 4, 2, 3, 5, "salience-budget", BitWidth.UINT2, (1.5, 0.3), 1)
-@example(4, 37, 2, 3, 1, 0, "error-only", BitWidth.UINT4, (1.0, 0.5), 2)
-@example(4, 30, 1, 3, 0, 3, "fixed-2", BitWidth.UINT2, (1.0, 0.5), 3)
-@example(8, 33, 4, 1, 2, 0, "fixed-4", BitWidth.FULL, (1.0, 0.5), 4)
-@example(8, 40, 2, 2, 4, 7, "full", BitWidth.UINT2, (1.0, 0.5), 5)
+# sink 0 and > 0, steps < length, a partial tail, every policy; query
+# rows in one chunk, in chunks that end in a partial one, one per chunk
+@example(8, 40, 4, 2, 0, 0, "salience", BitWidth.UINT2, (1.5, 0.3), 0, 256)
+@example(8, 40, 4, 2, 3, 5, "salience-budget", BitWidth.UINT2, (1.5, 0.3), 1, 256)
+@example(4, 37, 2, 3, 1, 0, "error-only", BitWidth.UINT4, (1.0, 0.5), 2, 256)
+@example(4, 30, 1, 3, 0, 3, "fixed-2", BitWidth.UINT2, (1.0, 0.5), 3, 256)
+@example(8, 33, 4, 1, 2, 0, "fixed-4", BitWidth.FULL, (1.0, 0.5), 4, 256)
+@example(8, 40, 2, 2, 4, 7, "full", BitWidth.UINT2, (1.0, 0.5), 5, 256)
+@example(8, 40, 4, 2, 3, 0, "salience", BitWidth.UINT2, (1.5, 0.3), 0, 7)
+@example(8, 40, 4, 2, 3, 5, "salience-budget", BitWidth.UINT4, (1.5, 0.3), 1, 7)
+@example(4, 37, 2, 3, 1, 0, "error-only", BitWidth.UINT2, (1.0, 0.5), 2, 1)
 def test_closed_form_decode_matches_step_loop(
-    dim, length, group_size, runs, sink_len, steps_cut, policy, value_bits, taus, seed
+    dim, length, group_size, runs, sink_len, steps_cut, policy, value_bits, taus, seed, chunk
 ):
     steps = max(1, length - steps_cut)
     config = CacheConfig(
@@ -397,7 +410,8 @@ def test_closed_form_decode_matches_step_loop(
     spec = PlantedSpec(dim=dim, length=length, n_outlier_scale=1, n_outlier_query=1)
     inst = spec.materialize(seed)
     pol = REFERENCE_POLICIES[policy]
-    got = decode_simulation(inst, config, pol, steps=steps)
+    with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
+        got = decode_simulation(inst, config, pol, steps=steps)
     want = step_loop_reference(inst, config, pol, steps)
     assert got.effective_bits == want.effective_bits
     assert got.policy_label == want.policy_label

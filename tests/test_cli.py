@@ -132,6 +132,21 @@ class TestRunCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad-dump:")
 
+    def test_dump_with_undecodable_name_exits_1(self, tmp_path, capsys):
+        inst = PlantedSpec(dim=4, length=8, n_outlier_scale=1, n_outlier_query=1).materialize(0)
+        blob = bytearray(dump_from_instance(inst).to_bytes())
+        # the first section's name becomes the two bytes ff fe
+        name = b"layer0/head0/q"
+        at = blob.index(name)
+        blob[at - 2 : at + len(name)] = b"\x02\x00\xff\xfe"
+        bad = tmp_path / "bad.mkvq"
+        bad.write_bytes(bytes(blob))
+        code = main(["run", "--dump", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad-dump:")
+        assert err.count("\n") == 1
+
     def test_directory_as_dump_exits_1(self, tmp_path, capsys):
         code = main(["run", "--dump", str(tmp_path)])
         assert code == 1

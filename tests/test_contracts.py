@@ -23,6 +23,7 @@ from kvmix import (
     attention_error,
     attention_exact,
     decode_simulation,
+    evaluate_grid,
     pack_codes,
     quantize_group,
     resolve_assignment,
@@ -95,6 +96,16 @@ PROBES = {
     ),
     "select_under_budget_string": lambda: select_under_budget(FRONT, "x"),
     "select_under_budget_nan": lambda: select_under_budget(FRONT, NAN),
+    "policy_unknown_kind": lambda: AllocationPolicy("full"),
+    "cache_string_config": lambda: MixedKVCache("cfg"),
+    "cache_string_policy": lambda: MixedKVCache(SMALL, "salience"),
+    "decode_simulation_none_config": lambda: decode_simulation(
+        SPEC, None, AllocationPolicy.salience()
+    ),
+    "evaluate_grid_none_config": lambda: evaluate_grid([SPEC.materialize(0)], None),
+    "resolve_assignment_string_policy": lambda: resolve_assignment(
+        "x", np.ones(3), np.ones(3), (1.0, 0.5)
+    ),
 }
 
 

@@ -116,6 +116,14 @@ class TestContainerValidation:
         with pytest.raises(CorruptFile):
             TensorDump.from_bytes(bytes(blob))
 
+    def test_section_name_not_utf8_rejected(self):
+        blob = bytearray(small_dump().to_bytes())
+        # the one-byte name "a" becomes the two bytes ff fe
+        at = blob.index(b"a")
+        blob[at - 2 : at + 1] = b"\x02\x00\xff\xfe"
+        with pytest.raises(CorruptFile):
+            TensorDump.from_bytes(bytes(blob))
+
     def test_add_validates_names_and_rank(self):
         dump = TensorDump()
         with pytest.raises(InvalidInput):
@@ -125,6 +133,11 @@ class TestContainerValidation:
             dump.add("x", np.zeros(1))
         with pytest.raises(InvalidInput):
             dump.add("scalar", np.float32(1.0))
+        bad = ((7, np.zeros(1)), ("text", "xyz"), ("digits", ["1.5"]), ("complex", [1 + 2j]))
+        for name, array in bad:
+            with pytest.raises(InvalidInput):
+                dump.add(name, array)
+        assert list(dump.sections) == ["x"]
 
 
 class TestInstanceDumps:

@@ -8,9 +8,12 @@ import pytest
 from kvmix import (
     AllocationPolicy,
     BitWidth,
+    CacheConfig,
     InvalidInput,
+    PlantedSpec,
     PolicyKind,
     assign_precision,
+    decode_simulation,
     resolve_assignment,
 )
 
@@ -102,6 +105,17 @@ class TestPolicyObjects:
         assert AllocationPolicy.error_only().label == "error-only"
         assert AllocationPolicy.fixed_uniform(4).label == "fixed-uniform-4"
         assert AllocationPolicy.full_precision().label == "full-precision"
+
+    def test_kind_may_be_given_by_value(self):
+        # a str kind is converted, so a cache built with it keeps every
+        # channel and value exact, as the full-precision policy does
+        policy = AllocationPolicy("full-precision")
+        assert policy == AllocationPolicy.full_precision()
+        spec = PlantedSpec(dim=8, length=24, n_outlier_scale=1, n_outlier_query=1)
+        config = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
+        report = decode_simulation(spec, config, policy)
+        assert (report.e_attn_frobenius, report.output_error_frobenius) == (0.0, 0.0)
+        assert (report.effective_bits, report.policy_label) == (16.0, "full-precision")
 
     def test_fixed_uniform_requires_width(self):
         with pytest.raises(InvalidInput):

@@ -6,11 +6,14 @@ ingest-once grid is checked against evaluate_candidate, one replay per
 candidate, for exact equality.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kvmix.attention
 import kvmix.search
 from kvmix import (
     AttentionInstance,
@@ -333,16 +336,37 @@ class TestIngestOnceGrid:
         inst = self.SPEC.materialize(2)
         grid = threshold_grid(0.05, 3.0, 4)
         captured = []
-        original = kvmix.search._decode_errors
+        original = kvmix.search._logit_error
 
-        def capture(queries, keys, values, value_err, residual_len, k_hats):
-            captured.extend(k_hat[: keys.shape[0]] for k_hat in k_hats)
-            return original(queries, keys, values, value_err, residual_len, k_hats)
+        def capture(q, keys, k_hat, flushed):
+            captured.append(k_hat)
+            return original(q, keys, k_hat, flushed)
 
-        monkeypatch.setattr(kvmix.search, "_decode_errors", capture)
+        monkeypatch.setattr(kvmix.search, "_logit_error", capture)
         evaluate_grid([inst], self.CFG, 0.05, 3.0, 4)
         assert len(captured) == len(grid)
         for (tf, tm), k_hat in zip(grid, captured):
             cache = MixedKVCache(CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2, tau_full=tf, tau_mid=tm))
             cache.extend(inst.keys, inst.values, inst.queries)
             assert np.array_equal(k_hat, cache.reconstruct_keys())
+
+    def test_search_reads_keys_only(self, monkeypatch):
+        # candidates are scored on the logit error: no value is
+        # reconstructed and no softmax taken on the ingest-once path
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search read values or took a softmax")
+
+        monkeypatch.setattr(MixedKVCache, "reconstruct_values", refuse)
+        monkeypatch.setattr(kvmix.attention, "_softmax_rows", refuse)
+        points = evaluate_grid([self.SPEC.materialize(0)], self.CFG, 0.05, 3.0, 4)
+        assert len(points) == len(threshold_grid(0.05, 3.0, 4))
+
+    @pytest.mark.parametrize("chunk, steps", [(7, None), (7, 33), (8, None), (1, 20)])
+    def test_grid_equals_per_candidate_replay_across_chunks(self, chunk, steps):
+        # 40 rows, or `steps` of them, in chunks of `chunk` query rows:
+        # chunks of 7 end in a partial chunk, the others in a full one
+        instances = [self.SPEC.materialize(seed) for seed in (0, 1)]
+        with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
+            assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 4, steps) == per_candidate(
+                instances, self.CFG, 0.05, 3.0, 4, steps
+            )
