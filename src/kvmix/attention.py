@@ -12,11 +12,13 @@ decode_simulation() measures what a decoder would see if it fed a sequence
 to the cache token by token and attended each new query over the
 reconstructed prefix. Flushed blocks never change, so the prefix seen at
 every step follows from one final reconstruction and a mask of which
-tokens had been flushed by then; all steps are evaluated in a few chunked
-matrix passes and their errors aggregated into a FidelityReport. Two
-private helpers hold what the threshold search (kvmix.search) shares with
-it: _flushed_chunks, the chunks of query rows and which tokens each step
-reads back reconstructed, and _logit_error, the masked logit error.
+tokens had been flushed by then. All steps are evaluated in chunked
+matrix passes over four buffers allocated once per call. The causal mask
+touches only each chunk's diagonal block, the flushed mask only the band
+of columns its first step had not flushed, and the errors are
+aggregated into a FidelityReport. Two private helpers hold what the
+threshold search (kvmix.search) shares with it: _flushed_chunks, the
+chunks of query rows and that band, and _logit_error, the masked error.
 
 PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
@@ -112,17 +114,17 @@ class FidelityReport:
     policy_label: str
 
 
-# Query rows per matrix pass of a decode or a threshold search: at length 2048 each
-# (rows, prefix) float64 matrix stays near 4 MB.
-_DECODE_CHUNK = 256
+# Query rows per matrix pass of a decode or a threshold search. A decode holds
+# four (rows, length) float64 matrices, 1 MB each at 64 rows and length 2048.
+_DECODE_CHUNK = 64
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    # in place: each fresh (rows, prefix) temporary of a decode chunk costs page faults
-    weights = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+    """Softmax of each row of `logits`, in place (a decode reuses its buffers)."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def attention_exact(queries, keys, values, causal: bool = True, scale: float | None = None):
@@ -130,7 +132,8 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
 
     With causal=True position i attends to keys [0, i], which requires as
     many query rows as key rows. Returns (weights, outputs): the softmax
-    weight matrix and the attended value rows.
+    weight matrix and the attended value rows. Logits or outputs that
+    overflow float64 raise InvalidInput.
     """
     q = _as_matrix(queries, "queries")
     k = check_array(keys, "keys", 2)
@@ -140,14 +143,17 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
     if v.shape[0] != k.shape[0]:
         raise InvalidInput("keys and values disagree on token count")
     scale = 1.0 / math.sqrt(k.shape[1]) if scale is None else check_array(scale, "scale", 0)
-    logits = (q @ k.T) * scale
-    if causal:
-        if q.shape[0] != k.shape[0]:
-            raise InvalidInput("causal masking requires one query row per key row")
-        i, j = np.triu_indices(q.shape[0], k=1)
-        logits[i, j] = -np.inf
-    weights = _softmax_rows(logits)
-    return weights, weights @ v
+    if causal and q.shape[0] != k.shape[0]:
+        raise InvalidInput("causal masking requires one query row per key row")
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = (q @ k.T) * scale
+        if causal:
+            logits[np.triu_indices(q.shape[0], k=1)] = -np.inf
+        weights = _softmax_rows(logits)
+        out = weights @ v
+    if not (np.isfinite(weights).all() and np.isfinite(out).all()):
+        raise InvalidInput("attention logits or outputs overflow float64")
+    return weights, out
 
 
 def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
@@ -244,22 +250,24 @@ def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
 
 
 def _flushed_chunks(steps: int, residual_len: int):
-    """(lo, hi, flushed) for each _DECODE_CHUNK of the query rows lo..hi-1.
+    """(lo, hi, cut, pending) for each _DECODE_CHUNK of the query rows lo..hi-1.
 
     At step t the cache has flushed the first ((t + 1) // residual_len) *
-    residual_len tokens: flushed[t - lo, j] says whether token j < hi then
-    reads back reconstructed, or else exactly.
+    residual_len tokens; the rest read back exactly. Every step of the
+    chunk has flushed the tokens before `cut`, and pending[t - lo, j - cut]
+    says whether token cut <= j < hi is still unflushed at step t.
     """
     for lo in range(0, steps, _DECODE_CHUNK):
         hi = min(lo + _DECODE_CHUNK, steps)
-        step = np.arange(lo, hi)[:, None]
-        yield lo, hi, np.arange(hi)[None, :] < (step + 1) // residual_len * residual_len
+        cut = (lo + 1) // residual_len * residual_len
+        flushed = (np.arange(lo, hi)[:, None] + 1) // residual_len * residual_len
+        yield lo, hi, cut, np.arange(cut, hi)[None, :] >= flushed
 
 
-def _logit_error(q, keys, k_hat, flushed) -> np.ndarray:
-    """attention_error's Q (K - K_hat)^T on checked rows, 0 where not flushed."""
-    err = q @ (keys - k_hat).T
-    err[~flushed] = 0.0
+def _logit_error(q, delta, cut, pending, out=None) -> np.ndarray:
+    """attention_error's Q (K - K_hat)^T from delta = K - K_hat, 0 where pending."""
+    err = np.matmul(q, delta.T, out=out)
+    np.copyto(err[:, cut:], 0.0, where=pending)
     return err
 
 
@@ -297,26 +305,42 @@ def decode_simulation(
 
     Under the FULL_PRECISION policy value quantization is disabled too,
     so the run is lossless end to end. With return_cache=True the final
-    cache comes back alongside the report.
+    cache comes back alongside the report. Logits or errors that
+    overflow float64 raise InvalidInput.
     """
     queries, keys, values = _decode_rows(source, config, steps, seed)
     cache = MixedKVCache(config, policy)
     cache.extend(keys, values, queries)
-    k_hat = cache.reconstruct_keys()
+    delta = keys - cache.reconstruct_keys()
     value_err = values - cache.reconstruct_values()
     scale = 1.0 / math.sqrt(config.dim)
+    rows = min(_DECODE_CHUNK, len(keys))
+    future = np.triu(np.ones((rows, rows), dtype=bool), 1)
+    buffers = np.empty((4, rows * len(keys)))
     sq_logit = max_logit = sq_output = 0.0
-    for lo, hi, flushed in _flushed_chunks(keys.shape[0], config.residual_len):
-        future = np.arange(hi)[None, :] > np.arange(lo, hi)[:, None]
-        q = queries[lo:hi]
-        exact = q @ keys[:hi].T
-        weights = _softmax_rows(np.where(future, -np.inf, exact * scale))
-        err = _logit_error(q, keys[:hi], k_hat[:hi], flushed)
-        sq_logit += float(np.sum(err * err))
-        max_logit = max(max_logit, float(np.abs(err).max()))
-        weights_hat = _softmax_rows(np.where(future, -np.inf, (exact - err) * scale))
-        diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
-        sq_output += float(np.sum(diff * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, cut, pending in _flushed_chunks(len(keys), config.residual_len):
+            n = hi - lo
+            # contiguous (n, hi) views, laid out as fresh matrices would be
+            exact, err, weights, weights_hat = (b[: n * hi].reshape(n, hi) for b in buffers)
+            q = queries[lo:hi]
+            np.matmul(q, keys[:hi].T, out=exact)
+            np.multiply(exact, scale, out=weights)
+            np.copyto(weights[:, lo:], -np.inf, where=future[:n, :n])
+            _softmax_rows(weights)
+            _logit_error(q, delta[:hi], cut, pending, out=err)
+            sq_logit += float(np.sum(np.multiply(err, err, out=weights_hat)))
+            max_logit = max(max_logit, float(np.abs(err, out=weights_hat).max()))
+            np.multiply(np.subtract(exact, err, out=weights_hat), scale, out=weights_hat)
+            np.copyto(weights_hat[:, lo:], -np.inf, where=future[:n, :n])
+            _softmax_rows(weights_hat)
+            weights -= weights_hat
+            diff = weights @ values[:hi]
+            np.copyto(weights_hat[:, cut:], 0.0, where=pending)
+            diff += weights_hat @ value_err[:hi]
+            sq_output += float(np.sum(diff * diff))
+    if not (math.isfinite(sq_logit) and math.isfinite(sq_output)):
+        raise InvalidInput("attention logits or errors overflow float64")
 
     try:
         effective_bits = cache.effective_bitwidth()

@@ -6,8 +6,8 @@ Every failure the library raises deliberately is a subclass of
 
 check_count, check_real and check_array are the input contract of every
 public function: a non-integral count, a scalar that is not a real number
-(strings included), or a non-real, non-finite or wrongly shaped array
-raises InvalidInput.
+(strings included) or an integer beyond float64, or a non-real,
+non-finite or wrongly shaped array raises InvalidInput.
 """
 
 import operator
@@ -96,6 +96,8 @@ def check_real(x, name: str) -> float:
         if _parses_as_non_real(np.asarray(x)):
             raise TypeError
         return float(x)
+    except OverflowError:
+        raise InvalidInput(f"{name} is an integer beyond the float64 range") from None
     except (TypeError, ValueError):
         raise InvalidInput(f"{name} must be a number, got {x!r}") from None
 
@@ -113,7 +115,7 @@ def check_array(x, name: str, ndim) -> np.ndarray:
             if _parses_as_non_real(arr):
                 raise TypeError
             arr = arr.astype(np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InvalidInput(f"{name} must be numeric") from None
     if arr.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):
         raise InvalidInput(f"{name} must have {ndim} axes, got shape {arr.shape}")

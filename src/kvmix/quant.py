@@ -21,6 +21,7 @@ Conventions fixed here and relied on by the cache and the tests:
 - all arithmetic runs in float64 regardless of the caller's dtype;
 - packed buffers are LSB-first within each byte and little-endian across
   bytes, with the final partial byte zero-padded in its unused high bits.
+  A byte is the shift-or of its codes, c0 | c1 << 2 | c2 << 4 | c3 << 6.
 """
 
 from __future__ import annotations
@@ -115,14 +116,18 @@ class QuantizedGroup:
         return self.codes.length
 
 
-def _pack_bits(codes: np.ndarray, width: int) -> np.ndarray:
-    """Pack uint8 codes (..., n) into bytes (..., ceil(n * width / 8)).
+def _pack_columns(codes: np.ndarray, width: int) -> np.ndarray:
+    """Pack uint8 codes (..., n, C) along n into bytes (..., C, ceil(n * width / 8)).
 
-    Each row along the last axis is one buffer: LSB-first within a code
-    and a byte, little-endian across bytes, its last byte zero-padded.
+    Each column is one buffer; one shift-or per code slot fills every byte.
     """
-    bits = (codes[..., None] >> np.arange(width, dtype=np.uint8)) & 1
-    return np.packbits(bits.reshape(*codes.shape[:-1], -1), axis=-1, bitorder="little")
+    per_byte = 8 // width
+    *lead, n, n_cols = codes.shape
+    packed = np.zeros((*lead, -(-n // per_byte), n_cols), dtype=np.uint8)
+    for slot in range(per_byte):
+        part = codes[..., slot::per_byte, :]
+        packed[..., : part.shape[-2], :] |= part << np.uint8(slot * width)
+    return np.ascontiguousarray(np.swapaxes(packed, -1, -2))
 
 
 def _byte_codes(width: int) -> np.ndarray:
@@ -135,7 +140,7 @@ _LUT = {int(width): _byte_codes(int(width)) for width in _QUANT_WIDTHS}
 
 
 def _unpack_bits(raw: np.ndarray, width: int, n: int) -> np.ndarray:
-    """Invert _pack_bits: uint8 bytes (..., nbytes) back to codes (..., n).
+    """Invert _pack_columns: uint8 bytes (..., nbytes) back to codes (..., n).
 
     Each byte is looked up in a per-width table of the codes it holds;
     the padding codes of the last byte are trimmed.
@@ -181,8 +186,9 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
     uint8, `zero` and `scale` are (n_runs, C). Run r of column c equals
     quantize_group of that run (zero point, scale, rounding, clamp,
     overflow check, packing), as _column_groups builds it, but the
-    arithmetic is one numpy pass per run length. Rows are assumed finite;
-    a run whose range overflows raises InvalidInput.
+    arithmetic is one numpy pass per run length, packing included (by
+    shift-or along the rows). Rows are assumed finite; a run whose range
+    overflows raises InvalidInput.
     """
     width = _require_quant_width(bits)
     levels = 2 ** int(width) - 1
@@ -203,7 +209,7 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
         step = scale[:, None, :]
         np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
         codes = np.clip(_round_half_away(y), 0, levels).astype(np.uint8)
-        out.append((size, _pack_bits(codes.transpose(0, 2, 1), int(width)), zero, scale))
+        out.append((size, _pack_columns(codes, int(width)), zero, scale))
     return out
 
 
@@ -245,9 +251,7 @@ def pack_codes(codes, bits) -> PackedBuffer:
     the LSB comes first; the final partial byte is zero-padded high.
     """
     width = _require_quant_width(bits)
-    arr = np.asarray(codes)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
+    arr = np.asarray(codes).reshape(-1)
     if arr.size == 0:
         return PackedBuffer(b"", width, 0)
     if not np.issubdtype(arr.dtype, np.integer):
@@ -257,7 +261,7 @@ def pack_codes(codes, bits) -> PackedBuffer:
     if arr.min() < 0 or arr.max() >= 2 ** int(width):
         raise InvalidInput(f"codes out of range for {int(width)}-bit storage")
 
-    packed = _pack_bits(arr.astype(np.uint8), int(width))
+    packed = _pack_columns(arr.astype(np.uint8)[:, None], int(width))
     return PackedBuffer(packed.tobytes(), width, int(arr.size))
 
 

@@ -172,18 +172,18 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
         owner[blk.start : end] = len(salience) - 1
     salience = np.vstack(salience)
 
-    # A channel at 16 bits reads the exact keys, at 4 or 2 bits the
-    # all-4-bit or all-2-bit reconstruction. The quantizer works column by
-    # column, so these equal the rows the candidate's own cache reconstructs.
-    k2, k4 = low.reconstruct_keys(), mid.reconstruct_keys()
+    # A channel at 16 bits reads the exact keys (error 0), at 4 or 2 bits
+    # the all-4-bit or all-2-bit reconstruction. The quantizer works column
+    # by column, so these equal the rows the candidate's own cache reconstructs.
+    d2, d4 = keys - low.reconstruct_keys(), keys - mid.reconstruct_keys()
     chunks = list(_flushed_chunks(keys.shape[0], config.residual_len))
     scores = []
     for tf, tm in grid:
         bits = _tier_bits(salience, tf, tm)[owner]
-        k_hat = np.where(bits == 16, keys, np.where(bits == 4, k4, k2))
+        delta = np.where(bits == 16, 0.0, np.where(bits == 4, d4, d2))
         sq_logit = 0.0
-        for lo, hi, flushed in chunks:
-            err = _logit_error(queries[lo:hi], keys[:hi], k_hat[:hi], flushed)
+        for lo, hi, cut, pending in chunks:
+            err = _logit_error(queries[lo:hi], delta[:hi], cut, pending)
             sq_logit += float(np.sum(err * err))
         # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
         scores.append((math.sqrt(sq_logit), int(bits.sum(dtype=np.int64)) / keys.size))

@@ -440,3 +440,101 @@ def test_decode_with_values_narrower_than_keys():
     assert got.output_error_frobenius > 0.0
     with pytest.raises(InvalidInput):
         decode_simulation(inst, CacheConfig(dim=8, group_size=4, residual_len=8), policy)
+
+
+def masked_chunk_reference(inst, config, policy, steps) -> FidelityReport:
+    """decode_simulation's chunk loop with whole-matrix masks.
+
+    Each chunk of _DECODE_CHUNK query rows builds its causal and flushed
+    masks over the whole (rows, prefix) matrix and applies them with
+    np.where and boolean indexing, on fresh temporaries. Kept as the
+    oracle for the band-only masks and reused buffers, which must give
+    the same report bit for bit at the same chunk size.
+    """
+    queries, keys, values = inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
+    cache = MixedKVCache(config, policy)
+    cache.extend(keys, values, queries)
+    k_hat = cache.reconstruct_keys()
+    value_err = values - cache.reconstruct_values()
+    scale = 1.0 / math.sqrt(config.dim)
+    residual_len, chunk = config.residual_len, kvmix.attention._DECODE_CHUNK
+    sq_logit = max_logit = sq_output = 0.0
+    for lo in range(0, steps, chunk):
+        hi = min(lo + chunk, steps)
+        step = np.arange(lo, hi)[:, None]
+        flushed = np.arange(hi)[None, :] < (step + 1) // residual_len * residual_len
+        future = np.arange(hi)[None, :] > step
+        q = queries[lo:hi]
+        exact = q @ keys[:hi].T
+        weights = softmax_rows(np.where(future, -np.inf, exact * scale))
+        err = q @ (keys[:hi] - k_hat[:hi]).T
+        err[~flushed] = 0.0
+        sq_logit += float(np.sum(err * err))
+        max_logit = max(max_logit, float(np.abs(err).max()))
+        weights_hat = softmax_rows(np.where(future, -np.inf, (exact - err) * scale))
+        diff = (weights - weights_hat) @ values[:hi] + (weights_hat * flushed) @ value_err[:hi]
+        sq_output += float(np.sum(diff * diff))
+    try:
+        effective_bits = cache.effective_bitwidth()
+    except UndefinedMetric:
+        effective_bits = 16.0
+    return FidelityReport(
+        e_attn_frobenius=math.sqrt(sq_logit),
+        e_attn_max=max_logit,
+        output_error_frobenius=math.sqrt(sq_output),
+        effective_bits=effective_bits,
+        policy_label=cache.policy.label,
+    )
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    weights = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
+
+
+@given(
+    length=st.integers(min_value=1, max_value=80),
+    steps_cut=st.integers(min_value=0, max_value=20),
+    group_size=st.sampled_from([1, 2, 4]),
+    runs=st.integers(min_value=1, max_value=4),
+    sink_len=st.integers(min_value=0, max_value=12),
+    chunk=st.integers(min_value=1, max_value=40),
+    policy=st.sampled_from(["salience", "fixed-2", "full"]),
+    value_bits=st.sampled_from([BitWidth.UINT2, BitWidth.UINT4, BitWidth.FULL]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=100, deadline=None)
+# a chunk below residual_len, one not a multiple of it, residual_len 1,
+# a sink longer than the first chunk, steps < length, one-row chunks
+@example(60, 0, 4, 4, 0, 5, "salience", BitWidth.UINT2, 3)
+@example(61, 0, 4, 2, 2, 12, "fixed-2", BitWidth.UINT4, 3)
+@example(30, 0, 1, 1, 0, 7, "salience", BitWidth.UINT2, 3)
+@example(50, 0, 2, 3, 10, 7, "salience", BitWidth.UINT2, 3)
+@example(60, 17, 4, 2, 3, 9, "fixed-2", BitWidth.FULL, 3)
+@example(20, 0, 2, 2, 1, 1, "full", BitWidth.UINT2, 3)
+def test_band_masks_equal_whole_matrix_masks(
+    length, steps_cut, group_size, runs, sink_len, chunk, policy, value_bits, seed
+):
+    steps = max(1, length - steps_cut)
+    config = CacheConfig(
+        dim=4, group_size=group_size, residual_len=group_size * runs, sink_len=sink_len,
+        tau_full=1.5, tau_mid=0.3, value_bits=value_bits,
+    )
+    inst = PlantedSpec(dim=4, length=length, n_outlier_scale=1, n_outlier_query=1).materialize(seed)
+    pol = REFERENCE_POLICIES[policy]
+    with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
+        got = decode_simulation(inst, config, pol, steps=steps)
+        want = masked_chunk_reference(inst, config, pol, steps)
+    for field in ("e_attn_frobenius", "e_attn_max", "output_error_frobenius", "effective_bits", "policy_label"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_band_masks_equal_whole_matrix_masks_at_module_chunk():
+    # several chunks of the module's own size, the last one partial
+    steps = 3 * kvmix.attention._DECODE_CHUNK + 5
+    config = CacheConfig(dim=8, group_size=8, residual_len=32, sink_len=6, tau_full=1.5, tau_mid=0.3)
+    inst = PlantedSpec(dim=8, length=steps + 7, n_outlier_scale=2, n_outlier_query=2).materialize(3)
+    pol = AllocationPolicy.salience()
+    assert decode_simulation(inst, config, pol, steps=steps) == masked_chunk_reference(inst, config, pol, steps)

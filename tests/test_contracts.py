@@ -1,9 +1,9 @@
 """The input contract, one probe per hole it closes.
 
 Non-finite, non-numeric or non-integral input to a public function
-raises InvalidInput: never a NaN returned in silence, a bare TypeError or
-ValueError, or a float count truncated to an int. Cache probes must also
-leave the cache exactly as it was.
+raises InvalidInput: never a NaN returned in silence, a bare TypeError,
+ValueError or OverflowError, or a float count truncated to an int. Cache
+probes must also leave the cache exactly as it was.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from kvmix import (
     AllocationPolicy,
+    AttentionInstance,
     CacheConfig,
     InvalidInput,
     MixedKVCache,
@@ -36,6 +37,7 @@ KEYS = np.arange(8.0).reshape(4, 2)
 SMALL = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
 SPEC = PlantedSpec(dim=8, length=16, n_outlier_scale=1, n_outlier_query=1)
 FRONT = [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=2.0, fidelity=1.0)]
+HUGE_ROWS = (np.full((8, 4), 1e200), np.full((8, 4), 1e200), np.ones((8, 4)))
 
 PROBES = {
     "attention_error_nan_key": lambda: attention_error(
@@ -106,6 +108,15 @@ PROBES = {
     "resolve_assignment_string_policy": lambda: resolve_assignment(
         "x", np.ones(3), np.ones(3), (1.0, 0.5)
     ),
+    "cache_config_int_threshold_beyond_float": lambda: CacheConfig(dim=2, tau_full=10**400, tau_mid=0),
+    "select_under_budget_int_beyond_float": lambda: select_under_budget(FRONT, 10**400),
+    "threshold_grid_int_bound_beyond_float": lambda: threshold_grid(0, 10**400, 3),
+    # q . k = 4e400 overflows: a NaN report or NaN outputs, not a result
+    "decode_simulation_overflowing_logits": lambda: decode_simulation(
+        AttentionInstance(*HUGE_ROWS), CacheConfig(dim=4, group_size=2, residual_len=4, sink_len=0),
+        AllocationPolicy.salience(),
+    ),
+    "attention_exact_overflowing_logits": lambda: attention_exact(*HUGE_ROWS),
 }
 
 
@@ -154,6 +165,9 @@ CACHE_PROBES = {
     ),
     "append_one_row_query_matrix": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros((1, SMALL.dim))
+    ),
+    "append_int_key_beyond_float": lambda cache: cache.append(
+        [10**400] + [0] * (SMALL.dim - 1), np.zeros(SMALL.dim), np.zeros(SMALL.dim)
     ),
 }
 

@@ -24,6 +24,7 @@ from kvmix import (
 from kvmix.quant import (
     _column_groups,
     _dequantize_column_runs,
+    _pack_columns,
     _quantize_column_runs,
     _unpack_bits,
 )
@@ -270,6 +271,40 @@ def test_byte_table_unpack_matches_bit_oracle(width, nbytes):
         _unpack_bits(batch, width, nbytes * per_byte),
         unpack_bits_oracle(batch, width, nbytes * per_byte),
     )
+
+
+def pack_bits_oracle(codes: np.ndarray, width: int) -> np.ndarray:
+    """The bit-level encode: expand every code into its bits, then pack the bits.
+
+    Packs uint8 codes (..., n) along the last axis into bytes
+    (..., ceil(n * width / 8)), LSB-first, the last byte zero-padded.
+    """
+    bits = (codes[..., None] >> np.arange(width, dtype=np.uint8)) & 1
+    return np.packbits(bits.reshape(*codes.shape[:-1], -1), axis=-1, bitorder="little")
+
+
+@given(
+    width=st.sampled_from([2, 4]),
+    n=st.integers(min_value=1, max_value=40),
+    n_cols=st.integers(min_value=1, max_value=130),
+    runs=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_shift_or_pack_matches_bit_oracle(width, n, n_cols, runs, seed):
+    # the flush's packer against the bit expansion, run lengths with and
+    # without a partial last byte; then back through the byte-table unpack
+    codes = np.random.default_rng(seed).integers(0, 2**width, size=(runs, n, n_cols), dtype=np.uint8)
+    packed = _pack_columns(codes, width)
+    per_column = codes.transpose(0, 2, 1)
+    want = pack_bits_oracle(per_column, width)
+    assert packed.shape == want.shape == (runs, n_cols, -(-n * width // 8))
+    assert packed.dtype == np.uint8 and packed.flags.c_contiguous
+    np.testing.assert_array_equal(packed, want)
+    np.testing.assert_array_equal(_unpack_bits(packed, width, n), per_column)
+    # a single buffer, as pack_codes builds it
+    column = per_column[0, 0]
+    assert pack_codes(column, width).data == pack_bits_oracle(column, width).tobytes()
 
 
 @given(

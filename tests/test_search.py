@@ -332,23 +332,23 @@ class TestIngestOnceGrid:
         assert counts[0] == counts[1]
 
     def test_reconstruction_matches_the_candidate_cache(self, monkeypatch):
-        # the assembled K_hat of each candidate is the candidate cache's own
+        # the assembled K - K_hat of each candidate is the candidate cache's own
         inst = self.SPEC.materialize(2)
         grid = threshold_grid(0.05, 3.0, 4)
         captured = []
         original = kvmix.search._logit_error
 
-        def capture(q, keys, k_hat, flushed):
-            captured.append(k_hat)
-            return original(q, keys, k_hat, flushed)
+        def capture(q, delta, cut, pending):
+            captured.append(delta)
+            return original(q, delta, cut, pending)
 
         monkeypatch.setattr(kvmix.search, "_logit_error", capture)
         evaluate_grid([inst], self.CFG, 0.05, 3.0, 4)
         assert len(captured) == len(grid)
-        for (tf, tm), k_hat in zip(grid, captured):
+        for (tf, tm), delta in zip(grid, captured):
             cache = MixedKVCache(CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2, tau_full=tf, tau_mid=tm))
             cache.extend(inst.keys, inst.values, inst.queries)
-            assert np.array_equal(k_hat, cache.reconstruct_keys())
+            assert np.array_equal(delta, inst.keys - cache.reconstruct_keys())
 
     def test_search_reads_keys_only(self, monkeypatch):
         # candidates are scored on the logit error: no value is
