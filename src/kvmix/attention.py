@@ -157,7 +157,7 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
 
 
 def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
-    """Pre-softmax logit perturbation Q (K - K_hat)^T (unscaled)."""
+    """Unscaled logit perturbation Q (K - K_hat)^T; InvalidInput on overflow."""
     q = _as_matrix(queries, "queries")
     k = check_array(keys_exact, "keys_exact", 2)
     kh = check_array(keys_approx, "keys_approx", 2)
@@ -165,7 +165,11 @@ def attention_error(queries, keys_exact, keys_approx) -> np.ndarray:
         raise InvalidInput("exact and approximate keys must share their shape")
     if q.shape[1] != k.shape[1]:
         raise InvalidInput("queries and keys disagree on channel count")
-    return q @ (k - kh).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = q @ (k - kh).T
+    if not np.isfinite(err).all():
+        raise InvalidInput("logit error overflows float64")
+    return err
 
 
 _BOOST = 10.0

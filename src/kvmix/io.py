@@ -65,12 +65,17 @@ class TensorDump:
         if name in self.sections:
             raise InvalidInput(f"duplicate section {name!r}")
         try:
-            arr = np.asarray(array)
-            if _parses_as_non_real(arr):
+            source = np.asarray(array)
+            if _parses_as_non_real(source):
                 raise TypeError
-            arr = arr.astype(np.float32, copy=False)
-        except (TypeError, ValueError):
+            with np.errstate(over="ignore"):
+                arr = source.astype(np.float32, copy=False)
+            inf = np.isinf(arr)
+            beyond = inf.any() and np.isfinite(source.astype(np.float64)[inf]).any()
+        except (TypeError, ValueError, OverflowError):
             raise InvalidInput(f"section {name!r} must be numeric") from None
+        if beyond:
+            raise InvalidInput(f"section {name!r} holds a finite value beyond the float32 range")
         if arr.ndim < 1 or arr.ndim > _MAX_RANK:
             raise InvalidInput(f"section rank must be 1..{_MAX_RANK}, got {arr.ndim}")
         self.sections[name] = np.ascontiguousarray(arr)

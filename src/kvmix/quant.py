@@ -149,33 +149,19 @@ def _unpack_bits(raw: np.ndarray, width: int, n: int) -> np.ndarray:
     return codes.reshape(*raw.shape[:-1], raw.shape[-1] * (8 // width))[..., :n]
 
 
-def _round_half_away(y: np.ndarray) -> np.ndarray:
-    return np.trunc(y + np.copysign(0.5, y))
-
-
 def quantize_group(values, bits) -> QuantizedGroup:
     """Quantize a non-empty 1-D group of finite reals to `bits`-bit codes.
 
-    Raises InvalidInput for an empty, non-numeric or non-finite group, a
-    bit width other than the integer 2 or 4, or a range too wide for
-    float64: one whose max - min, or whose top decoded level, overflows.
+    One run of a one-column _quantize_column_runs call. Raises
+    InvalidInput for an empty, non-numeric or non-finite group, a bit
+    width other than the integer 2 or 4, or a range too wide for float64:
+    one whose max - min, or whose top decoded level, overflows.
     """
     width = _require_quant_width(bits)
     x = check_array(values, "group", 1)
     if x.size == 0:
         raise InvalidInput("cannot quantize an empty group")
-
-    zero_point = float(x.min())
-    levels = 2 ** int(width) - 1
-    scale = (float(x.max()) - zero_point) / levels
-    if not math.isfinite(levels * scale + zero_point):
-        raise InvalidInput("group range overflows float64")
-    if scale == 0.0:
-        codes = np.zeros(x.size, dtype=np.uint8)
-    else:
-        codes = _round_half_away((x - zero_point) / scale)
-        codes = np.clip(codes, 0, levels).astype(np.uint8)
-    return QuantizedGroup(pack_codes(codes, width), zero_point, scale)
+    return _column_groups(_quantize_column_runs(x[:, None], width, x.size), width)[0][0]
 
 
 def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
@@ -183,12 +169,11 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
 
     Returns one (size, packed, zero, scale) per run length, full runs
     first, then a partial last run if any: `packed` is (n_runs, C, nbytes)
-    uint8, `zero` and `scale` are (n_runs, C). Run r of column c equals
-    quantize_group of that run (zero point, scale, rounding, clamp,
-    overflow check, packing), as _column_groups builds it, but the
-    arithmetic is one numpy pass per run length, packing included (by
-    shift-or along the rows). Rows are assumed finite; a run whose range
-    overflows raises InvalidInput.
+    uint8, `zero` and `scale` are (n_runs, C). Each run is quantized as
+    the module docstring states, in one numpy pass per run length, and
+    packed by shift-or along the rows; quantize_group is the one-column,
+    one-run call. Rows are assumed finite; a run whose range or top
+    decoded level overflows raises InvalidInput.
     """
     width = _require_quant_width(bits)
     levels = 2 ** int(width) - 1
@@ -208,7 +193,7 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
         y = np.zeros(runs.shape)
         step = scale[:, None, :]
         np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
-        codes = np.clip(_round_half_away(y), 0, levels).astype(np.uint8)
+        codes = np.clip(np.floor(y + 0.5), 0, levels).astype(np.uint8)
         out.append((size, _pack_columns(codes, int(width)), zero, scale))
     return out
 

@@ -91,8 +91,8 @@ class QueryAccumulator:
     def add(self, q_block) -> "QueryAccumulator":
         """Fold a row or a block of rows into the accumulator.
 
-        An empty block is a no-op. Dimension mismatch or non-numeric or
-        non-finite entries raise InvalidInput.
+        An empty block is a no-op. Dimension mismatch, non-numeric or non-finite
+        entries, or a |Q| sum beyond float64 raise InvalidInput, changing nothing.
         """
         q = _as_matrix(q_block, "q_block")
         if q.size == 0:
@@ -102,8 +102,12 @@ class QueryAccumulator:
                 f"q_block has {q.shape[1]} channels, accumulator expects {self.dim}"
             )
         folded = np.abs(q)
-        folded[0] += self._abs_sum
-        np.add.accumulate(folded, axis=0, out=folded)
+        with np.errstate(over="ignore"):
+            folded[0] += self._abs_sum
+            np.add.accumulate(folded, axis=0, out=folded)
+        # the fold only grows, so an overflow anywhere shows in the last row
+        if not np.isfinite(folded[-1]).all():
+            raise InvalidInput("the running |Q| sum overflows float64")
         self._abs_sum = folded[-1].copy()
         self._count += q.shape[0]
         return self
@@ -141,14 +145,18 @@ def sensitivity_score(key_block) -> np.ndarray:
 
 
 def salience_score(importance, sensitivity) -> np.ndarray:
-    """Elementwise product I_d * S_d."""
+    """Elementwise product I_d * S_d; InvalidInput if it overflows float64."""
     imp = check_array(importance, "importance", 1)
     sens = check_array(sensitivity, "sensitivity", 1)
     if imp.shape != sens.shape:
         raise InvalidInput("importance and sensitivity must be of equal length")
     if np.any(imp < 0) or np.any(sens < 0):
         raise InvalidInput("scores are non-negative by construction")
-    return imp * sens
+    with np.errstate(over="ignore"):
+        scores = imp * sens
+    if not np.isfinite(scores).all():
+        raise InvalidInput("salience overflows float64")
+    return scores
 
 
 def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:

@@ -12,10 +12,12 @@ faithful point under a bit budget.
 Only the logit error is scored, and the thresholds reach it only
 through each block's tiers. The block layout, the salience of every key
 channel and its 2- and 4-bit reconstruction do not depend on them. So
-evaluate_grid ingests each instance once per quantized width and then,
-for each candidate, re-selects the tiers and assembles the key
-reconstruction from those parts, reconstructing no values. Its scores
-equal evaluate_candidate's, a replay per candidate, bit for bit.
+evaluate_grid ingests each instance at two of the grid's own candidates,
+(top, top) and (top, bottom), which store every channel at each width
+some candidate gives it, then re-selects the tiers per candidate and
+assembles the key reconstruction from those parts, reconstructing no
+values. Its scores equal evaluate_candidate's, a replay per candidate,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -57,12 +59,13 @@ def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, 
     The grid is an even linspace per axis over a finite [lo, hi]; only
     the ordered (upper triangle) pairs are kept, enumerated
     tau_full-major, ascending. A range bound that is not a finite real
-    number, lo > hi, or a grid_points below 1 raises InvalidInput.
+    number, lo > hi, hi - lo beyond float64, or a grid_points below 1
+    raises InvalidInput.
     """
     check_count(grid_points, "grid_points", 1)
     lo, hi = float(check_array(lo, "lo", 0)), float(check_array(hi, "hi", 0))
-    if lo > hi:
-        raise InvalidInput(f"empty threshold range [{lo}, {hi}]")
+    if lo > hi or not math.isfinite(hi - lo):
+        raise InvalidInput(f"threshold range [{lo}, {hi}] is empty or wider than float64")
     axis = np.linspace(lo, hi, grid_points)
     return [
         (float(tf), float(tm))
@@ -112,10 +115,11 @@ def evaluate_grid(
 
     The result is the full log, in grid order, and each point equals
     evaluate_candidate's on the same instances bit for bit. Each instance
-    is ingested once per quantized width rather than once per candidate;
-    each candidate then re-selects the tiers of every block from the
-    blocks' salience and is scored on the logit error of the assembled
-    key reconstruction alone, without values or a softmax.
+    is ingested at (top, top) and (top, bottom), the largest tau_full and
+    smallest tau_mid, rather than once per candidate; each candidate then
+    re-selects the tiers of every block from the blocks' salience and is
+    scored on the logit error of the assembled key reconstruction alone,
+    without values or a softmax. It raises where some candidate's would.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
@@ -138,23 +142,15 @@ def evaluate_grid(
 def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float, float]]:
     """(fidelity, b_eff) of each candidate on one instance."""
     queries, keys, values = _decode_rows(inst, config, steps)
-    try:
-        # tau (inf, inf) stores every scored channel at 2 bits, (inf, -inf) at 4
-        low, mid = (
-            MixedKVCache(replace(config, tau_full=math.inf, tau_mid=tau_mid))
-            for tau_mid in (math.inf, -math.inf)
-        )
-        low.extend(keys, values, queries)
-        mid.extend(keys, values, queries)
-    except InvalidInput:
-        # A channel may overflow once quantized, which a candidate that
-        # keeps it at 16 bits never does; replay each candidate instead.
-        policy = AllocationPolicy.salience()
-        reports = [
-            decode_simulation(inst, replace(config, tau_full=tf, tau_mid=tm), policy, steps=steps)
-            for tf, tm in grid
-        ]
-        return [(r.e_attn_frobenius, r.effective_bits) for r in reports]
+    # (top, top) stores at 2 bits, and (top, bottom) at 4, every channel some
+    # candidate stores at that width, as bottom <= tau_mid <= tau_full <= top;
+    # so they overflow exactly when some candidate's own cache would.
+    top, bottom = max(tf for tf, _ in grid), min(tm for _, tm in grid)
+    low, mid = (
+        MixedKVCache(replace(config, tau_full=top, tau_mid=tau_mid)) for tau_mid in (top, bottom)
+    )
+    low.extend(keys, values, queries)
+    mid.extend(keys, values, queries)
 
     # Each scored block's salience, from the queries up to its end folded
     # left to right as the cache folds them. Row 0 (+inf, above every
@@ -173,8 +169,9 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     salience = np.vstack(salience)
 
     # A channel at 16 bits reads the exact keys (error 0), at 4 or 2 bits
-    # the all-4-bit or all-2-bit reconstruction. The quantizer works column
-    # by column, so these equal the rows the candidate's own cache reconstructs.
+    # the mid or low cache's reconstruction; above top it is at 16 bits in
+    # every candidate. The quantizer works column by column, so these equal
+    # the rows the candidate's own cache reconstructs.
     d2, d4 = keys - low.reconstruct_keys(), keys - mid.reconstruct_keys()
     chunks = list(_flushed_chunks(keys.shape[0], config.residual_len))
     scores = []

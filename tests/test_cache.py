@@ -18,9 +18,9 @@ from kvmix import (
     MixedKVCache,
     NothingToFlush,
     UndefinedMetric,
-    quantize_group,
     sensitivity_score,
 )
+from test_quant import quantize_group_oracle
 
 
 def feed_random(cache: MixedKVCache, n: int, seed: int = 0, scale: float = 1.0):
@@ -524,7 +524,7 @@ class TestTierStorage:
     )
     def test_flushed_groups_equal_scalar_reference(self, overrides):
         # the flush quantizes whole tiers at once; every group it stores
-        # must equal quantize_group on that group's own slice
+        # must equal the written-out quantizer on that group's own slice
         cfg = small_config(**overrides)
         cache = MixedKVCache(cfg, AllocationPolicy.salience(budget=(2, 3)))
         keys, values, _ = feed_random(cache, 20, seed=23)
@@ -539,7 +539,7 @@ class TestTierStorage:
             for channel, runs in blk.groups.items():
                 column = block_keys[:, channel]
                 assert runs == tuple(
-                    quantize_group(column[lo : lo + g], int(bits[channel]))
+                    quantize_group_oracle(column[lo : lo + g], int(bits[channel]))
                     for lo in range(0, blk.length, g)
                 )
         for blk in cache.value_blocks:
@@ -548,7 +548,7 @@ class TestTierStorage:
             for t, runs in enumerate(blk.rows):
                 row = values[blk.start + t]
                 assert runs == tuple(
-                    quantize_group(row[lo : lo + g], cfg.value_bits)
+                    quantize_group_oracle(row[lo : lo + g], cfg.value_bits)
                     for lo in range(0, cfg.value_dim, g)
                 )
 

@@ -19,15 +19,19 @@ from kvmix import (
     PlantedSpec,
     PrecisionAssignment,
     QueryAccumulator,
+    TensorDump,
     apply_rope,
     assign_precision,
     attention_error,
     attention_exact,
+    cache_snapshot_dump,
     decode_simulation,
+    dump_from_instance,
     evaluate_grid,
     pack_codes,
     quantize_group,
     resolve_assignment,
+    salience_score,
     select_under_budget,
     threshold_grid,
 )
@@ -117,7 +121,25 @@ PROBES = {
         AllocationPolicy.salience(),
     ),
     "attention_exact_overflowing_logits": lambda: attention_exact(*HUGE_ROWS),
+    "attention_error_overflowing_logits": lambda: attention_error(*HUGE_ROWS),
+    "salience_score_overflows": lambda: salience_score([1e200], [1e200]),
+    "accumulator_add_sum_overflows": lambda: QueryAccumulator(2).add(np.full((2, 2), 1e308)),
+    # hi - lo overflows: linspace would lose lo and return infinite thresholds
+    "threshold_grid_range_overflows": lambda: threshold_grid(-1e308, 1e308, 3),
+    # finite float64 values that a float32 section would store as +-inf
+    "dump_add_beyond_float32": lambda: TensorDump().add("x", [1.0, 1e300]),
+    "dump_from_instance_beyond_float32": lambda: dump_from_instance(
+        AttentionInstance(np.ones((2, 2)), [[1.0, 1e300], [0.0, 0.0]], np.ones((2, 2)))
+    ),
+    "cache_snapshot_beyond_float32": lambda: cache_snapshot_dump(_residual_cache(1e300)),
 }
+
+
+def _residual_cache(key: float) -> MixedKVCache:
+    """A cache whose three unflushed rows hold `key` in every key channel."""
+    cache = MixedKVCache(SMALL)
+    cache.extend(np.full((3, SMALL.dim), key), np.ones((3, SMALL.dim)), np.ones((3, SMALL.dim)))
+    return cache
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -145,6 +167,13 @@ def _salience_overflow():
     return keys, values, queries
 
 
+def _query_sum_overflow():
+    # the running |Q| sum of channel 0 overflows float64 at the first flush
+    keys, values, queries = _block(20, seed=1)
+    queries[:, 0] = 1e308
+    return keys, values, queries
+
+
 def _string_values():
     keys, _, queries = _block(20, seed=1)
     return keys, [["a"] * SMALL.dim] * 20, queries
@@ -154,6 +183,7 @@ CACHE_PROBES = {
     "extend_nan_key_at_row_13": lambda cache: cache.extend(*_nan_at_row_13()),
     "extend_string_values": lambda cache: cache.extend(*_string_values()),
     "extend_salience_overflow": lambda cache: cache.extend(*_salience_overflow()),
+    "extend_query_sum_overflow": lambda cache: cache.extend(*_query_sum_overflow()),
     "append_string_query": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), ["a"] * SMALL.dim
     ),

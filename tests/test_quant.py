@@ -41,6 +41,14 @@ class TestQuantizeGroup:
         assert g.scale == 1.0
         assert codes_of(g).tolist() == [0, 1, 2, 3]
 
+    def test_ties_round_half_away_from_zero(self):
+        # (x - z) / s lands on 0.5 and 2.5: half-away gives 1 and 3, where
+        # round-half-to-even would give 0 and 2
+        g = quantize_group([0.0, 0.5, 2.5, 3.0], BitWidth.UINT2)
+        assert g.scale == 1.0
+        assert codes_of(g).tolist() == [0, 1, 3, 3]
+        assert g == quantize_group_oracle(np.array([0.0, 0.5, 2.5, 3.0]), BitWidth.UINT2)
+
     def test_constant_group_degenerates_to_zero_scale(self):
         g = quantize_group([5.0, 5.0, 5.0], BitWidth.UINT4)
         assert g.zero_point == 5.0
@@ -283,6 +291,28 @@ def pack_bits_oracle(codes: np.ndarray, width: int) -> np.ndarray:
     return np.packbits(bits.reshape(*codes.shape[:-1], -1), axis=-1, bitorder="little")
 
 
+def quantize_group_oracle(x: np.ndarray, bits) -> QuantizedGroup:
+    """The quantizer written out for one group, as kvmix.quant's docstring states it.
+
+    Zero point min(x), scale (max - min) / (2**bits - 1), an overflow
+    check on the top decoded level, half-away rounding, a clamp, and the
+    bit-level packing of pack_bits_oracle.
+    """
+    width = int(bits)
+    levels = 2**width - 1
+    zero_point = float(x.min())
+    scale = (float(x.max()) - zero_point) / levels
+    if not np.isfinite(levels * scale + zero_point):
+        raise InvalidInput("group range overflows float64")
+    if scale == 0.0:
+        codes = np.zeros(x.size, dtype=np.uint8)
+    else:
+        y = (x - zero_point) / scale
+        codes = np.clip(np.trunc(y + np.copysign(0.5, y)), 0, levels).astype(np.uint8)
+    packed = PackedBuffer(pack_bits_oracle(codes, width).tobytes(), BitWidth(width), x.size)
+    return QuantizedGroup(packed, zero_point, scale)
+
+
 @given(
     width=st.sampled_from([2, 4]),
     n=st.integers(min_value=1, max_value=40),
@@ -326,7 +356,7 @@ def test_codes_stay_in_range(scale, shift, n, seed, bits):
 
 def scalar_runs(column: np.ndarray, bits, group_size: int) -> tuple[QuantizedGroup, ...]:
     return tuple(
-        quantize_group(column[lo : lo + group_size], bits)
+        quantize_group_oracle(column[lo : lo + group_size], bits)
         for lo in range(0, column.shape[0], group_size)
     )
 
@@ -344,10 +374,10 @@ def scalar_runs(column: np.ndarray, bits, group_size: int) -> tuple[QuantizedGro
 def test_column_runs_match_scalar_quantizer(
     length, n_cols, group_size, bits, discrete, constant_col, seed
 ):
-    # the flush's batch quantizer against quantize_group, group by group:
-    # identical packed codes, zero point and scale, partial last run and
-    # constant (scale 0) runs included, and the batch decode equal to
-    # dequantize_group value for value
+    # the flush's batch quantizer against the written-out oracle, group by
+    # group: identical packed codes, zero point and scale, partial last run
+    # and constant (scale 0) runs included, each group also as quantize_group
+    # returns it, and the batch decode equal to dequantize_group value for value
     rng = np.random.default_rng(seed)
     if discrete:
         x = rng.integers(-1, 2, size=(length, n_cols)).astype(np.float64)
@@ -361,11 +391,12 @@ def test_column_runs_match_scalar_quantizer(
     for c, runs in enumerate(columns):
         expect = scalar_runs(x[:, c], bits, group_size)
         assert len(runs) == len(expect)
-        for got, want in zip(runs, expect):
+        for lo, got, want in zip(range(0, length, group_size), runs, expect):
             assert got.codes == want.codes
             assert got.zero_point == want.zero_point
             assert got.scale == want.scale
             assert type(got.zero_point) is float and type(got.scale) is float
+            assert quantize_group(x[lo : lo + group_size, c], bits) == got
     decoded = np.stack(
         [np.concatenate([dequantize_group(g) for g in runs]) for runs in columns]
     )

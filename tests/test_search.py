@@ -24,10 +24,12 @@ from kvmix import (
     MixedKVCache,
     ParetoPoint,
     PlantedSpec,
+    QueryAccumulator,
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
     select_under_budget,
+    sensitivity_score,
     threshold_grid,
 )
 
@@ -270,33 +272,60 @@ class TestIngestOnceGrid:
             instances, config, lo, hi, grid_points, steps
         )
 
-    @pytest.mark.parametrize("query_scale", [1e-10, 0.0])
+    @pytest.mark.parametrize("query_scale", [1e-10, 0.0, 1.5e-308])
     def test_channel_that_overflows_once_quantized(self, query_scale, monkeypatch):
         # Key channel 0 spans [0, float max]: its sensitivity is finite, but
-        # quantizing it at 2 or 4 bits overflows. With small nonzero queries
-        # its salience sends it to 16 bits in every candidate, so the grid
-        # replays that instance candidate by candidate; with zero queries
-        # every candidate quantizes it and both paths raise.
+        # quantizing it at 2 or 4 bits overflows. With queries of 1e-10 its
+        # salience is above the range, every candidate keeps it at 16 bits,
+        # and the grid scores it from its two ingests, replaying nothing.
+        # With zero queries its salience is 0 and every candidate quantizes
+        # it; with 1.5e-308 its salience is about 0.9, inside the range, and
+        # all candidates but (0.1, 0.1) quantize it. Then both paths raise.
         rng = np.random.default_rng(0)
         instances = [AttentionInstance(*(rng.normal(size=(40, 4)) for _ in range(3))) for _ in range(2)]
         instances[0].keys[:, 0] = np.where(np.arange(40) % 2, np.finfo(np.float64).max, 0.0)
         instances[0].queries[:, 0] = query_scale
         config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=2)
-        if query_scale:
+        outcomes = [
+            raised(lambda: evaluate_candidate(tf, tm, instances, config))
+            for tf, tm in threshold_grid(0.1, 2.0, 3)
+        ]
+        quantizing = {1e-10: 0, 0.0: 6, 1.5e-308: 5}[query_scale]
+        assert (outcomes.count(InvalidInput), outcomes.count(None)) == (quantizing, 6 - quantizing)
+        if not quantizing:
             expected = per_candidate(instances, config, 0.1, 2.0, 3)
-        else:
-            assert raised(lambda: per_candidate(instances, config, 0.1, 2.0, 3)) is InvalidInput
         replays = []
         replay = kvmix.search.decode_simulation
         monkeypatch.setattr(
             kvmix.search, "decode_simulation", lambda *a, **k: replays.append(1) or replay(*a, **k)
         )
-        if query_scale:
-            assert evaluate_grid(instances, config, 0.1, 2.0, 3) == expected
-            # only the overflowing instance is replayed, once per candidate
-            assert len(replays) == len(expected)
-        else:
+        if quantizing:
             assert raised(lambda: evaluate_grid(instances, config, 0.1, 2.0, 3)) is InvalidInput
+        else:
+            assert evaluate_grid(instances, config, 0.1, 2.0, 3) == expected
+        # the grid never falls back to a replay per candidate
+        assert replays == []
+
+    def test_grid_ends_on_a_block_salience(self):
+        # lo and hi sit exactly on the salience of some (block, channel), so
+        # the two ingests, at (hi, hi) and (hi, lo), see scores equal to
+        # their thresholds; a tie takes the cheaper tier in every cache
+        inst = self.SPEC.materialize(3)
+        cache = MixedKVCache(self.CFG)
+        cache.extend(inst.keys, inst.values, inst.queries)
+        acc = QueryAccumulator(self.CFG.dim)
+        scores = []
+        for blk in cache.key_blocks:
+            if blk.is_sink:
+                continue
+            end = blk.start + blk.length
+            acc.add(inst.queries[acc.count : end])
+            scores.extend(acc.importance() * sensitivity_score(inst.keys[blk.start : end]))
+        scores = sorted(scores)
+        lo, hi = scores[1], scores[-2]
+        grid = threshold_grid(lo, hi, 4)
+        assert min(tm for _, tm in grid) == lo and max(tf for tf, _ in grid) == hi
+        assert evaluate_grid([inst], self.CFG, lo, hi, 4) == per_candidate([inst], self.CFG, lo, hi, 4)
 
     @pytest.mark.parametrize(
         "case",
