@@ -11,6 +11,15 @@ stats    score the channels of one seeded synthetic instance (or one
          the per-channel table as CSV; the printed Pearson correlation
          summarizes how decoupled importance and sensitivity are.
 
+run's --policy and --compare names and the policy label each writes
+(--budget applies to the first two alone; on the others it exits 2):
+
+    salience        salience
+    error-only      error-only
+    fixed2          fixed-uniform-2
+    fixed4          fixed-uniform-4
+    full-precision  full-precision
+
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
 dump file, 1 any other failure: a corrupt dump, an infeasible budget, or
 a file that cannot be read or written ("io", such as a dump path that is
@@ -47,8 +56,7 @@ from .io import (
     write_records_csv,
     write_records_json,
 )
-from .policies import AllocationPolicy
-from .quant import BitWidth
+from .policies import AllocationPolicy, PolicyKind
 from .salience import (
     QueryAccumulator,
     assign_precision,
@@ -59,7 +67,13 @@ from .search import evaluate_grid, pareto_frontier, select_under_budget
 
 __all__ = ["main", "build_parser"]
 
-_POLICY_CHOICES = ("salience", "error-only", "fixed2", "fixed4", "full-precision")
+_POLICIES = {  # --policy name: the kind and bit width of its AllocationPolicy
+    "salience": (PolicyKind.SALIENCE, None),
+    "error-only": (PolicyKind.ERROR_ONLY, None),
+    "fixed2": (PolicyKind.FIXED_UNIFORM, 2),
+    "fixed4": (PolicyKind.FIXED_UNIFORM, 4),
+    "full-precision": (PolicyKind.FULL_PRECISION, None),
+}
 
 
 def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
@@ -73,22 +87,6 @@ def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
         return tuple(kind(p) for p in parts)
     except ValueError:
         raise InvalidInput(message) from None
-
-
-def _make_policy(name: str, budget: tuple[int, int] | None) -> AllocationPolicy:
-    if name == "salience":
-        return AllocationPolicy.salience(budget)
-    if name == "error-only":
-        return AllocationPolicy.error_only(budget)
-    if budget is not None:
-        raise InvalidInput(f"--budget does not apply to the {name} policy")
-    if name == "fixed2":
-        return AllocationPolicy.fixed_uniform(2)
-    if name == "fixed4":
-        return AllocationPolicy.fixed_uniform(4)
-    if name == "full-precision":
-        return AllocationPolicy.full_precision()
-    raise InvalidInput(f"unknown policy {name!r}")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +113,7 @@ def _config_from_args(args, dim: int, value_dim: int) -> CacheConfig:
         sink_len=args.sink_len,
         tau_full=tau_full,
         tau_mid=tau_mid,
-        value_bits=BitWidth(args.value_bits),
+        value_bits=args.value_bits,
     )
 
 
@@ -140,8 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="simulate decoding under one or more policies")
-    run.add_argument("--policy", choices=_POLICY_CHOICES, default="salience")
-    run.add_argument("--compare", choices=_POLICY_CHOICES, default=None,
+    run.add_argument("--policy", choices=_POLICIES, default="salience")
+    run.add_argument("--compare", choices=_POLICIES, default=None,
                      help="second policy evaluated on the same instances")
     run.add_argument("--budget", default=None,
                      help="n_full,n_mid top-k channel budget (salience / error-only)")
@@ -188,12 +186,9 @@ def _load_instances(args, seeds):
 
 
 def _cmd_run(args) -> int:
-    budget = (
-        _parse_numbers(args.budget, 2, int, "--budget") if args.budget is not None else None
-    )
-    policies = [_make_policy(args.policy, budget)]
-    if args.compare is not None:
-        policies.append(_make_policy(args.compare, budget))
+    budget = None if args.budget is None else _parse_numbers(args.budget, 2, int, "--budget")
+    names = [args.policy] if args.compare is None else [args.policy, args.compare]
+    policies = [AllocationPolicy(*_POLICIES[name], budget=budget) for name in names]
     instances = _load_instances(args, range(check_count(args.seeds, "--seeds", 1)))
     first = instances[0][1]
     config = _config_from_args(args, first.dim, first.value_dim)
@@ -230,8 +225,9 @@ def _cmd_run(args) -> int:
         f"{args.out}.json",
         {"config": asdict(config), "records": records},
     )
-    for policy in policies:
-        rows = [r for r in records if r["policy"] == policy.label]
+    n = len(instances)  # each policy's records are n consecutive rows
+    for i, policy in enumerate(policies):
+        rows = records[i * n : (i + 1) * n]
         b = np.mean([r["b_eff"] for r in rows])
         e = np.mean([r["e_attn_frobenius"] for r in rows])
         o = np.mean([r["output_error_frobenius"] for r in rows])

@@ -20,7 +20,11 @@ Payload bytes round-trip exactly (write then read is bit-identical).
 
 Report writers emit the same records as comma-separated rows and as a
 structured JSON document. Floats are rendered with repr (shortest exact
-form), so report bytes are a pure function of the records.
+form), so report bytes are a pure function of the records. Both writers
+write a numpy scalar as its .item() (np.float64(0.1) as 0.1, np.bool_ as
+True), and the JSON writer an array as its .tolist(). Records whose keys
+differ, or a report value JSON cannot hold, raise InvalidInput before
+the file opens.
 """
 
 from __future__ import annotations
@@ -210,14 +214,17 @@ def cache_snapshot_dump(cache: MixedKVCache) -> TensorDump:
     return dump
 
 
+def _plain(value):
+    """A numpy scalar's item() or an array's tolist(); TypeError otherwise, as json's default."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} values cannot be written to a report")
+
+
 def _render_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
-        return repr(float(value))
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
+    if isinstance(value, np.generic):
+        value = _plain(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_records_csv(path, records) -> None:
@@ -236,22 +243,11 @@ def write_records_csv(path, records) -> None:
             writer.writerow([_render_cell(record[col]) for col in columns])
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def write_records_json(path, payload) -> None:
-    """Write a structured report as stable, indented JSON."""
+    """Write a structured report as stable, indented JSON, encoded before the file opens."""
+    try:
+        text = json.dumps(payload, indent=2, default=_plain)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -119,7 +119,9 @@ def evaluate_grid(
     smallest tau_mid, rather than once per candidate; each candidate then
     re-selects the tiers of every block from the blocks' salience and is
     scored on the logit error of the assembled key reconstruction alone,
-    without values or a softmax. It raises where some candidate's would.
+    without values or a softmax. It raises InvalidInput where some
+    candidate's ingest or squared logit error overflows; an output error
+    that alone overflows passes the grid but raises in evaluate_candidate.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
@@ -179,9 +181,12 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
         bits = _tier_bits(salience, tf, tm)[owner]
         delta = np.where(bits == 16, 0.0, np.where(bits == 4, d4, d2))
         sq_logit = 0.0
-        for lo, hi, cut, pending in chunks:
-            err = _logit_error(queries[lo:hi], delta[:hi], cut, pending)
-            sq_logit += float(np.sum(err * err))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, hi, cut, pending in chunks:
+                err = _logit_error(queries[lo:hi], delta[:hi], cut, pending)
+                sq_logit += float(np.sum(err * err))
+        if not math.isfinite(sq_logit):
+            raise InvalidInput("attention logits or errors overflow float64")
         # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
         scores.append((math.sqrt(sq_logit), int(bits.sum(dtype=np.int64)) / keys.size))
     return scores

@@ -626,6 +626,7 @@ class TestValueStorage:
         cache = MixedKVCache(cfg)
         _, values, _ = feed_random(cache, 8, seed=12)
         assert cache.value_blocks[0].is_exact
+        assert cache.value_blocks[0].rows is None
         np.testing.assert_array_equal(cache.reconstruct_values(), values)
 
     def test_full_precision_policy_bypasses_value_quantization(self):

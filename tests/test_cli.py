@@ -189,6 +189,21 @@ class TestRunCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid-config:")
 
+    def test_fixed_policies_write_their_labels(self, tmp_path):
+        assert main(run_args(tmp_path, "--policy", "fixed2", "--compare", "fixed4")) == 0
+        labels = [row["policy"] for row in read_csv(tmp_path / "rep.csv")]
+        assert labels == ["fixed-uniform-2"] * 3 + ["fixed-uniform-4"] * 3
+
+    def test_summary_counts_each_policy_runs(self, tmp_path, capsys):
+        # the same policy twice: each summary line covers its own two runs
+        args = run_args(tmp_path, "--policy", "salience", "--compare", "salience", "--seeds", "2")
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("salience: ") and lines[0].endswith("(2 runs)")
+        assert len(read_csv(tmp_path / "rep.csv")) == 4
+
     def test_unknown_policy_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(run_args(tmp_path, "--policy", "psychic"))

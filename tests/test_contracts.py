@@ -132,7 +132,41 @@ PROBES = {
         AttentionInstance(np.ones((2, 2)), [[1.0, 1e300], [0.0, 0.0]], np.ones((2, 2)))
     ),
     "cache_snapshot_beyond_float32": lambda: cache_snapshot_dump(_residual_cache(1e300)),
+    # every logit is finite, but the squared logit error of the 2-bit keys is not
+    "evaluate_grid_squared_logit_error_overflows": lambda: evaluate_grid(
+        [_logit_error_overflow()], CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=0),
+        1e300, 1e300, 1,
+    ),
+    # geometry and range checks
+    "instance_empty_arrays": lambda: AttentionInstance(
+        np.zeros((0, 2)), np.zeros((0, 2)), np.zeros((0, 2))
+    ),
+    "instance_value_rows_differ": lambda: AttentionInstance(
+        np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2))
+    ),
+    "attention_exact_channel_mismatch": lambda: attention_exact(
+        np.ones((2, 3)), np.ones((2, 2)), np.ones((2, 2))
+    ),
+    "attention_exact_token_mismatch": lambda: attention_exact(
+        np.ones((2, 2)), np.ones((2, 2)), np.ones((3, 2))
+    ),
+    "attention_error_channel_mismatch": lambda: attention_error(
+        np.ones((1, 3)), np.ones((2, 2)), np.ones((2, 2))
+    ),
+    "assignment_empty": lambda: PrecisionAssignment([]),
+    "assign_precision_empty": lambda: assign_precision([], 1, 0.5),
+    "apply_rope_zero_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=0),
+    "dump_add_name_beyond_u16": lambda: TensorDump().add("x" * 65536, [1.0]),
 }
+
+
+def _logit_error_overflow() -> AttentionInstance:
+    """16 x 4 rows whose channel 1 holds queries of 1e78 and keys in +-1e78."""
+    rng = np.random.default_rng(0)
+    queries, keys, values = (rng.normal(size=(16, 4)) for _ in range(3))
+    queries[:, 1] = 1e78
+    keys[:, 1] = rng.uniform(-1e78, 1e78, size=16)
+    return AttentionInstance(queries, keys, values)
 
 
 def _residual_cache(key: float) -> MixedKVCache:

@@ -1,6 +1,9 @@
-"""Public surface: every demo script runs, and the export list is pinned."""
+"""Public surface: every demo script and README example runs, and the
+export list is pinned."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +11,16 @@ from pathlib import Path
 import pytest
 
 import kvmix
+from kvmix.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+QUICKSTART = re.findall(r"```python\n(.*?)```", README, re.S)
+COMMANDS = [
+    shlex.split(block.replace("\\\n", " "))
+    for block in re.findall(r"```sh\n(kvmix .*?)```", README, re.S)
+]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -25,6 +35,23 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_examples_found():
+    assert len(QUICKSTART) == 1
+    assert [argv[1] for argv in COMMANDS] == ["run", "search", "stats"]
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(QUICKSTART[0], "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[argv[1] for argv in COMMANDS])
+def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "runs").mkdir()
+    assert main(argv[1:]) == 0, capsys.readouterr().err
 
 
 def test_export_list():

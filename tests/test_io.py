@@ -241,11 +241,30 @@ class TestReportWriters:
         path = tmp_path / "report.json"
         payload = {
             "config": {"dim": np.int64(8)},
-            "records": [{"score": np.float64(1.5), "bits": np.array([2, 4])}],
+            "records": [
+                {
+                    "score": np.float64(1.5),
+                    "half": np.float32(0.5),
+                    "exact": np.bool_(True),
+                    "bits": np.array([2, 4]),
+                }
+            ],
         }
         write_records_json(path, payload)
         loaded = json.loads(path.read_text())
         assert loaded == {
             "config": {"dim": 8},
-            "records": [{"score": 1.5, "bits": [2, 4]}],
+            "records": [{"score": 1.5, "half": 0.5, "exact": True, "bits": [2, 4]}],
         }
+
+    def test_csv_writes_numpy_scalars_as_python_scalars(self, tmp_path):
+        path = tmp_path / "report.csv"
+        record = {"f64": np.float64(0.1), "f32": np.float32(0.5), "i64": np.int64(7), "flag": np.bool_(True)}
+        write_records_csv(path, [record])
+        assert path.read_text() == "f64,f32,i64,flag\n0.1,0.5,7,True\n"
+
+    def test_json_unencodable_value_raises_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "report.json"
+        with pytest.raises(InvalidInput):
+            write_records_json(path, {"x": 0.5, "tiers": {2, 4}})
+        assert not path.exists()

@@ -172,6 +172,11 @@ class TestPacking:
         with pytest.raises(InvalidInput):
             pack_codes([16], BitWidth.UINT4)
 
+    def test_integral_float_codes_pack_as_ints(self):
+        codes = [0, 3, 1, 2, 3]
+        floats = pack_codes(np.array(codes, dtype=np.float64), BitWidth.UINT2)
+        assert floats == pack_codes(codes, BitWidth.UINT2)
+
     def test_non_integer_code_rejected(self):
         with pytest.raises(InvalidInput):
             pack_codes([0.5], BitWidth.UINT2)
