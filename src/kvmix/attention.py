@@ -16,9 +16,9 @@ tokens had been flushed by then. All steps are evaluated in chunked
 matrix passes over four buffers allocated once per call. The causal mask
 touches only each chunk's diagonal block, the flushed mask only the band
 of columns its first step had not flushed, and the errors are
-aggregated into a FidelityReport. Two private helpers hold what the
-threshold search (kvmix.search) shares with it: _flushed_chunks, the
-chunks of query rows and that band, and _logit_error, the masked error.
+aggregated into a FidelityReport. The threshold search (kvmix.search)
+scores the same logit error in closed form and shares no helper with
+this loop.
 
 PlantedSpec.materialize() builds synthetic workloads with a controlled
 split between key-scale outliers and query-magnitude outliers. Queries on
@@ -114,8 +114,8 @@ class FidelityReport:
     policy_label: str
 
 
-# Query rows per matrix pass of a decode or a threshold search. A decode holds
-# four (rows, length) float64 matrices, 1 MB each at 64 rows and length 2048.
+# Query rows per matrix pass of a decode, which holds four (rows, length)
+# float64 matrices, 1 MB each at 64 rows and length 2048.
 _DECODE_CHUNK = 64
 
 
@@ -253,28 +253,6 @@ def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
     return inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
 
 
-def _flushed_chunks(steps: int, residual_len: int):
-    """(lo, hi, cut, pending) for each _DECODE_CHUNK of the query rows lo..hi-1.
-
-    At step t the cache has flushed the first ((t + 1) // residual_len) *
-    residual_len tokens; the rest read back exactly. Every step of the
-    chunk has flushed the tokens before `cut`, and pending[t - lo, j - cut]
-    says whether token cut <= j < hi is still unflushed at step t.
-    """
-    for lo in range(0, steps, _DECODE_CHUNK):
-        hi = min(lo + _DECODE_CHUNK, steps)
-        cut = (lo + 1) // residual_len * residual_len
-        flushed = (np.arange(lo, hi)[:, None] + 1) // residual_len * residual_len
-        yield lo, hi, cut, np.arange(cut, hi)[None, :] >= flushed
-
-
-def _logit_error(q, delta, cut, pending, out=None) -> np.ndarray:
-    """attention_error's Q (K - K_hat)^T from delta = K - K_hat, 0 where pending."""
-    err = np.matmul(q, delta.T, out=out)
-    np.copyto(err[:, cut:], 0.0, where=pending)
-    return err
-
-
 def decode_simulation(
     source: AttentionInstance | PlantedSpec,
     config: CacheConfig,
@@ -321,10 +299,18 @@ def decode_simulation(
     rows = min(_DECODE_CHUNK, len(keys))
     future = np.triu(np.ones((rows, rows), dtype=bool), 1)
     buffers = np.empty((4, rows * len(keys)))
+    residual_len = config.residual_len
     sq_logit = max_logit = sq_output = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo, hi, cut, pending in _flushed_chunks(len(keys), config.residual_len):
+        for lo in range(0, len(keys), _DECODE_CHUNK):
+            hi = min(lo + _DECODE_CHUNK, len(keys))
             n = hi - lo
+            # Step t has flushed the first (t + 1) // R * R tokens; every step
+            # of the chunk has flushed those before `cut`, and pending[t - lo,
+            # j - cut] marks each token cut <= j < hi that step t has not flushed.
+            cut = (lo + 1) // residual_len * residual_len
+            flushed = (np.arange(lo, hi)[:, None] + 1) // residual_len * residual_len
+            pending = np.arange(cut, hi)[None, :] >= flushed
             # contiguous (n, hi) views, laid out as fresh matrices would be
             exact, err, weights, weights_hat = (b[: n * hi].reshape(n, hi) for b in buffers)
             q = queries[lo:hi]
@@ -332,7 +318,8 @@ def decode_simulation(
             np.multiply(exact, scale, out=weights)
             np.copyto(weights[:, lo:], -np.inf, where=future[:n, :n])
             _softmax_rows(weights)
-            _logit_error(q, delta[:hi], cut, pending, out=err)
+            np.matmul(q, delta[:hi].T, out=err)
+            np.copyto(err[:, cut:], 0.0, where=pending)
             sq_logit += float(np.sum(np.multiply(err, err, out=weights_hat)))
             max_logit = max(max_logit, float(np.abs(err, out=weights_hat).max()))
             np.multiply(np.subtract(exact, err, out=weights_hat), scale, out=weights_hat)

@@ -22,9 +22,11 @@ Report writers emit the same records as comma-separated rows and as a
 structured JSON document. Floats are rendered with repr (shortest exact
 form), so report bytes are a pure function of the records. Both writers
 write a numpy scalar as its .item() (np.float64(0.1) as 0.1, np.bool_ as
-True), and the JSON writer an array as its .tolist(). Records whose keys
-differ, or a report value JSON cannot hold, raise InvalidInput before
-the file opens.
+True) and an array as its .tolist(), which a CSV cell holds as the
+list's repr. JSON has no non-finite numbers, so the JSON writer writes
+inf, -inf and nan as the strings "inf", "-inf" and "nan", the text of
+the CSV cell. Records whose keys differ, or a report value JSON cannot
+hold, raise InvalidInput before the file opens.
 """
 
 from __future__ import annotations
@@ -215,16 +217,25 @@ def cache_snapshot_dump(cache: MixedKVCache) -> TensorDump:
 
 
 def _plain(value):
-    """A numpy scalar's item() or an array's tolist(); TypeError otherwise, as json's default."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} values cannot be written to a report")
+    """A numpy scalar's item() or an array's tolist(); any other value as it is."""
+    return value.tolist() if isinstance(value, (np.generic, np.ndarray)) else value
 
 
 def _render_cell(value) -> str:
-    if isinstance(value, np.generic):
-        value = _plain(value)
+    value = _plain(value)
     return repr(value) if isinstance(value, float) else str(value)
+
+
+def _json_ready(value):
+    """value with numpy values as Python ones and non-finite floats as their repr."""
+    value = _plain(value)
+    if isinstance(value, float):
+        return value if abs(value) < float("inf") else repr(value)
+    if isinstance(value, dict):
+        return {key: _json_ready(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(item) for item in value]
+    return value
 
 
 def write_records_csv(path, records) -> None:
@@ -246,7 +257,7 @@ def write_records_csv(path, records) -> None:
 def write_records_json(path, payload) -> None:
     """Write a structured report as stable, indented JSON, encoded before the file opens."""
     try:
-        text = json.dumps(payload, indent=2, default=_plain)
+        text = json.dumps(_json_ready(payload), indent=2, allow_nan=False)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"report cannot be written as JSON: {exc}") from None
     with open(path, "w") as fh:

@@ -14,10 +14,15 @@ through each block's tiers. The block layout, the salience of every key
 channel and its 2- and 4-bit reconstruction do not depend on them. So
 evaluate_grid ingests each instance at two of the grid's own candidates,
 (top, top) and (top, bottom), which store every channel at each width
-some candidate gives it, then re-selects the tiers per candidate and
-assembles the key reconstruction from those parts, reconstructing no
-values. Its scores equal evaluate_candidate's, a replay per candidate,
-bit for bit.
+some candidate gives it. The squared logit error is then a quadratic
+form in each block's key error: with G_b the sum of q_t q_t^T over the
+steps from block b's flush on, and D_x the block's x-bit errors, a
+candidate sums m_x^T (G_b o D_x^T D_y) m_y over x, y in {2, 4} and the
+blocks, m_x its channels at x bits. That is O(T D^2) per instance plus
+O(B D^2) per distinct tier map of B blocks, where evaluate_candidate's
+replays cost O(C T^2 D) for C candidates. b_eff is equal; a squared
+fidelity moves by rounding alone, by at most 1e-12 times its
+Cauchy-Schwarz bound sum_j |delta_j|^2 sum_{t >= f_j} |q_t|^2.
 """
 
 from __future__ import annotations
@@ -27,10 +32,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import _decode_rows, _flushed_chunks, _logit_error, decode_simulation
+from .attention import _decode_rows, decode_simulation
 from .cache import CacheConfig, MixedKVCache
 from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
 from .policies import AllocationPolicy
+from .quant import BitWidth
 from .salience import QueryAccumulator, _tier_bits, sensitivity_score
 
 __all__ = [
@@ -67,20 +73,11 @@ def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, 
     if lo > hi or not math.isfinite(hi - lo):
         raise InvalidInput(f"threshold range [{lo}, {hi}] is empty or wider than float64")
     axis = np.linspace(lo, hi, grid_points)
-    return [
-        (float(tf), float(tm))
-        for tf in axis
-        for tm in axis
-        if tm <= tf
-    ]
+    return [(float(tf), float(tm)) for tf in axis for tm in axis if tm <= tf]
 
 
 def evaluate_candidate(
-    tau_full: float,
-    tau_mid: float,
-    instances,
-    config: CacheConfig,
-    steps: int | None = None,
+    tau_full: float, tau_mid: float, instances, config: CacheConfig, steps: int | None = None
 ) -> ParetoPoint:
     """Score one threshold pair: mean fidelity and mean b_eff over instances."""
     instances = tuple(instances)
@@ -88,19 +85,13 @@ def evaluate_candidate(
         raise InvalidInput("need at least one instance to evaluate")
     candidate_config = replace(config, tau_full=tau_full, tau_mid=tau_mid)
     policy = AllocationPolicy.salience()
-    fidelity = 0.0
-    b_eff = 0.0
+    fidelity = b_eff = 0.0
     for inst in instances:
         report = decode_simulation(inst, candidate_config, policy, steps=steps)
         fidelity += report.e_attn_frobenius
         b_eff += report.effective_bits
     n = len(instances)
-    return ParetoPoint(
-        tau_full=float(tau_full),
-        tau_mid=float(tau_mid),
-        b_eff=b_eff / n,
-        fidelity=fidelity / n,
-    )
+    return ParetoPoint(float(tau_full), float(tau_mid), b_eff=b_eff / n, fidelity=fidelity / n)
 
 
 def evaluate_grid(
@@ -113,83 +104,111 @@ def evaluate_grid(
 ) -> list[ParetoPoint]:
     """Evaluate every threshold_grid(lo, hi, grid_points) candidate.
 
-    The result is the full log, in grid order, and each point equals
-    evaluate_candidate's on the same instances bit for bit. Each instance
-    is ingested at (top, top) and (top, bottom), the largest tau_full and
-    smallest tau_mid, rather than once per candidate; each candidate then
-    re-selects the tiers of every block from the blocks' salience and is
-    scored on the logit error of the assembled key reconstruction alone,
-    without values or a softmax. It raises InvalidInput where some
-    candidate's ingest or squared logit error overflows; an output error
-    that alone overflows passes the grid but raises in evaluate_candidate.
+    The result is the full log, in grid order. Each instance is ingested
+    at (top, top) and (top, bottom), the largest tau_full and smallest
+    tau_mid, rather than once per candidate. Each candidate re-selects
+    the tiers of every block from the blocks' salience and is scored on
+    the logit error alone, without values or a softmax, in the Gram form
+    of the module docstring: O(T D^2) per instance and O(B D^2) per
+    distinct tier map, not a replay's O(T^2 D) per candidate. Its b_eff
+    and thresholds equal evaluate_candidate's; an instance's squared
+    fidelity is within 1e-12 E of it, E = sum_j |delta_j|^2 sum_{t >= f_j}
+    |q_t|^2 over tokens j with error delta_j first seen at step f_j, and
+    candidates with equal tier maps score equal fidelities. It raises
+    InvalidInput where some candidate's ingest or squared logit error
+    overflows; an output error that alone overflows passes the grid but
+    raises in evaluate_candidate.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
-    fidelity = [0.0] * len(grid)
-    b_eff = [0.0] * len(grid)
-    # summed in instance order, then averaged, as evaluate_candidate does
-    for inst in instances:
-        for i, (f, b) in enumerate(_score_instance(inst, config, grid, steps)):
-            fidelity[i] += f
-            b_eff[i] += b
+    scores = zip(*(_score_instance(inst, config, grid, steps) for inst in instances))
     n = len(instances)
+    # summed in instance order, then averaged, as evaluate_candidate does
     return [
-        ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b / n, fidelity=f / n)
-        for (tf, tm), f, b in zip(grid, fidelity, b_eff)
+        ParetoPoint(tf, tm, b_eff=sum(b for _, b in s) / n, fidelity=sum(f for f, _ in s) / n)
+        for (tf, tm), s in zip(grid, scores)
     ]
 
 
 def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float, float]]:
     """(fidelity, b_eff) of each candidate on one instance."""
     queries, keys, values = _decode_rows(inst, config, steps)
-    # (top, top) stores at 2 bits, and (top, bottom) at 4, every channel some
-    # candidate stores at that width, as bottom <= tau_mid <= tau_full <= top;
-    # so they overflow exactly when some candidate's own cache would.
+    # (top, top) stores at 2 bits, and (top, bottom) at 4, every key channel
+    # some candidate stores at that width, as bottom <= tau_mid <= tau_full <=
+    # top, so they overflow exactly when some candidate's own key cache would.
+    # Every candidate quantizes values at the config width; the low cache does.
     top, bottom = max(tf for tf, _ in grid), min(tm for _, tm in grid)
-    low, mid = (
-        MixedKVCache(replace(config, tau_full=top, tau_mid=tau_mid)) for tau_mid in (top, bottom)
-    )
+    low = MixedKVCache(replace(config, tau_full=top, tau_mid=top))
+    mid = MixedKVCache(replace(config, tau_full=top, tau_mid=bottom, value_bits=BitWidth.FULL))
     low.extend(keys, values, queries)
     mid.extend(keys, values, queries)
 
     # Each scored block's salience, from the queries up to its end folded
-    # left to right as the cache folds them. Row 0 (+inf, above every
-    # finite grid threshold) stands for the sink and residual tokens,
-    # which every candidate keeps at 16 bits.
+    # left to right as the cache folds them. Sink and residual tokens, which
+    # every candidate keeps at 16 bits, read back exactly and add no error.
     acc = QueryAccumulator(config.dim)
-    salience = [np.full(config.dim, np.inf)]
-    owner = np.zeros(keys.shape[0], dtype=np.intp)
+    spans, salience = [], []
     for blk in low.key_blocks:
         if blk.is_sink:
             continue
         end = blk.start + blk.length
         acc.add(queries[acc.count : end])
         salience.append(acc.importance() * sensitivity_score(keys[blk.start : end]))
-        owner[blk.start : end] = len(salience) - 1
-    salience = np.vstack(salience)
+        spans.append((blk.start, end))
+    if not spans:
+        return [(0.0, 16.0)] * len(grid)
+    salience, taus = np.array(salience), np.array(grid).T[:, :, None, None]
+    tiers = _tier_bits(np.broadcast_to(salience, (len(grid), *salience.shape)), *taus)
+    # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
+    lengths = np.array([end - start for start, end in spans])
+    bits = tiers.sum(axis=2, dtype=np.int64) @ lengths
+    bits += 16 * config.dim * (len(keys) - lengths.sum())
 
-    # A channel at 16 bits reads the exact keys (error 0), at 4 or 2 bits
-    # the mid or low cache's reconstruction; above top it is at 16 bits in
-    # every candidate. The quantizer works column by column, so these equal
-    # the rows the candidate's own cache reconstructs.
-    d2, d4 = keys - low.reconstruct_keys(), keys - mid.reconstruct_keys()
-    chunks = list(_flushed_chunks(keys.shape[0], config.residual_len))
-    scores = []
-    for tf, tm in grid:
-        bits = _tier_bits(salience, tf, tm)[owner]
-        delta = np.where(bits == 16, 0.0, np.where(bits == 4, d4, d2))
-        sq_logit = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, hi, cut, pending in chunks:
-                err = _logit_error(queries[lo:hi], delta[:hi], cut, pending)
-                sq_logit += float(np.sum(err * err))
-        if not math.isfinite(sq_logit):
-            raise InvalidInput("attention logits or errors overflow float64")
-        # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
-        scores.append((math.sqrt(sq_logit), int(bits.sum(dtype=np.int64)) / keys.size))
-    return scores
+    # Token j's error enters the logits from step (j // R + 1) * R - 1 on,
+    # when the flush that covers it lands; a scored block is one flush. With
+    # G_b the sum of q_t q_t^T over those steps and X_b the block's 2- and
+    # 4-bit errors side by side, a candidate's squared logit error sums, over
+    # blocks, the entries of [G_b G_b; G_b G_b] o X_b^T X_b whose row and
+    # column channels it stores at those widths. Powers of two scale the
+    # largest query and error below 1, exactly, so no product overflows.
+    lo, hi, residual = spans[0][0], spans[-1][1], config.residual_len
+    flushes = [(start // residual + 1) * residual - 1 for start, _ in spans] + [len(keys)]
+    x = np.hstack([keys[lo:hi] - cache.reconstruct_keys()[lo:hi] for cache in (low, mid)])
+    q_exp, x_exp = _exponent(queries[flushes[0] :]), _exponent(x)
+    # one sum per distinct tier map; candidates that share it share the sum
+    flat = tiers.reshape(len(grid), -1)
+    _, first, inverse = np.unique(
+        flat.view(f"V{flat.shape[1]}").ravel(), return_index=True, return_inverse=True
+    )
+    # A map indexes each channel's 2- or 4-bit error, or a zero row and column
+    # at 16 bits: selected, not multiplied by 0, so an all-16-bit map sums to
+    # exactly 0.0 whatever the errors hold.
+    dim, channel = config.dim, np.arange(config.dim)
+    index = np.select([tiers[first] == 2, tiers[first] == 4], [channel, channel + dim], 2 * dim)
+    form = np.zeros((2 * dim + 1, 2 * dim + 1))
+    gram = np.zeros((dim, dim))
+    sq_logit = np.zeros(len(first))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # last block first, so G_b gathers the queries from its flush step on
+        for b in reversed(range(len(spans))):
+            window = np.ldexp(queries[flushes[b] : flushes[b + 1]], -q_exp)
+            gram += window.T @ window
+            start, end = spans[b]
+            xb = np.ldexp(x[start - lo : end - lo], -x_exp)
+            np.multiply(np.tile(gram, (2, 2)), xb.T @ xb, out=form[:-1, :-1])
+            sq_logit += form[index[:, b, :, None], index[:, b, None, :]].sum(axis=(1, 2))
+        # clamp a rounding-negative sum; NaN stays NaN and raises below
+        sq_logit = np.ldexp(np.maximum(sq_logit, 0.0), 2 * (q_exp + x_exp))[inverse.ravel()]
+    if not np.isfinite(sq_logit).all():
+        raise InvalidInput("attention logits or errors overflow float64")
+    return [(math.sqrt(sq), int(n) / keys.size) for sq, n in zip(sq_logit, bits)]
+
+
+def _exponent(x: np.ndarray) -> int:
+    """e with the largest |entry| of x * 2**-e in [0.5, 1); 0 for an all-zero x."""
+    return math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
 
 
 def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
@@ -210,11 +229,7 @@ def pareto_frontier(points) -> list[ParetoPoint]:
     pts = list(points)
     if not pts:
         raise InvalidInput("cannot take the frontier of an empty set")
-    front = [
-        p
-        for p in pts
-        if not any(_dominates(q, p) for q in pts)
-    ]
+    front = [p for p in pts if not any(_dominates(q, p) for q in pts)]
     return sorted(front, key=lambda p: (p.b_eff, p.fidelity, p.tau_full, p.tau_mid))
 
 
@@ -231,7 +246,5 @@ def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:
         raise InvalidInput("max_b_eff must not be NaN")
     feasible = [p for p in frontier if p.b_eff <= max_b_eff]
     if not feasible:
-        raise BudgetInfeasible(
-            f"no evaluated point stores keys at <= {max_b_eff} bits per element"
-        )
+        raise BudgetInfeasible(f"no evaluated point stores keys at <= {max_b_eff} bits per element")
     return min(feasible, key=lambda p: (p.fidelity, p.b_eff, p.tau_full, p.tau_mid))

@@ -84,6 +84,18 @@ class TestRunCommand:
             assert rec["policy"] == row["policy"]
             assert repr(rec["b_eff"]) == row["b_eff"]
 
+    def test_infinite_thresholds_write_strict_json(self, tmp_path):
+        # JSON has no Infinity: the thresholds are written as the CSV's text
+        def refuse(name):
+            raise AssertionError(f"JSON holds the non-standard constant {name}")
+
+        out = tmp_path / "inf"
+        args = ["run", "--thresholds", "inf,inf", "--dim", "8", "--length", "32", "--seeds", "1"]
+        assert main([*args, "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "inf.json").read_text(), parse_constant=refuse)
+        (row,) = read_csv(tmp_path / "inf.csv")
+        assert payload["records"][0]["tau_full"] == row["tau_full"] == "inf"
+
     def test_reports_deterministic_up_to_wall_time(self, tmp_path):
         assert main(run_args(tmp_path, "--out", str(tmp_path / "one"))) == 0
         assert main(run_args(tmp_path, "--out", str(tmp_path / "two"))) == 0

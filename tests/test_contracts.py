@@ -27,6 +27,7 @@ from kvmix import (
     cache_snapshot_dump,
     decode_simulation,
     dump_from_instance,
+    evaluate_candidate,
     evaluate_grid,
     pack_codes,
     quantize_group,
@@ -167,6 +168,21 @@ def _logit_error_overflow() -> AttentionInstance:
     queries[:, 1] = 1e78
     keys[:, 1] = rng.uniform(-1e78, 1e78, size=16)
     return AttentionInstance(queries, keys, values)
+
+
+def test_grid_of_huge_queries_and_tiny_keys_does_not_overflow():
+    # Queries near 1e160 and keys near 1e-160: every logit error is finite,
+    # but an unscaled Gram matrix of the queries overflows float64.
+    rng = np.random.default_rng(0)
+    queries, keys, values = (rng.normal(size=(40, 4)) for _ in range(3))
+    inst = AttentionInstance(queries * 1e160, keys * 1e-160, values)
+    config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=2)
+    points = evaluate_grid([inst], config, 0.1, 2.0, 3)
+    assert [p.b_eff for p in points] == [16.0, 7.6, 6.2, 4.6, 3.2, 2.7]
+    assert points[0].fidelity == 0.0
+    for point in points[1:]:
+        replay = evaluate_candidate(point.tau_full, point.tau_mid, [inst], config)
+        assert point.fidelity == pytest.approx(replay.fidelity, rel=1e-12)
 
 
 def _residual_cache(key: float) -> MixedKVCache:

@@ -4,6 +4,8 @@ Corruption cases are built by mutating valid byte streams, so each test
 states exactly which structural rule it breaks.
 """
 
+import ast
+import csv
 import json
 
 import numpy as np
@@ -24,6 +26,10 @@ from kvmix import (
     write_records_csv,
     write_records_json,
 )
+
+
+def refuse_constant(name):
+    raise AssertionError(f"JSON holds the non-standard constant {name}")
 
 
 def small_dump() -> TensorDump:
@@ -230,6 +236,23 @@ class TestReportWriters:
         write_records_csv(path, [{"x": value}])
         text = path.read_text().splitlines()[1]
         assert float(text) == value
+
+    def test_csv_array_cell_round_trips_exactly(self, tmp_path):
+        # a cell holds the list's repr, never numpy's summarised print form
+        value = np.arange(2000.0) / 3
+        path = tmp_path / "report.csv"
+        write_records_csv(path, [{"x": value}])
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert ast.literal_eval(row["x"]) == value.tolist()
+
+    def test_json_writes_non_finite_floats_as_csv_text(self, tmp_path):
+        path = tmp_path / "report.json"
+        inf, nan = float("inf"), float("nan")
+        payload = {"tau": inf, "rows": [{"lo": -inf, "err": np.float64(nan)}], "bits": np.array([inf, 1.0])}
+        write_records_json(path, payload)
+        loaded = json.loads(path.read_text(), parse_constant=refuse_constant)
+        assert loaded == {"tau": "inf", "rows": [{"lo": "-inf", "err": "nan"}], "bits": ["inf", 1.0]}
 
     def test_csv_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

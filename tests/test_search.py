@@ -3,9 +3,11 @@
 The frontier routine is checked against a literal O(n^2) dominance scan
 on synthetic point clouds, then end to end on a tiny real search. The
 ingest-once grid is checked against evaluate_candidate, one replay per
-candidate, for exact equality.
+candidate: thresholds and b_eff exactly, and each instance's squared
+fidelity to within 1e-12 times its Cauchy-Schwarz envelope.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 import kvmix.attention
 import kvmix.search
 from kvmix import (
+    AllocationPolicy,
     AttentionInstance,
     BudgetInfeasible,
     CacheConfig,
@@ -25,6 +28,8 @@ from kvmix import (
     ParetoPoint,
     PlantedSpec,
     QueryAccumulator,
+    apply_rope,
+    decode_simulation,
     evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
@@ -222,6 +227,49 @@ def per_candidate(instances, config, lo, hi, grid_points, steps=None):
     ]
 
 
+def envelope(inst, cache, steps=None) -> float:
+    """Cauchy-Schwarz bound on a replay's squared logit error.
+
+    The sum over tokens j of |delta_j|^2 times the sum of |q_t|^2 over the
+    steps t >= (j // R + 1) * R - 1 that see token j flushed.
+    """
+    queries, keys = inst.queries[:steps], inst.keys[:steps]
+    residual = cache.config.residual_len
+    delta = keys - cache.reconstruct_keys()
+    suffix = np.cumsum(np.sum(queries**2, axis=1)[::-1])[::-1]
+    first = (np.arange(len(keys)) // residual + 1) * residual - 1
+    seen = np.where(first < len(keys), suffix[np.minimum(first, len(keys) - 1)], 0.0)
+    return float(np.sum(np.sum(delta**2, axis=1) * seen))
+
+
+def assert_grid_matches_replay(instances, config, lo, hi, grid_points, steps=None):
+    """evaluate_grid against a replay per candidate.
+
+    Thresholds and b_eff are equal. On each instance alone, a candidate's
+    squared fidelity is within 1e-12 E of its replay's, E the envelope of
+    the replay's cache; over several, the grid averages those fidelities
+    in instance order, as evaluate_candidate does.
+    """
+    singles = [evaluate_grid([inst], config, lo, hi, grid_points, steps) for inst in instances]
+    for inst, points in zip(instances, singles):
+        for point in points:
+            candidate = replace(config, tau_full=point.tau_full, tau_mid=point.tau_mid)
+            report, cache = decode_simulation(
+                inst, candidate, AllocationPolicy.salience(), steps=steps, return_cache=True
+            )
+            assert point.b_eff == report.effective_bits
+            gap = abs(point.fidelity**2 - report.e_attn_frobenius**2)
+            assert gap <= 1e-12 * envelope(inst, cache, steps)
+    points = evaluate_grid(instances, config, lo, hi, grid_points, steps)
+    replays = per_candidate(instances, config, lo, hi, grid_points, steps)
+    assert [(p.tau_full, p.tau_mid, p.b_eff) for p in points] == [
+        (p.tau_full, p.tau_mid, p.b_eff) for p in replays
+    ]
+    assert [p.fidelity for p in points] == [
+        sum(single[i].fidelity for single in singles) / len(instances) for i in range(len(points))
+    ]
+
+
 def raised(fn):
     try:
         fn()
@@ -234,8 +282,10 @@ def raised(fn):
 def search_cases(draw):
     group = draw(st.integers(1, 4))
     residual = group * draw(st.integers(1, 4))
+    rope = draw(st.booleans())
     config = CacheConfig(
-        dim=draw(st.integers(1, 6)),
+        # the rotary transform rotates channel pairs
+        dim=2 * draw(st.integers(1, 3)) if rope else draw(st.integers(1, 6)),
         value_dim=draw(st.integers(1, 6)),
         group_size=group,
         residual_len=residual,
@@ -252,6 +302,8 @@ def search_cases(draw):
         keys = rng.normal(size=(length, config.dim)) * rng.uniform(0.1, 10.0, config.dim)
         queries = rng.normal(size=(length, config.dim))
         values = rng.normal(size=(length, config.value_dim))
+        if rope:
+            queries, keys = (apply_rope(x, np.arange(length)) for x in (queries, keys))
         instances.append(AttentionInstance(queries, keys, values))
     lo = draw(st.floats(0.0, 2.0))
     hi = lo + draw(st.floats(0.0, 6.0))
@@ -259,7 +311,7 @@ def search_cases(draw):
 
 
 class TestIngestOnceGrid:
-    """evaluate_grid equals one evaluate_candidate replay per candidate."""
+    """evaluate_grid matches one evaluate_candidate replay per candidate."""
 
     CFG = CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2)
     SPEC = PlantedSpec(dim=16, length=40, n_outlier_scale=2, n_outlier_query=2)
@@ -267,10 +319,7 @@ class TestIngestOnceGrid:
     @given(search_cases())
     @settings(max_examples=60, deadline=None)
     def test_grid_equals_per_candidate_replay(self, case):
-        instances, config, lo, hi, grid_points, steps = case
-        assert evaluate_grid(instances, config, lo, hi, grid_points, steps) == per_candidate(
-            instances, config, lo, hi, grid_points, steps
-        )
+        assert_grid_matches_replay(*case)
 
     @pytest.mark.parametrize("query_scale", [1e-10, 0.0, 1.5e-308])
     def test_channel_that_overflows_once_quantized(self, query_scale, monkeypatch):
@@ -292,8 +341,6 @@ class TestIngestOnceGrid:
         ]
         quantizing = {1e-10: 0, 0.0: 6, 1.5e-308: 5}[query_scale]
         assert (outcomes.count(InvalidInput), outcomes.count(None)) == (quantizing, 6 - quantizing)
-        if not quantizing:
-            expected = per_candidate(instances, config, 0.1, 2.0, 3)
         replays = []
         replay = kvmix.search.decode_simulation
         monkeypatch.setattr(
@@ -302,9 +349,12 @@ class TestIngestOnceGrid:
         if quantizing:
             assert raised(lambda: evaluate_grid(instances, config, 0.1, 2.0, 3)) is InvalidInput
         else:
-            assert evaluate_grid(instances, config, 0.1, 2.0, 3) == expected
+            evaluate_grid(instances, config, 0.1, 2.0, 3)
         # the grid never falls back to a replay per candidate
         assert replays == []
+        if not quantizing:
+            monkeypatch.undo()
+            assert_grid_matches_replay(instances, config, 0.1, 2.0, 3)
 
     def test_grid_ends_on_a_block_salience(self):
         # lo and hi sit exactly on the salience of some (block, channel), so
@@ -325,7 +375,7 @@ class TestIngestOnceGrid:
         lo, hi = scores[1], scores[-2]
         grid = threshold_grid(lo, hi, 4)
         assert min(tm for _, tm in grid) == lo and max(tf for tf, _ in grid) == hi
-        assert evaluate_grid([inst], self.CFG, lo, hi, 4) == per_candidate([inst], self.CFG, lo, hi, 4)
+        assert_grid_matches_replay([inst], self.CFG, lo, hi, 4)
 
     @pytest.mark.parametrize(
         "case",
@@ -361,23 +411,29 @@ class TestIngestOnceGrid:
         assert counts[0] == counts[1]
 
     def test_reconstruction_matches_the_candidate_cache(self, monkeypatch):
-        # the assembled K - K_hat of each candidate is the candidate cache's own
+        # the two reference reconstructions and the tier table the Gram form
+        # reads assemble, per candidate, into that candidate's own K - K_hat
         inst = self.SPEC.materialize(2)
         grid = threshold_grid(0.05, 3.0, 4)
-        captured = []
-        original = kvmix.search._logit_error
-
-        def capture(q, delta, cut, pending):
-            captured.append(delta)
-            return original(q, delta, cut, pending)
-
-        monkeypatch.setattr(kvmix.search, "_logit_error", capture)
+        caches, tables = [], []
+        reconstruct, tier_bits = MixedKVCache.reconstruct_keys, kvmix.search._tier_bits
+        monkeypatch.setattr(MixedKVCache, "reconstruct_keys", lambda c: caches.append(c) or reconstruct(c))
+        monkeypatch.setattr(kvmix.search, "_tier_bits", lambda *a: tables.append(tier_bits(*a)) or tables[-1])
         evaluate_grid([inst], self.CFG, 0.05, 3.0, 4)
-        assert len(captured) == len(grid)
-        for (tf, tm), delta in zip(grid, captured):
-            cache = MixedKVCache(CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2, tau_full=tf, tau_mid=tm))
+        low, mid = caches
+        assert (low.config.tau_full, low.config.tau_mid, mid.config.tau_mid) == (3.0, 3.0, 0.05)
+        (tiers,) = tables
+        d2, d4 = (inst.keys - reconstruct(c) for c in (low, mid))
+        scored = [blk for blk in low.key_blocks if not blk.is_sink]
+        assert tiers.shape == (len(grid), len(scored), self.CFG.dim)
+        for (tf, tm), rows in zip(grid, tiers):
+            delta = np.zeros_like(inst.keys)
+            for blk, bits in zip(scored, rows):
+                span = slice(blk.start, blk.start + blk.length)
+                delta[span] = np.where(bits == 2, d2[span], np.where(bits == 4, d4[span], 0.0))
+            cache = MixedKVCache(replace(self.CFG, tau_full=tf, tau_mid=tm))
             cache.extend(inst.keys, inst.values, inst.queries)
-            assert np.array_equal(delta, inst.keys - cache.reconstruct_keys())
+            assert np.array_equal(delta, inst.keys - reconstruct(cache))
 
     def test_search_reads_keys_only(self, monkeypatch):
         # candidates are scored on the logit error: no value is
@@ -392,10 +448,29 @@ class TestIngestOnceGrid:
 
     @pytest.mark.parametrize("chunk, steps", [(7, None), (7, 33), (8, None), (1, 20)])
     def test_grid_equals_per_candidate_replay_across_chunks(self, chunk, steps):
-        # 40 rows, or `steps` of them, in chunks of `chunk` query rows:
-        # chunks of 7 end in a partial chunk, the others in a full one
+        # 40 rows, or `steps` of them, replayed in chunks of `chunk` query
+        # rows: chunks of 7 end in a partial chunk, the others in a full one
         instances = [self.SPEC.materialize(seed) for seed in (0, 1)]
         with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
-            assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 4, steps) == per_candidate(
-                instances, self.CFG, 0.05, 3.0, 4, steps
-            )
+            assert_grid_matches_replay(instances, self.CFG, 0.05, 3.0, 4, steps)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_grid_does_not_depend_on_the_decode_chunk(self, chunk):
+        instances = [self.SPEC.materialize(seed) for seed in (0, 1)]
+        points = evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33)
+        with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
+            assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33) == points
+
+    def test_equal_tier_maps_give_equal_fidelities(self):
+        # candidates whose caches assign every block the same tiers score
+        # bit-equal fidelities, the exact ties the frontier keeps together
+        inst = self.SPEC.materialize(0)
+        points = evaluate_grid([inst], self.CFG, 0.05, 3.0, 8)
+        by_map = {}
+        for point in points:
+            cache = MixedKVCache(replace(self.CFG, tau_full=point.tau_full, tau_mid=point.tau_mid))
+            cache.extend(inst.keys, inst.values, inst.queries)
+            tiers = tuple(blk.assignment.bits.tobytes() for blk in cache.key_blocks if not blk.is_sink)
+            by_map.setdefault(tiers, set()).add(point.fidelity)
+        assert len(by_map) < len(points)
+        assert all(len(fidelities) == 1 for fidelities in by_map.values())
