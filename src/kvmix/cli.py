@@ -175,7 +175,13 @@ def _load_instances(args, seeds):
     if args.dump is not None:
         return [(0, instance_from_dump(_load_dump(args.dump)))]
     ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
-    spec = PlantedSpec(args.dim, args.length, n_outlier_scale=ns, n_outlier_query=nq, overlap=ov)
+    spec = PlantedSpec(
+        dim=args.dim,
+        length=args.length,
+        n_outlier_scale=ns,
+        n_outlier_query=nq,
+        overlap=ov,
+    )
     return [(seed, spec.materialize(seed)) for seed in seeds]
 
 
@@ -191,7 +197,9 @@ def _cmd_run(args) -> int:
     for policy in policies:
         for seed, inst in instances:
             started = time.perf_counter()
-            report, cache = decode_simulation(inst, config, policy, steps=args.steps, return_cache=True)
+            report, cache = decode_simulation(
+                inst, config, policy, steps=args.steps, return_cache=True
+            )
             elapsed = time.perf_counter() - started
             meta = cache.metadata_counts()
             key_elems = cache.num_tokens * config.dim
@@ -213,7 +221,10 @@ def _cmd_run(args) -> int:
             )
 
     write_records_csv(f"{args.out}.csv", records)
-    write_records_json(f"{args.out}.json", {"config": asdict(config), "records": records})
+    write_records_json(
+        f"{args.out}.json",
+        {"config": asdict(config), "records": records},
+    )
     n = len(instances)  # each policy's records are n consecutive rows
     for i, policy in enumerate(policies):
         rows = records[i * n : (i + 1) * n]

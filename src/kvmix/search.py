@@ -21,8 +21,12 @@ candidate sums m_x^T (G_b o D_x^T D_y) m_y over x, y in {2, 4} and the
 blocks, m_x its channels at x bits. That is O(T D^2) per instance plus
 O(B D^2) per distinct tier map of B blocks, where evaluate_candidate's
 replays cost O(C T^2 D) for C candidates. b_eff is equal; a squared
-fidelity moves by rounding alone, by at most 1e-12 times its
-Cauchy-Schwarz bound sum_j |delta_j|^2 sum_{t >= f_j} |q_t|^2.
+fidelity moves by rounding alone, by at most 1e-12 times the sum of
+(|q_t| . |delta_j|)^2 over the steps t >= f_j that see token j's error
+delta_j, which the Cauchy-Schwarz sum_j |delta_j|^2 sum_{t >= f_j}
+|q_t|^2 bounds. Each channel's queries and errors are scaled by
+reciprocal powers of two first, so scaling a channel's keys by 2**k and
+its queries by 2**-k, which changes no logit, changes no point either.
 """
 
 from __future__ import annotations
@@ -73,11 +77,20 @@ def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, 
     if lo > hi or not math.isfinite(hi - lo):
         raise InvalidInput(f"threshold range [{lo}, {hi}] is empty or wider than float64")
     axis = np.linspace(lo, hi, grid_points)
-    return [(float(tf), float(tm)) for tf in axis for tm in axis if tm <= tf]
+    return [
+        (float(tf), float(tm))
+        for tf in axis
+        for tm in axis
+        if tm <= tf
+    ]
 
 
 def evaluate_candidate(
-    tau_full: float, tau_mid: float, instances, config: CacheConfig, steps: int | None = None
+    tau_full: float,
+    tau_mid: float,
+    instances,
+    config: CacheConfig,
+    steps: int | None = None,
 ) -> ParetoPoint:
     """Score one threshold pair: mean fidelity and mean b_eff over instances."""
     instances = tuple(instances)
@@ -85,13 +98,19 @@ def evaluate_candidate(
         raise InvalidInput("need at least one instance to evaluate")
     candidate_config = replace(config, tau_full=tau_full, tau_mid=tau_mid)
     policy = AllocationPolicy.salience()
-    fidelity = b_eff = 0.0
+    fidelity = 0.0
+    b_eff = 0.0
     for inst in instances:
         report = decode_simulation(inst, candidate_config, policy, steps=steps)
         fidelity += report.e_attn_frobenius
         b_eff += report.effective_bits
     n = len(instances)
-    return ParetoPoint(float(tau_full), float(tau_mid), b_eff=b_eff / n, fidelity=fidelity / n)
+    return ParetoPoint(
+        tau_full=float(tau_full),
+        tau_mid=float(tau_mid),
+        b_eff=b_eff / n,
+        fidelity=fidelity / n,
+    )
 
 
 def evaluate_grid(
@@ -112,23 +131,28 @@ def evaluate_grid(
     of the module docstring: O(T D^2) per instance and O(B D^2) per
     distinct tier map, not a replay's O(T^2 D) per candidate. Its b_eff
     and thresholds equal evaluate_candidate's; an instance's squared
-    fidelity is within 1e-12 E of it, E = sum_j |delta_j|^2 sum_{t >= f_j}
-    |q_t|^2 over tokens j with error delta_j first seen at step f_j, and
-    candidates with equal tier maps score equal fidelities. It raises
-    InvalidInput where some candidate's ingest or squared logit error
-    overflows; an output error that alone overflows passes the grid but
-    raises in evaluate_candidate.
+    fidelity is within 1e-12 E of it, E the sum of (|q_t| . |delta_j|)^2
+    over tokens j with error delta_j and the steps t >= f_j that see it
+    flushed, and candidates with equal tier maps score equal fidelities.
+    It raises InvalidInput where some candidate's ingest or squared logit
+    error overflows; an output error that alone overflows passes the grid
+    but raises in evaluate_candidate.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
-    scores = zip(*(_score_instance(inst, config, grid, steps) for inst in instances))
-    n = len(instances)
+    fidelity = [0.0] * len(grid)
+    b_eff = [0.0] * len(grid)
     # summed in instance order, then averaged, as evaluate_candidate does
+    for inst in instances:
+        for i, (f, b) in enumerate(_score_instance(inst, config, grid, steps)):
+            fidelity[i] += f
+            b_eff[i] += b
+    n = len(instances)
     return [
-        ParetoPoint(tf, tm, b_eff=sum(b for _, b in s) / n, fidelity=sum(f for f, _ in s) / n)
-        for (tf, tm), s in zip(grid, scores)
+        ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b / n, fidelity=f / n)
+        for (tf, tm), f, b in zip(grid, fidelity, b_eff)
     ]
 
 
@@ -171,12 +195,20 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     # G_b the sum of q_t q_t^T over those steps and X_b the block's 2- and
     # 4-bit errors side by side, a candidate's squared logit error sums, over
     # blocks, the entries of [G_b G_b; G_b G_b] o X_b^T X_b whose row and
-    # column channels it stores at those widths. Powers of two scale the
-    # largest query and error below 1, exactly, so no product overflows.
+    # column channels it stores at those widths.
     lo, hi, residual = spans[0][0], spans[-1][1], config.residual_len
     flushes = [(start // residual + 1) * residual - 1 for start, _ in spans] + [len(keys)]
     x = np.hstack([keys[lo:hi] - cache.reconstruct_keys()[lo:hi] for cache in (low, mid)])
-    q_exp, x_exp = _exponent(queries[flushes[0] :]), _exponent(x)
+    # Channel c's queries are scaled by 2**-a_c and its errors by 2**a_c, so
+    # their largest entries share an exponent, or the nonzero side's is 0
+    # where the other is all zero. Every entry of G o X keeps its exact
+    # value, and G and X each hold about its square root, so neither over-
+    # nor underflows where the channel's own terms do not.
+    dim, q = config.dim, queries[flushes[0] :]
+    q_max, x_max = np.abs(q).max(axis=0), np.abs(x).max(axis=0).reshape(2, dim).max(axis=0)
+    q_exp, x_exp = np.frexp(q_max)[1], np.frexp(x_max)[1]
+    shift = np.where((q_max > 0) & (x_max > 0), (q_exp - x_exp) // 2, q_exp - x_exp)
+    q, x = np.ldexp(q, -shift), np.ldexp(x, np.tile(shift, 2))
     # one sum per distinct tier map; candidates that share it share the sum
     flat = tiers.reshape(len(grid), -1)
     _, first, inverse = np.unique(
@@ -185,7 +217,7 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     # A map indexes each channel's 2- or 4-bit error, or a zero row and column
     # at 16 bits: selected, not multiplied by 0, so an all-16-bit map sums to
     # exactly 0.0 whatever the errors hold.
-    dim, channel = config.dim, np.arange(config.dim)
+    channel = np.arange(dim)
     index = np.select([tiers[first] == 2, tiers[first] == 4], [channel, channel + dim], 2 * dim)
     form = np.zeros((2 * dim + 1, 2 * dim + 1))
     gram = np.zeros((dim, dim))
@@ -193,22 +225,16 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     with np.errstate(over="ignore", invalid="ignore"):
         # last block first, so G_b gathers the queries from its flush step on
         for b in reversed(range(len(spans))):
-            window = np.ldexp(queries[flushes[b] : flushes[b + 1]], -q_exp)
+            window = q[flushes[b] - flushes[0] : flushes[b + 1] - flushes[0]]
             gram += window.T @ window
-            start, end = spans[b]
-            xb = np.ldexp(x[start - lo : end - lo], -x_exp)
+            xb = x[spans[b][0] - lo : spans[b][1] - lo]
             np.multiply(np.tile(gram, (2, 2)), xb.T @ xb, out=form[:-1, :-1])
             sq_logit += form[index[:, b, :, None], index[:, b, None, :]].sum(axis=(1, 2))
-        # clamp a rounding-negative sum; NaN stays NaN and raises below
-        sq_logit = np.ldexp(np.maximum(sq_logit, 0.0), 2 * (q_exp + x_exp))[inverse.ravel()]
+    # clamp a rounding-negative sum; NaN stays NaN and raises below
+    sq_logit = np.maximum(sq_logit, 0.0)[inverse.ravel()]
     if not np.isfinite(sq_logit).all():
         raise InvalidInput("attention logits or errors overflow float64")
     return [(math.sqrt(sq), int(n) / keys.size) for sq, n in zip(sq_logit, bits)]
-
-
-def _exponent(x: np.ndarray) -> int:
-    """e with the largest |entry| of x * 2**-e in [0.5, 1); 0 for an all-zero x."""
-    return math.frexp(float(np.max(np.abs(x), initial=0.0)))[1]
 
 
 def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:

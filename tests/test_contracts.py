@@ -170,19 +170,33 @@ def _logit_error_overflow() -> AttentionInstance:
     return AttentionInstance(queries, keys, values)
 
 
-def test_grid_of_huge_queries_and_tiny_keys_does_not_overflow():
-    # Queries near 1e160 and keys near 1e-160: every logit error is finite,
-    # but an unscaled Gram matrix of the queries overflows float64.
+@pytest.mark.parametrize(
+    "key_scale, channels",
+    [
+        # queries near 1e160 and keys near 1e-160: every logit error is
+        # finite, but an unscaled Gram matrix of the queries overflows
+        (1e-160, slice(None)),
+        # channel 0's keys scaled by 1e170 and its queries by 1e-170, or the
+        # reverse: no logit changes, but one scale shared by all channels
+        # would underflow the other channels' terms
+        (1e170, 0),
+        (1e-170, 0),
+    ],
+)
+def test_grid_of_reciprocally_scaled_queries_and_keys(key_scale, channels):
     rng = np.random.default_rng(0)
     queries, keys, values = (rng.normal(size=(40, 4)) for _ in range(3))
-    inst = AttentionInstance(queries * 1e160, keys * 1e-160, values)
+    queries[:, channels] /= key_scale
+    keys[:, channels] *= key_scale
+    inst = AttentionInstance(queries, keys, values)
     config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=2)
     points = evaluate_grid([inst], config, 0.1, 2.0, 3)
-    assert [p.b_eff for p in points] == [16.0, 7.6, 6.2, 4.6, 3.2, 2.7]
-    assert points[0].fidelity == 0.0
-    for point in points[1:]:
+    assert points[0].b_eff == 16.0 and points[0].fidelity == 0.0
+    for point in points:
         replay = evaluate_candidate(point.tau_full, point.tau_mid, [inst], config)
+        assert point.b_eff == replay.b_eff
         assert point.fidelity == pytest.approx(replay.fidelity, rel=1e-12)
+        assert 0.1 < replay.fidelity < 100 or point.b_eff == 16.0
 
 
 def _residual_cache(key: float) -> MixedKVCache:

@@ -4,7 +4,8 @@ The frontier routine is checked against a literal O(n^2) dominance scan
 on synthetic point clouds, then end to end on a tiny real search. The
 ingest-once grid is checked against evaluate_candidate, one replay per
 candidate: thresholds and b_eff exactly, and each instance's squared
-fidelity to within 1e-12 times its Cauchy-Schwarz envelope.
+fidelity to within 1e-12 times an envelope of its rounding error,
+at most the Cauchy-Schwarz bound.
 """
 
 from dataclasses import replace
@@ -228,18 +229,20 @@ def per_candidate(instances, config, lo, hi, grid_points, steps=None):
 
 
 def envelope(inst, cache, steps=None) -> float:
-    """Cauchy-Schwarz bound on a replay's squared logit error.
+    """Rounding scale of a replay's squared logit error.
 
-    The sum over tokens j of |delta_j|^2 times the sum of |q_t|^2 over the
-    steps t >= (j // R + 1) * R - 1 that see token j flushed.
+    The sum of (|q_t| . |delta_j|)^2 over each step t and token j that step
+    t sees flushed, t >= (j // R + 1) * R - 1. It is at most the
+    Cauchy-Schwarz bound sum_j |delta_j|^2 sum_{t >= f_j} |q_t|^2, and
+    unlike that bound it does not change when a channel's keys and queries
+    are scaled by reciprocal factors, which leaves every logit as it is.
     """
     queries, keys = inst.queries[:steps], inst.keys[:steps]
     residual = cache.config.residual_len
     delta = keys - cache.reconstruct_keys()
-    suffix = np.cumsum(np.sum(queries**2, axis=1)[::-1])[::-1]
     first = (np.arange(len(keys)) // residual + 1) * residual - 1
-    seen = np.where(first < len(keys), suffix[np.minimum(first, len(keys) - 1)], 0.0)
-    return float(np.sum(np.sum(delta**2, axis=1) * seen))
+    seen = np.arange(len(queries))[:, None] >= first[None, :]
+    return float(np.sum(np.where(seen, np.abs(queries) @ np.abs(delta).T, 0.0) ** 2))
 
 
 def assert_grid_matches_replay(instances, config, lo, hi, grid_points, steps=None):
@@ -278,6 +281,9 @@ def raised(fn):
     return None
 
 
+EXPONENTS = [0, 0, 0, 0, -170, -100, 100, 170]
+
+
 @st.composite
 def search_cases(draw):
     group = draw(st.integers(1, 4))
@@ -304,6 +310,11 @@ def search_cases(draw):
         values = rng.normal(size=(length, config.value_dim))
         if rope:
             queries, keys = (apply_rope(x, np.arange(length)) for x in (queries, keys))
+        # channels whose keys and queries are scaled by reciprocal factors,
+        # up to 1e340 apart: no logit changes, whatever the other channels hold
+        exponents = st.lists(st.sampled_from(EXPONENTS), min_size=config.dim, max_size=config.dim)
+        ratio = 10.0 ** np.array(draw(exponents))
+        keys, queries = keys * ratio, queries / ratio
         instances.append(AttentionInstance(queries, keys, values))
     lo = draw(st.floats(0.0, 2.0))
     hi = lo + draw(st.floats(0.0, 6.0))
@@ -460,6 +471,18 @@ class TestIngestOnceGrid:
         points = evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33)
         with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
             assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33) == points
+
+    def test_grid_ignores_reciprocal_powers_of_two_on_channels(self):
+        # channel 0's keys times 2**565 and queries times 2**-565, channel 5
+        # the reverse: every logit, salience and tier stays exactly as it was,
+        # and so does every point of the grid
+        inst = self.SPEC.materialize(0)
+        scale = np.ones(self.CFG.dim)
+        scale[[0, 5]] = 2.0**565, 2.0**-565
+        scaled = AttentionInstance(inst.queries / scale, inst.keys * scale, inst.values)
+        points = evaluate_grid([inst], self.CFG, 0.05, 3.0, 6)
+        assert evaluate_grid([scaled], self.CFG, 0.05, 3.0, 6) == points
+        assert len({p.fidelity for p in points}) > 2
 
     def test_equal_tier_maps_give_equal_fidelities(self):
         # candidates whose caches assign every block the same tiers score
