@@ -12,9 +12,9 @@ faithful point under a bit budget.
 Only the logit error is scored, and the thresholds reach it only
 through each block's tiers. The block layout, the salience of every key
 channel and its 2- and 4-bit reconstruction do not depend on them. So
-evaluate_grid ingests each instance at two of the grid's own candidates,
-(top, top) and (top, bottom), which store every channel at each width
-some candidate gives it. The squared logit error is then a quadratic
+evaluate_grid ingests each instance at the thresholds of two of the
+grid's own candidates, (top, top) and (top, bottom), which store every
+key channel at each width some candidate gives it. The squared logit error is then a quadratic
 form in each block's key error: with G_b the sum of q_t q_t^T over the
 steps from block b's flush on, and D_x the block's x-bit errors, a
 candidate sums m_x^T (G_b o D_x^T D_y) m_y over x, y in {2, 4} and the
@@ -204,11 +204,12 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     # where the other is all zero. Every entry of G o X keeps its exact
     # value, and G and X each hold about its square root, so neither over-
     # nor underflows where the channel's own terms do not.
-    dim, q = config.dim, queries[flushes[0] :]
-    q_max, x_max = np.abs(q).max(axis=0), np.abs(x).max(axis=0).reshape(2, dim).max(axis=0)
+    dim = config.dim
+    q_max = np.abs(queries[flushes[0] :]).max(axis=0)
+    x_max = np.abs(x).max(axis=0).reshape(2, dim).max(axis=0)
     q_exp, x_exp = np.frexp(q_max)[1], np.frexp(x_max)[1]
     shift = np.where((q_max > 0) & (x_max > 0), (q_exp - x_exp) // 2, q_exp - x_exp)
-    q, x = np.ldexp(q, -shift), np.ldexp(x, np.tile(shift, 2))
+    np.ldexp(x, np.tile(shift, 2), out=x)
     # one sum per distinct tier map; candidates that share it share the sum
     flat = tiers.reshape(len(grid), -1)
     _, first, inverse = np.unique(
@@ -225,7 +226,7 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     with np.errstate(over="ignore", invalid="ignore"):
         # last block first, so G_b gathers the queries from its flush step on
         for b in reversed(range(len(spans))):
-            window = q[flushes[b] - flushes[0] : flushes[b + 1] - flushes[0]]
+            window = np.ldexp(queries[flushes[b] : flushes[b + 1]], -shift)
             gram += window.T @ window
             xb = x[spans[b][0] - lo : spans[b][1] - lo]
             np.multiply(np.tile(gram, (2, 2)), xb.T @ xb, out=form[:-1, :-1])
