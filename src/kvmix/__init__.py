@@ -56,7 +56,6 @@ from .errors import (
 )
 from .io import (
     TensorDump,
-    cache_snapshot_dump,
     dump_from_instance,
     instance_from_dump,
     write_records_csv,
@@ -127,7 +126,6 @@ __all__ = [
     "assign_precision",
     "attention_error",
     "attention_exact",
-    "cache_snapshot_dump",
     "decode_simulation",
     "dequantize_group",
     "dump_from_instance",

@@ -456,7 +456,9 @@ class MixedKVCache:
     ) -> tuple[KeyBlock, ValueBlock]:
         cfg = self.config
         length = keys.shape[0]
-        sensitivity = sensitivity_score(keys)
+        # only scored kinds read it, so only they reject a range beyond float64
+        scored = self.policy.kind in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY)
+        sensitivity = sensitivity_score(keys) if scored else np.zeros(cfg.dim)
         assignment = _resolve(self.policy, importance, sensitivity, cfg.thresholds)
 
         outliers = assignment.channels_at(BitWidth.FULL)

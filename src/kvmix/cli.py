@@ -20,6 +20,10 @@ run's --policy and --compare names and the policy label each writes
     fixed4          fixed-uniform-4
     full-precision  full-precision
 
+run's metadata_bits_per_key_element column counts each stored key zero
+point and scale at 32 bits: not the float64 the cache holds, nor the 16
+bits (fp16) that KIVI counts, which would halve the column.
+
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
 dump file, 1 any other failure: a corrupt dump, an infeasible budget, or
 a file that cannot be read or written ("io", such as a dump path that is

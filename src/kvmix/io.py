@@ -39,14 +39,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionInstance
-from .cache import MixedKVCache
 from .errors import CorruptFile, InvalidInput, UnsupportedFormat, _parses_as_non_real
 
 __all__ = [
     "TensorDump",
     "dump_from_instance",
     "instance_from_dump",
-    "cache_snapshot_dump",
     "write_records_csv",
     "write_records_json",
 ]
@@ -186,34 +184,6 @@ def instance_from_dump(dump: TensorDump, layer: int = 0, head: int = 0) -> Atten
             raise InvalidInput(f"section {name!r} must be 2-D, got rank {arr.ndim}")
         tensors[tensor] = arr.astype(np.float64)
     return AttentionInstance(tensors["q"], tensors["k"], tensors["v"])
-
-
-def cache_snapshot_dump(cache: MixedKVCache) -> TensorDump:
-    """Freeze a cache's reconstructed state into a container.
-
-    Sections: cache/keys and cache/values (reconstructions, cast to
-    float32) and cache/key_bits, the per-token per-channel storage width
-    (sink and residual rows at 16).
-    """
-    dim = cache.config.dim
-    bit_rows = []
-    for blk in cache.key_blocks:
-        if blk.assignment is None:
-            bit_rows.append(np.full((blk.length, dim), 16.0, dtype=np.float32))
-        else:
-            row = blk.assignment.bits.astype(np.float32)
-            bit_rows.append(np.tile(row, (blk.length, 1)))
-    if cache.residual_tokens:
-        bit_rows.append(np.full((cache.residual_tokens, dim), 16.0, dtype=np.float32))
-    key_bits = (
-        np.vstack(bit_rows) if bit_rows else np.zeros((0, dim), dtype=np.float32)
-    )
-
-    dump = TensorDump()
-    dump.add("cache/keys", cache.reconstruct_keys())
-    dump.add("cache/values", cache.reconstruct_values())
-    dump.add("cache/key_bits", key_bits)
-    return dump
 
 
 def _plain(value):

@@ -11,8 +11,9 @@ faithful point under a bit budget.
 
 Only the logit error is scored, and the thresholds reach it only
 through each block's tiers. The block layout, the salience of every key
-channel and its 2- and 4-bit reconstruction do not depend on them. So
-evaluate_grid ingests each instance at the thresholds of two of the
+channel and its 2- and 4-bit reconstruction do not depend on them, and
+values do not enter it at all: evaluate_grid reads keys and queries
+alone. It ingests each instance at the thresholds of two of the
 grid's own candidates, (top, top) and (top, bottom), which store every
 key channel at each width some candidate gives it. The squared logit error is then a quadratic
 form in each block's key error: with G_b the sum of q_t q_t^T over the
@@ -127,16 +128,16 @@ def evaluate_grid(
     at (top, top) and (top, bottom), the largest tau_full and smallest
     tau_mid, rather than once per candidate. Each candidate re-selects
     the tiers of every block from the blocks' salience and is scored on
-    the logit error alone, without values or a softmax, in the Gram form
+    the logit error alone, from keys and queries, in the Gram form
     of the module docstring: O(T D^2) per instance and O(B D^2) per
     distinct tier map, not a replay's O(T^2 D) per candidate. Its b_eff
     and thresholds equal evaluate_candidate's; an instance's squared
     fidelity is within 1e-12 E of it, E the sum of (|q_t| . |delta_j|)^2
     over tokens j with error delta_j and the steps t >= f_j that see it
     flushed, and candidates with equal tier maps score equal fidelities.
-    It raises InvalidInput where some candidate's ingest or squared logit
-    error overflows; an output error that alone overflows passes the grid
-    but raises in evaluate_candidate.
+    It raises InvalidInput where some candidate's key ingest or squared
+    logit error overflows. A value quantization or an output error that
+    alone overflows passes the grid but raises in evaluate_candidate.
     """
     instances = tuple(instances)
     grid = threshold_grid(lo, hi, grid_points)
@@ -162,9 +163,8 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     # (top, top) stores at 2 bits, and (top, bottom) at 4, every key channel
     # some candidate stores at that width, as bottom <= tau_mid <= tau_full <=
     # top, so they overflow exactly when some candidate's own key cache would.
-    # Every candidate quantizes values at the config width; the low cache does.
     top, bottom = max(tf for tf, _ in grid), min(tm for _, tm in grid)
-    low = MixedKVCache(replace(config, tau_full=top, tau_mid=top))
+    low = MixedKVCache(replace(config, tau_full=top, tau_mid=top, value_bits=BitWidth.FULL))
     mid = MixedKVCache(replace(config, tau_full=top, tau_mid=bottom, value_bits=BitWidth.FULL))
     low.extend(keys, values, queries)
     mid.extend(keys, values, queries)
@@ -190,14 +190,14 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     bits = tiers.sum(axis=2, dtype=np.int64) @ lengths
     bits += 16 * config.dim * (len(keys) - lengths.sum())
 
-    # Token j's error enters the logits from step (j // R + 1) * R - 1 on,
-    # when the flush that covers it lands; a scored block is one flush. With
+    # A scored block is one flush, so its tokens' errors enter the logits from
+    # step end - 1 on, when the flush that stores them lands. With
     # G_b the sum of q_t q_t^T over those steps and X_b the block's 2- and
     # 4-bit errors side by side, a candidate's squared logit error sums, over
     # blocks, the entries of [G_b G_b; G_b G_b] o X_b^T X_b whose row and
     # column channels it stores at those widths.
-    lo, hi, residual = spans[0][0], spans[-1][1], config.residual_len
-    flushes = [(start // residual + 1) * residual - 1 for start, _ in spans] + [len(keys)]
+    lo, hi = spans[0][0], spans[-1][1]
+    flushes = [end - 1 for _, end in spans] + [len(keys)]
     x = np.hstack([keys[lo:hi] - cache.reconstruct_keys()[lo:hi] for cache in (low, mid)])
     # Channel c's queries are scaled by 2**-a_c and its errors by 2**a_c, so
     # their largest entries share an exponent, or the nonzero side's is 0

@@ -24,7 +24,6 @@ from kvmix import (
     assign_precision,
     attention_error,
     attention_exact,
-    cache_snapshot_dump,
     decode_simulation,
     dump_from_instance,
     evaluate_candidate,
@@ -132,7 +131,6 @@ PROBES = {
     "dump_from_instance_beyond_float32": lambda: dump_from_instance(
         AttentionInstance(np.ones((2, 2)), [[1.0, 1e300], [0.0, 0.0]], np.ones((2, 2)))
     ),
-    "cache_snapshot_beyond_float32": lambda: cache_snapshot_dump(_residual_cache(1e300)),
     # every logit is finite, but the squared logit error of the 2-bit keys is not
     "evaluate_grid_squared_logit_error_overflows": lambda: evaluate_grid(
         [_logit_error_overflow()], CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=0),
@@ -197,13 +195,6 @@ def test_grid_of_reciprocally_scaled_queries_and_keys(key_scale, channels):
         assert point.b_eff == replay.b_eff
         assert point.fidelity == pytest.approx(replay.fidelity, rel=1e-12)
         assert 0.1 < replay.fidelity < 100 or point.b_eff == 16.0
-
-
-def _residual_cache(key: float) -> MixedKVCache:
-    """A cache whose three unflushed rows hold `key` in every key channel."""
-    cache = MixedKVCache(SMALL)
-    cache.extend(np.full((3, SMALL.dim), key), np.ones((3, SMALL.dim)), np.ones((3, SMALL.dim)))
-    return cache
 
 
 @pytest.mark.parametrize("probe", sorted(PROBES))
@@ -290,6 +281,25 @@ def test_extend_overflowing_flush_leaves_fresh_cache_empty():
         cache.extend(keys, values, queries)
     assert (cache.num_tokens, cache.flushed_tokens, cache.query_accumulator.count) == (0, 0, 0)
     assert (len(cache.key_blocks), len(cache.value_blocks)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "policy, bits, e_attn",
+    [(AllocationPolicy.full_precision(), 16.0, 0.0), (AllocationPolicy.fixed_uniform(4), 4.0, 0.4603)],
+)
+def test_unscored_policies_store_a_channel_range_beyond_float64(policy, bits, e_attn):
+    # key channel 0 spans 3.4e308 over the first block, so no sensitivity
+    # can be scored; full precision stores it exactly, and channel 0 holds
+    # one value in each 4-token group of the uniform 4-bit cache
+    rng = np.random.default_rng(0)
+    queries, keys, values = (rng.normal(size=(16, 4)) for _ in range(3))
+    keys[:4, 0], keys[4:8, 0], queries[:, 0] = 1.7e308, -1.7e308, 1e-300
+    config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=0)
+    report = decode_simulation(AttentionInstance(queries, keys, values), config, policy)
+    assert report.effective_bits == bits
+    assert report.e_attn_frobenius == pytest.approx(e_attn, abs=1e-4)
+    if bits == 16.0:
+        assert (report.e_attn_max, report.output_error_frobenius) == (0.0, 0.0)
 
 
 # Prefix immutability: every array a flushed block holds, and each memo

@@ -87,7 +87,6 @@ def test_export_list():
         "assign_precision",
         "attention_error",
         "attention_exact",
-        "cache_snapshot_dump",
         "decode_simulation",
         "dequantize_group",
         "dump_from_instance",

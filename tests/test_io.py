@@ -12,15 +12,11 @@ import numpy as np
 import pytest
 
 from kvmix import (
-    AllocationPolicy,
-    CacheConfig,
     CorruptFile,
     InvalidInput,
-    MixedKVCache,
     PlantedSpec,
     TensorDump,
     UnsupportedFormat,
-    cache_snapshot_dump,
     dump_from_instance,
     instance_from_dump,
     write_records_csv,
@@ -176,35 +172,6 @@ class TestInstanceDumps:
         dump.add("layer0/head0/v", np.zeros((2, 2), dtype=np.float32))
         with pytest.raises(InvalidInput):
             instance_from_dump(dump)
-
-
-class TestCacheSnapshot:
-    def test_snapshot_sections_and_shapes(self):
-        cfg = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
-        cache = MixedKVCache(cfg, AllocationPolicy.salience(budget=(1, 2)))
-        rng = np.random.default_rng(0)
-        for _ in range(11):
-            cache.append(rng.normal(size=8), rng.normal(size=8), rng.normal(size=8))
-        snap = cache_snapshot_dump(cache)
-        assert snap["cache/keys"].shape == (11, 8)
-        assert snap["cache/values"].shape == (11, 8)
-        bits = snap["cache/key_bits"]
-        assert bits.shape == (11, 8)
-        # sink rows and the 3 residual rows are full width
-        assert np.all(bits[:2] == 16.0)
-        assert np.all(bits[8:] == 16.0)
-        # the scored block honours the (1, 2) budget per row
-        assert sorted(bits[4].tolist()) == [2, 2, 2, 2, 2, 4, 4, 16]
-
-    def test_snapshot_round_trips_through_bytes(self):
-        cfg = CacheConfig(dim=4, group_size=2, residual_len=4, sink_len=0)
-        cache = MixedKVCache(cfg)
-        rng = np.random.default_rng(1)
-        for _ in range(4):
-            cache.append(rng.normal(size=4), rng.normal(size=4), rng.normal(size=4))
-        snap = cache_snapshot_dump(cache)
-        blob = snap.to_bytes()
-        assert TensorDump.from_bytes(blob).to_bytes() == blob
 
 
 class TestReportWriters:

@@ -457,6 +457,27 @@ class TestIngestOnceGrid:
         points = evaluate_grid([self.SPEC.materialize(0)], self.CFG, 0.05, 3.0, 4)
         assert len(points) == len(threshold_grid(0.05, 3.0, 4))
 
+    @pytest.mark.parametrize("value_scale", [0.0, 1e300])
+    def test_grid_does_not_depend_on_values(self, value_scale):
+        inst = self.SPEC.materialize(0)
+        swapped = AttentionInstance(inst.queries, inst.keys, inst.values * value_scale)
+        points = evaluate_grid([inst], self.CFG, 0.05, 3.0, 4)
+        assert evaluate_grid([swapped], self.CFG, 0.05, 3.0, 4) == points
+
+    def test_value_overflow_raises_in_the_replay_alone(self):
+        # row 10's value group spans 3.4e308: a candidate's replay cannot
+        # quantize it, but the grid, which reads no value, scores it as if
+        # the values were zero
+        rng = np.random.default_rng(0)
+        queries, keys, values = (rng.normal(size=(40, 4)) for _ in range(3))
+        values[10, 0], values[10, 1] = 1.7e308, -1.7e308
+        inst = AttentionInstance(queries, keys, values)
+        config = CacheConfig(dim=4, group_size=4, residual_len=8, sink_len=2)
+        assert raised(lambda: evaluate_candidate(1.0, 0.5, [inst], config)) is InvalidInput
+        zeroed = AttentionInstance(queries, keys, np.zeros_like(values))
+        points = evaluate_grid([zeroed], config, 0.1, 2.0, 3)
+        assert evaluate_grid([inst], config, 0.1, 2.0, 3) == points
+
     @pytest.mark.parametrize("chunk, steps", [(7, None), (7, 33), (8, None), (1, 20)])
     def test_grid_equals_per_candidate_replay_across_chunks(self, chunk, steps):
         # 40 rows, or `steps` of them, replayed in chunks of `chunk` query
