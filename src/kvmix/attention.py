@@ -132,8 +132,9 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
 
     With causal=True position i attends to keys [0, i], which requires as
     many query rows as key rows. Returns (weights, outputs): the softmax
-    weight matrix and the attended value rows. Logits or outputs that
-    overflow float64 raise InvalidInput.
+    weight matrix and the attended value rows. Keys with no row or no
+    channel raise InvalidInput, as do logits or outputs that overflow
+    float64.
     """
     q = _as_matrix(queries, "queries")
     k = check_array(keys, "keys", 2)
@@ -142,6 +143,8 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
         raise InvalidInput("queries and keys disagree on channel count")
     if v.shape[0] != k.shape[0]:
         raise InvalidInput("keys and values disagree on token count")
+    if 0 in k.shape:
+        raise InvalidInput(f"keys need at least one row and one channel, got shape {k.shape}")
     scale = 1.0 / math.sqrt(k.shape[1]) if scale is None else check_array(scale, "scale", 0)
     if causal and q.shape[0] != k.shape[0]:
         raise InvalidInput("causal masking requires one query row per key row")

@@ -159,8 +159,7 @@ class KeyBlock:
                 self._dense = self.keys_exact
             else:
                 out = np.empty((self.length, self.assignment.dim), dtype=np.float64)
-                if self.outlier_channels.size:
-                    out[:, self.outlier_channels] = self.outlier_columns
+                out[:, self.outlier_channels] = self.outlier_columns
                 for width, runs in self._runs.items():
                     channels = self.assignment.channels_at(width)
                     out[:, channels] = _dequantize_column_runs(runs, width).T
@@ -251,10 +250,6 @@ class MixedKVCache:
             raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
         self.config = config
         self.policy = policy if policy is not None else AllocationPolicy.salience()
-        self._value_pass_through = (
-            config.value_bits == BitWidth.FULL
-            or self.policy.kind == PolicyKind.FULL_PRECISION
-        )
         self._running = QueryAccumulator(config.dim)
         self._key_blocks: list[KeyBlock] = []
         self._value_blocks: list[ValueBlock] = []
@@ -262,7 +257,6 @@ class MixedKVCache:
         # residual buffer; None while the buffer is empty
         self._res: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._fill = 0
-        self._flushed_tokens = 0
 
     # -- inspection ---------------------------------------------------
 
@@ -281,11 +275,15 @@ class MixedKVCache:
 
     @property
     def num_tokens(self) -> int:
-        return self._flushed_tokens + self._fill
+        return self.flushed_tokens + self._fill
 
     @property
     def flushed_tokens(self) -> int:
-        return self._flushed_tokens
+        """End of the last flushed block, 0 before the first flush."""
+        if not self._key_blocks:
+            return 0
+        last = self._key_blocks[-1]
+        return last.start + last.length
 
     @property
     def residual_tokens(self) -> int:
@@ -342,24 +340,14 @@ class MixedKVCache:
 
         Rows are copied into the residual arrays one segment at a time,
         each segment ending at the next flush boundary. Only a flush can
-        fail once the rows are checked, so the state is saved only when the
-        rows reach one. Saving references is enough: a flush replaces the
-        accumulator and the residual arrays without mutating them, rows
-        past the saved fill count are ignored, and blocks are append-only,
-        so restoring them is a truncation.
+        fail once the rows are checked. Saving references is enough: a
+        flush replaces the accumulator and the residual arrays without
+        mutating them, rows past the saved fill count are ignored, and
+        blocks are append-only, so restoring them is a truncation.
         """
         cap = self.config.residual_len
         total = keys.shape[0]
-        if self._fill + total < cap:
-            saved = None
-        else:
-            saved = (
-                self._running,
-                self._res,
-                self._fill,
-                len(self._key_blocks),
-                self._flushed_tokens,
-            )
+        saved = (self._running, self._res, self._fill, len(self._key_blocks))
         try:
             lo = 0
             while lo < total:
@@ -369,11 +357,9 @@ class MixedKVCache:
                 if self._fill == cap:
                     self.flush()
         except BaseException:
-            if saved is not None:
-                (self._running, self._res, self._fill,
-                 n_blocks, self._flushed_tokens) = saved
-                del self._key_blocks[n_blocks:]
-                del self._value_blocks[n_blocks:]
+            self._running, self._res, self._fill, n_blocks = saved
+            del self._key_blocks[n_blocks:]
+            del self._value_blocks[n_blocks:]
             raise
 
     def _store(self, *segment: np.ndarray) -> None:
@@ -422,34 +408,28 @@ class MixedKVCache:
         # views: every array a block keeps is a copy of its rows
         keys, values, queries = (self._residual(i) for i in range(3))
         running = self._running.copy().add(queries)
-        start = self._flushed_tokens
+        start = self.flushed_tokens
         length = keys.shape[0]
-        key_blocks: list[KeyBlock] = []
-        value_blocks: list[ValueBlock] = []
+        pairs: list[tuple[KeyBlock, ValueBlock]] = []
 
         sink_cut = min(max(self.config.sink_len - start, 0), length)
         if sink_cut > 0:
             # Copies, so the sink rows do not pin the whole flushed matrix.
-            key_blocks.append(
-                KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut].copy())
-            )
-            value_blocks.append(
-                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut].copy())
-            )
+            pairs.append((
+                KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut].copy()),
+                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut].copy()),
+            ))
 
         if sink_cut < length:
-            key_block, value_block = self._freeze_scored(
+            pairs.append(self._freeze_scored(
                 keys[sink_cut:], values[sink_cut:], start + sink_cut, running.importance()
-            )
-            key_blocks.append(key_block)
-            value_blocks.append(value_block)
+            ))
 
-        self._key_blocks.extend(key_blocks)
-        self._value_blocks.extend(value_blocks)
+        self._key_blocks.extend(key_block for key_block, _ in pairs)
+        self._value_blocks.extend(value_block for _, value_block in pairs)
         self._running = running
         self._res = None
         self._fill = 0
-        self._flushed_tokens += length
 
     def _freeze_scored(
         self, keys: np.ndarray, values: np.ndarray, start: int, importance: np.ndarray
@@ -476,7 +456,7 @@ class MixedKVCache:
             _runs=runs,
         )
 
-        if self._value_pass_through:
+        if cfg.value_bits == BitWidth.FULL or self.policy.kind == PolicyKind.FULL_PRECISION:
             value_block = ValueBlock(start=start, length=length, values_exact=values.copy())
         else:
             value_runs = _quantize_column_runs(values.T, cfg.value_bits, cfg.group_size)

@@ -95,12 +95,12 @@ class QueryAccumulator:
         entries, or a |Q| sum beyond float64 raise InvalidInput, changing nothing.
         """
         q = _as_matrix(q_block, "q_block")
-        if q.size == 0:
-            return self
         if q.shape[1] != self.dim:
             raise InvalidInput(
                 f"q_block has {q.shape[1]} channels, accumulator expects {self.dim}"
             )
+        if q.size == 0:
+            return self
         folded = np.abs(q)
         with np.errstate(over="ignore"):
             folded[0] += self._abs_sum

@@ -299,6 +299,13 @@ def assert_same_state(got: MixedKVCache, want: MixedKVCache) -> None:
     )
     assert len(got.key_blocks) == len(want.key_blocks)
     assert len(got.value_blocks) == len(want.value_blocks)
+    # the key blocks tile [0, flushed_tokens) in order, value blocks alongside
+    end = 0
+    for key_blk, value_blk in zip(got.key_blocks, got.value_blocks, strict=True):
+        assert key_blk.start == end
+        assert (value_blk.start, value_blk.length) == (key_blk.start, key_blk.length)
+        end = key_blk.start + key_blk.length
+    assert end == got.flushed_tokens
     for mine, theirs in zip(got.key_blocks + got.value_blocks, want.key_blocks + want.value_blocks):
         a, b = stored_fields(mine), stored_fields(theirs)
         assert len(a) == len(b)

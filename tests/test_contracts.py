@@ -156,6 +156,19 @@ PROBES = {
     "assign_precision_empty": lambda: assign_precision([], 1, 0.5),
     "apply_rope_zero_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=0),
     "dump_add_name_beyond_u16": lambda: TensorDump().add("x" * 65536, [1.0]),
+    # keys with no row or no channel: no softmax over them, no 1 / sqrt(0) scale
+    "attention_exact_no_keys": lambda: attention_exact(
+        np.ones((2, 4)), np.zeros((0, 4)), np.zeros((0, 3)), causal=False
+    ),
+    "attention_exact_no_queries_no_keys": lambda: attention_exact(
+        np.zeros((0, 4)), np.zeros((0, 4)), np.zeros((0, 3))
+    ),
+    "attention_exact_no_channels": lambda: attention_exact(
+        np.ones((2, 0)), np.zeros((2, 0)), np.zeros((2, 3))
+    ),
+    # rows of the wrong width are rejected even when there are none of them
+    "accumulator_add_rows_of_no_channels": lambda: QueryAccumulator(4).add(np.zeros((3, 0))),
+    "accumulator_add_no_rows_of_wrong_width": lambda: QueryAccumulator(4).add(np.zeros((0, 5))),
 }
 
 

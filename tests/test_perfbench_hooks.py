@@ -17,7 +17,9 @@ import numpy as np
 
 import kvmix.attention
 import kvmix.cache
+import kvmix.policies
 import kvmix.quant
+import kvmix.salience
 from kvmix import AllocationPolicy, CacheConfig, MixedKVCache, PlantedSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,6 +52,8 @@ def test_tracer_installs_and_restores(monkeypatch):
         sys.modules.pop("tracer", None)
     assert kvmix.cache.quantize_group is kvmix.quant.quantize_group
     assert kvmix.cache.dequantize_group is kvmix.quant.dequantize_group
+    assert kvmix.cache.resolve_assignment is kvmix.policies.resolve_assignment
+    assert kvmix.cache.sensitivity_score is kvmix.salience.sensitivity_score
     assert not hasattr(kvmix.cache.MixedKVCache.flush, "__wrapped__")
 
 
