@@ -16,9 +16,10 @@ the attention logits, so it can live at 2 bits.
 import numpy as np
 
 from kvmix import (
+    AllocationPolicy,
     PlantedSpec,
     QueryAccumulator,
-    assign_precision,
+    resolve_assignment,
     salience_score,
     sensitivity_score,
 )
@@ -62,8 +63,10 @@ for d in order[:8]:
 # Thresholds cut the salience axis into three tiers. Scores above
 # tau_full keep 16 bits, scores above tau_mid get 4, the rest get 2.
 # Equality never promotes: a score exactly at a threshold takes the
-# cheaper tier.
-assignment = assign_precision(salience, tau_full=4.0, tau_mid=1.0)
+# cheaper tier. The salience policy forms I * S from the two scores.
+assignment = resolve_assignment(
+    AllocationPolicy.salience(), importance, sensitivity, (4.0, 1.0)
+)
 n_full, n_mid, n_low = assignment.tier_counts()
 print(f"\ntiers at (4.0, 1.0): {n_full} x 16-bit, {n_mid} x 4-bit, {n_low} x 2-bit")
 print("mean stored bits per key element:", assignment.mean_bits())

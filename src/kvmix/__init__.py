@@ -64,6 +64,7 @@ from .io import (
 from .policies import (
     AllocationPolicy,
     PolicyKind,
+    PrecisionAssignment,
     resolve_assignment,
 )
 from .quant import (
@@ -76,10 +77,8 @@ from .quant import (
     unpack_codes,
 )
 from .salience import (
-    PrecisionAssignment,
     QueryAccumulator,
     apply_rope,
-    assign_precision,
     salience_score,
     sensitivity_score,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "UnsupportedFormat",
     "ValueBlock",
     "apply_rope",
-    "assign_precision",
     "attention_error",
     "attention_exact",
     "decode_simulation",

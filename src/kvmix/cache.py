@@ -39,12 +39,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NothingToFlush, UndefinedMetric, check_array, check_count
-# resolve_assignment, quantize_group and dequantize_group are bound here,
-# unused, so that tools which wrap them where the cache looks them up keep
-# names to patch. A flush resolves its tiers with the unchecked _resolve,
-# and blocks are built and decoded by the batch forms _quantize_column_runs
-# and _dequantize_column_runs, which give bit-identical groups and values.
-from .policies import AllocationPolicy, PolicyKind, _resolve, resolve_assignment  # noqa: F401
+from .policies import (
+    AllocationPolicy,
+    PolicyKind,
+    PrecisionAssignment,
+    check_thresholds,
+    resolve_assignment,
+)
+
+# quantize_group and dequantize_group are bound here, unused, so that tools
+# which wrap them where the cache looks them up keep names to patch. Blocks
+# are built and decoded by the batch forms _quantize_column_runs and
+# _dequantize_column_runs, which give bit-identical groups and values.
 from .quant import (  # noqa: F401
     _QUANT_WIDTHS,
     BitWidth,
@@ -56,12 +62,7 @@ from .quant import (  # noqa: F401
     dequantize_group,
     quantize_group,
 )
-from .salience import (
-    PrecisionAssignment,
-    QueryAccumulator,
-    check_thresholds,
-    sensitivity_score,
-)
+from .salience import QueryAccumulator, sensitivity_score
 
 __all__ = ["CacheConfig", "KeyBlock", "ValueBlock", "MixedKVCache"]
 
@@ -439,7 +440,7 @@ class MixedKVCache:
         # only scored kinds read it, so only they reject a range beyond float64
         scored = self.policy.kind in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY)
         sensitivity = sensitivity_score(keys) if scored else np.zeros(cfg.dim)
-        assignment = _resolve(self.policy, importance, sensitivity, cfg.thresholds)
+        assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
 
         outliers = assignment.channels_at(BitWidth.FULL)
         runs = {}

@@ -7,8 +7,9 @@ search   sweep the salience threshold grid, write the full evaluation
          log and its Pareto frontier, optionally pick the most faithful
          point under a bit budget.
 stats    score the channels of one seeded synthetic instance (or one
-         trace dump): importance / sensitivity / salience / tier; write
-         the per-channel table as CSV; the printed Pearson correlation
+         trace dump): importance / sensitivity / salience, and the tier
+         the salience policy gives at --thresholds; write the
+         per-channel table as CSV; the printed Pearson correlation
          summarizes how decoupled importance and sensitivity are.
 
 run's --policy and --compare names and the policy label each writes
@@ -60,13 +61,8 @@ from .io import (
     write_records_csv,
     write_records_json,
 )
-from .policies import AllocationPolicy, PolicyKind
-from .salience import (
-    QueryAccumulator,
-    assign_precision,
-    salience_score,
-    sensitivity_score,
-)
+from .policies import AllocationPolicy, PolicyKind, resolve_assignment
+from .salience import QueryAccumulator, salience_score, sensitivity_score
 from .search import evaluate_grid, pareto_frontier, select_under_budget
 
 __all__ = ["main", "build_parser"]
@@ -284,7 +280,9 @@ def _cmd_stats(args) -> int:
     importance = QueryAccumulator(inst.dim).add(inst.queries).importance()
     sensitivity = sensitivity_score(inst.keys)
     salience = salience_score(importance, sensitivity)
-    assignment = assign_precision(salience, tau_full, tau_mid)
+    assignment = resolve_assignment(
+        AllocationPolicy.salience(), importance, sensitivity, (tau_full, tau_mid)
+    )
     if importance.std() == 0.0 or sensitivity.std() == 0.0:
         pearson = float("nan")
     else:

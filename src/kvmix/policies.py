@@ -1,6 +1,7 @@
-"""Precision-allocation policies for key channels.
+"""Precision-tier assignment of key channels, and the policies that drive it.
 
-Four policy kinds cover the method under study and its baselines:
+A flushed block's key channels are stored at 16, 4 or 2 bits. Four
+policy kinds cover the method under study and its baselines:
 
 - SALIENCE ranks channels by importance * sensitivity (the query-aware
   score), either thresholded or as a budgeted top-k;
@@ -10,28 +11,122 @@ Four policy kinds cover the method under study and its baselines:
   uniform-quantization baseline run through the same cache machinery;
 - FULL_PRECISION disables quantization altogether.
 
+In threshold mode two thresholds cut a channel's score A_d into tiers:
+
+    A_d >  tau_full            -> full precision (16-bit)
+    tau_mid < A_d <= tau_full  -> 4-bit
+    A_d <= tau_mid             -> 2-bit
+
+Both comparisons against a threshold value itself resolve to the cheaper
+tier: a channel sitting exactly on tau_full gets 4 bits, exactly on
+tau_mid gets 2 bits.
+
 Budgeted policies take (n_full, n_mid): the top n_full channels by the
 policy's score go to 16-bit, the next n_mid to 4-bit, the rest to 2-bit.
 Score ties always break toward the lower channel index, so two policies
 fed identical scores produce identical assignments.
+
+resolve_assignment is the one function that maps a policy and a block's
+scores to a PrecisionAssignment; every cache flush calls it.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_array, check_count
+from .errors import InvalidInput, InvalidThresholds, check_array, check_count, check_real
 from .quant import BitWidth, _as_bitwidth
-from .salience import PrecisionAssignment, _tier_bits, check_thresholds, salience_score
+from .salience import salience_score
 
 __all__ = [
     "PolicyKind",
     "AllocationPolicy",
+    "PrecisionAssignment",
     "resolve_assignment",
 ]
+
+
+def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
+    """Validate a (tau_full, tau_mid) pair and return it as floats.
+
+    Raises InvalidInput for a threshold that is not a number (a numeric
+    string included), and InvalidThresholds for a NaN threshold or
+    tau_mid > tau_full (the tiers would overlap). Infinite thresholds are
+    legal sentinels.
+    """
+    tau_full, tau_mid = check_real(tau_full, "tau_full"), check_real(tau_mid, "tau_mid")
+    if math.isnan(tau_full) or math.isnan(tau_mid):
+        raise InvalidThresholds("thresholds must not be NaN")
+    if tau_mid > tau_full:
+        raise InvalidThresholds(
+            f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
+        )
+    return tau_full, tau_mid
+
+
+@dataclass(frozen=True)
+class PrecisionAssignment:
+    """Per-channel storage widths for one flushed block of keys.
+
+    `bits` holds 16, 4, or 2 per channel; any other entry, a fraction
+    included, raises InvalidInput.
+    """
+
+    bits: np.ndarray
+
+    def __post_init__(self):
+        arr = check_array(self.bits, "bits", 1)
+        if arr.size == 0:
+            raise InvalidInput("assignment must cover at least one channel")
+        if not np.all(np.isin(arr, (2, 4, 16))):
+            raise InvalidInput("channel widths must be 2, 4, or 16")
+        arr = arr.astype(np.uint8)
+        arr.setflags(write=False)
+        object.__setattr__(self, "bits", arr)
+
+    @classmethod
+    def _of(cls, bits: np.ndarray) -> "PrecisionAssignment":
+        """Wrap a non-empty uint8 vector of 2/4/16 that the library built itself.
+
+        The checks of the constructor are skipped; the vector is taken
+        over and made read-only.
+        """
+        bits.setflags(write=False)
+        assignment = object.__new__(cls)
+        object.__setattr__(assignment, "bits", bits)
+        return assignment
+
+    @property
+    def dim(self) -> int:
+        return self.bits.shape[0]
+
+    def channels_at(self, width) -> np.ndarray:
+        """Sorted channel indices stored at the given width."""
+        return np.flatnonzero(self.bits == int(width))
+
+    def tier_counts(self) -> tuple[int, int, int]:
+        """(n_full, n_mid, n_low) channel counts."""
+        return (
+            int(np.count_nonzero(self.bits == 16)),
+            int(np.count_nonzero(self.bits == 4)),
+            int(np.count_nonzero(self.bits == 2)),
+        )
+
+    def mean_bits(self) -> float:
+        """Average storage width per key element under this assignment."""
+        return float(self.bits.astype(np.float64).mean())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PrecisionAssignment):
+            return NotImplemented
+        return np.array_equal(self.bits, other.bits)
+
+    def __hash__(self):
+        return hash(self.bits.tobytes())
 
 
 class PolicyKind(enum.Enum):
@@ -102,6 +197,17 @@ class AllocationPolicy:
         return cls(PolicyKind.FULL_PRECISION)
 
 
+def _tier_bits(salience: np.ndarray, tau_full: float, tau_mid: float) -> np.ndarray:
+    """uint8 widths of the tier rule, elementwise over checked scores of any shape.
+
+    2 bits, then 4 above tau_mid, then 16 above tau_full.
+    """
+    bits = np.full(salience.shape, 2, dtype=np.uint8)
+    bits[salience > tau_mid] = 4
+    bits[salience > tau_full] = 16
+    return bits
+
+
 def _topk_bits(scores: np.ndarray, budget: tuple[int, int]) -> np.ndarray:
     n_full, n_mid = budget
     if n_full + n_mid > scores.size:
@@ -127,8 +233,12 @@ def resolve_assignment(
 
     `importance` and `sensitivity` are the block's I and S vectors;
     `thresholds` is the (tau_full, tau_mid) pair used in threshold mode.
-    A `policy` that is not an AllocationPolicy, or a `thresholds`
-    argument that is not a pair, raises InvalidInput.
+    SALIENCE scores channels by salience_score(I, S), ERROR_ONLY by S
+    alone, and the other kinds ignore both scores and thresholds; the
+    scores are cut by the tier rule in threshold mode and ranked in
+    budget mode. A `policy` that is not an AllocationPolicy, a
+    `thresholds` argument that is not a pair, an empty or non-finite
+    `sensitivity`, or a salience beyond float64 raises InvalidInput.
     """
     if not isinstance(policy, AllocationPolicy):
         raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
@@ -139,38 +249,14 @@ def resolve_assignment(
     sens = check_array(sensitivity, "sensitivity", 1)
     if sens.size == 0:
         raise InvalidInput("assignment must cover at least one channel")
-    if policy.kind == PolicyKind.SALIENCE:
-        importance = check_array(importance, "importance", 1)
-        salience_score(importance, sens)  # for its checks of the pair
-    if policy.kind in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY) and policy.budget is None:
-        tau_full, tau_mid = check_thresholds(tau_full, tau_mid)
-    return _resolve(policy, importance, sens, (tau_full, tau_mid))
-
-
-def _resolve(
-    policy: AllocationPolicy,
-    importance: np.ndarray,
-    sensitivity: np.ndarray,
-    thresholds: tuple[float, float],
-) -> PrecisionAssignment:
-    """resolve_assignment for checked vectors and thresholds.
-
-    A cache's flush calls it directly: the cache computes importance and
-    sensitivity itself (finite, non-negative, one entry per channel) and
-    checked its thresholds with its config. Only a salience that
-    overflows float64 is rejected here, with InvalidInput.
-    """
     if policy.kind == PolicyKind.FULL_PRECISION:
-        bits = np.full(sensitivity.size, 16, dtype=np.uint8)
+        bits = np.full(sens.size, 16, dtype=np.uint8)
     elif policy.kind == PolicyKind.FIXED_UNIFORM:
-        bits = np.full(sensitivity.size, int(policy.bits), dtype=np.uint8)
+        bits = np.full(sens.size, int(policy.bits), dtype=np.uint8)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            scores = sensitivity if policy.kind == PolicyKind.ERROR_ONLY else importance * sensitivity
-        if not np.isfinite(scores).all():
-            raise InvalidInput("salience contains non-finite elements")
+        scores = salience_score(importance, sens) if policy.kind == PolicyKind.SALIENCE else sens
         if policy.budget is None:
-            bits = _tier_bits(scores, *thresholds)
+            bits = _tier_bits(scores, *check_thresholds(tau_full, tau_mid))
         else:
             bits = _topk_bits(scores, policy.budget)
     return PrecisionAssignment._of(bits)

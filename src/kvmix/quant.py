@@ -81,6 +81,9 @@ class PackedBuffer:
 
     `data` holds `length` codes of `bit_width` bits each, LSB-first within
     a byte and little-endian across bytes; the tail byte is zero-padded.
+    A width other than 2 or 4, or `data` that is not bytes, raises
+    InvalidInput; a byte count that does not fit `length` raises
+    CorruptBuffer.
     """
 
     data: bytes
@@ -88,6 +91,9 @@ class PackedBuffer:
     length: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bit_width", _require_quant_width(self.bit_width))
+        if not isinstance(self.data, bytes):
+            raise InvalidInput(f"packed data must be bytes, got {type(self.data).__name__}")
         check_count(self.length, "length", 0)
         expected = _packed_byte_length(self.length, self.bit_width)
         if len(self.data) != expected:
@@ -234,15 +240,15 @@ def pack_codes(codes, bits) -> PackedBuffer:
 
     Element 0 occupies the lowest-order bits of byte 0; within every code
     the LSB comes first; the final partial byte is zero-padded high.
+    Codes that are not finite integral numbers, or lie outside
+    [0, 2**bits), raise InvalidInput.
     """
     width = _require_quant_width(bits)
-    arr = np.asarray(codes).reshape(-1)
+    arr = check_array(codes, "codes", (0, 1)).reshape(-1)
     if arr.size == 0:
         return PackedBuffer(b"", width, 0)
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(arr == np.trunc(arr)):
-            raise InvalidInput("codes must be integers")
-        arr = arr.astype(np.int64)
+    if not np.all(arr == np.trunc(arr)):
+        raise InvalidInput("codes must be integers")
     if arr.min() < 0 or arr.max() >= 2 ** int(width):
         raise InvalidInput(f"codes out of range for {int(width)}-bit storage")
 

@@ -1,4 +1,4 @@
-"""Query-aware channel salience scoring and precision-tier assignment.
+"""Query-aware channel salience scores and the rotary transform.
 
 The score of a key channel d combines two ingredients:
 
@@ -9,16 +9,8 @@ The score of a key channel d combines two ingredients:
 Importance is a property of the whole query history (a running mean, never
 reset within a sequence); sensitivity is a property of the block of keys
 about to be quantized; their product estimates how much quantization noise
-in channel d leaks into attention logits. Channels are then placed into
-three precision tiers by two thresholds:
-
-    A_d >  tau_full            -> full precision (16-bit)
-    tau_mid < A_d <= tau_full  -> 4-bit
-    A_d <= tau_mid             -> 2-bit
-
-Both comparisons against a threshold value itself resolve to the cheaper
-tier: a channel sitting exactly on tau_full gets 4 bits, exactly on
-tau_mid gets 2 bits.
+in channel d leaks into attention logits. kvmix.policies cuts the scores
+into precision tiers.
 
 Scores are meaningful only on post-rotation tensors: callers must apply
 the rotary map (see apply_rope) to queries and keys before feeding them
@@ -27,26 +19,14 @@ here, because that is the form in which keys are cached and attended to.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    EmptyWindow,
-    InvalidInput,
-    InvalidThresholds,
-    check_array,
-    check_count,
-    check_real,
-)
+from .errors import EmptyWindow, InvalidInput, check_array, check_count
 
 __all__ = [
     "QueryAccumulator",
-    "PrecisionAssignment",
     "sensitivity_score",
     "salience_score",
-    "assign_precision",
     "apply_rope",
 ]
 
@@ -150,7 +130,7 @@ def salience_score(importance, sensitivity) -> np.ndarray:
     sens = check_array(sensitivity, "sensitivity", 1)
     if imp.shape != sens.shape:
         raise InvalidInput("importance and sensitivity must be of equal length")
-    if np.any(imp < 0) or np.any(sens < 0):
+    if (imp < 0).any() or (sens < 0).any():
         raise InvalidInput("scores are non-negative by construction")
     with np.errstate(over="ignore"):
         scores = imp * sens
@@ -159,116 +139,14 @@ def salience_score(importance, sensitivity) -> np.ndarray:
     return scores
 
 
-def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
-    """Validate a (tau_full, tau_mid) pair and return it as floats.
-
-    Raises InvalidInput for a threshold that is not a number (a numeric
-    string included), and InvalidThresholds for a NaN threshold or
-    tau_mid > tau_full (the tiers would overlap). Infinite thresholds are
-    legal sentinels.
-    """
-    tau_full, tau_mid = check_real(tau_full, "tau_full"), check_real(tau_mid, "tau_mid")
-    if math.isnan(tau_full) or math.isnan(tau_mid):
-        raise InvalidThresholds("thresholds must not be NaN")
-    if tau_mid > tau_full:
-        raise InvalidThresholds(
-            f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
-        )
-    return tau_full, tau_mid
-
-
-@dataclass(frozen=True)
-class PrecisionAssignment:
-    """Per-channel storage widths for one flushed block of keys.
-
-    `bits` holds 16, 4, or 2 per channel; any other entry, a fraction
-    included, raises InvalidInput.
-    """
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        arr = check_array(self.bits, "bits", 1)
-        if arr.size == 0:
-            raise InvalidInput("assignment must cover at least one channel")
-        if not np.all(np.isin(arr, (2, 4, 16))):
-            raise InvalidInput("channel widths must be 2, 4, or 16")
-        arr = arr.astype(np.uint8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def _of(cls, bits: np.ndarray) -> "PrecisionAssignment":
-        """Wrap a non-empty uint8 vector of 2/4/16 that the library built itself.
-
-        The checks of the constructor are skipped; the vector is taken
-        over and made read-only.
-        """
-        bits.setflags(write=False)
-        assignment = object.__new__(cls)
-        object.__setattr__(assignment, "bits", bits)
-        return assignment
-
-    @property
-    def dim(self) -> int:
-        return self.bits.shape[0]
-
-    def channels_at(self, width) -> np.ndarray:
-        """Sorted channel indices stored at the given width."""
-        return np.flatnonzero(self.bits == int(width))
-
-    def tier_counts(self) -> tuple[int, int, int]:
-        """(n_full, n_mid, n_low) channel counts."""
-        return (
-            int(np.count_nonzero(self.bits == 16)),
-            int(np.count_nonzero(self.bits == 4)),
-            int(np.count_nonzero(self.bits == 2)),
-        )
-
-    def mean_bits(self) -> float:
-        """Average storage width per key element under this assignment."""
-        return float(self.bits.astype(np.float64).mean())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PrecisionAssignment):
-            return NotImplemented
-        return np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
-
-def _tier_bits(salience: np.ndarray, tau_full: float, tau_mid: float) -> np.ndarray:
-    """uint8 widths of the tier rule, elementwise over checked scores of any shape.
-
-    2 bits, then 4 above tau_mid, then 16 above tau_full.
-    """
-    bits = np.full(salience.shape, 2, dtype=np.uint8)
-    bits[salience > tau_mid] = 4
-    bits[salience > tau_full] = 16
-    return bits
-
-
-def assign_precision(salience, tau_full: float, tau_mid: float) -> PrecisionAssignment:
-    """Split channels into 16/4/2-bit tiers by two salience thresholds.
-
-    Raises InvalidThresholds when tau_mid > tau_full (the tiers would
-    overlap). Infinite thresholds are legal sentinels: (-inf, -inf) sends
-    every channel to full precision, (+inf, +inf) to 2-bit.
-    """
-    scores = check_array(salience, "salience", 1)
-    if scores.size == 0:
-        raise InvalidInput("salience must be a non-empty vector")
-    return PrecisionAssignment._of(_tier_bits(scores, *check_thresholds(tau_full, tau_mid)))
-
-
 def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:
     """Rotate channel pairs (2j, 2j+1) of each row by its position angle.
 
     Row i is rotated by angles positions[i] * theta_base**(-2j / D) for
     pair index j. The channel count D must be even, `positions` must
     supply one finite entry per row, and theta_base must be finite and
-    positive; anything else raises InvalidInput.
+    positive; anything else, or an angle or rotated entry beyond float64,
+    raises InvalidInput.
     """
     mat = _as_matrix(x, "x")
     rows, dim = mat.shape
@@ -282,10 +160,14 @@ def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:
         raise InvalidInput("theta_base must be positive")
 
     pair_exp = np.arange(dim // 2, dtype=np.float64) * (-2.0 / dim)
-    angles = pos[:, None] * (theta ** pair_exp)[None, :]
-    cos, sin = np.cos(angles), np.sin(angles)
     even, odd = mat[:, 0::2], mat[:, 1::2]
     out = np.empty_like(mat)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = pos[:, None] * (theta ** pair_exp)[None, :]
+        cos, sin = np.cos(angles), np.sin(angles)
+        out[:, 0::2] = even * cos - odd * sin
+        out[:, 1::2] = even * sin + odd * cos
+    # an infinite angle makes NaN sines, an overflowing product infinities
+    if not np.isfinite(out).all():
+        raise InvalidInput("rotated entries overflow float64")
     return out

@@ -40,9 +40,9 @@ import numpy as np
 from .attention import _decode_rows, decode_simulation
 from .cache import CacheConfig, MixedKVCache
 from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
-from .policies import AllocationPolicy
+from .policies import AllocationPolicy, _tier_bits
 from .quant import BitWidth
-from .salience import QueryAccumulator, _tier_bits, sensitivity_score
+from .salience import QueryAccumulator, salience_score, sensitivity_score
 
 __all__ = [
     "ParetoPoint",
@@ -179,7 +179,7 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
             continue
         end = blk.start + blk.length
         acc.add(queries[acc.count : end])
-        salience.append(acc.importance() * sensitivity_score(keys[blk.start : end]))
+        salience.append(salience_score(acc.importance(), sensitivity_score(keys[blk.start : end])))
         spans.append((blk.start, end))
     if not spans:
         return [(0.0, 16.0)] * len(grid)

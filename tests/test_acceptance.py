@@ -21,7 +21,6 @@ from kvmix import (
     CacheConfig,
     MixedKVCache,
     PlantedSpec,
-    assign_precision,
     decode_simulation,
     dequantize_group,
     evaluate_grid,
@@ -328,15 +327,20 @@ def test_constant_importance_collapses_to_magnitude_ranking():
 
 def test_scores_on_tier_boundaries_take_the_cheaper_tier():
     """Equality with a threshold never promotes."""
+
+    def tiers(scores, tau_full, tau_mid):
+        # the error-only policy cuts its sensitivity argument alone
+        return resolve_assignment(AllocationPolicy.error_only(), None, scores, (tau_full, tau_mid))
+
     with criterion("tier-boundaries"):
-        a = assign_precision(np.array([1.0, 0.5]), tau_full=1.0, tau_mid=0.5)
+        a = tiers(np.array([1.0, 0.5]), tau_full=1.0, tau_mid=0.5)
         assert a.bits.tolist() == [4, 2]
         for tau in (0.3, 1.0, 2.5, 1e-3, 1e3):
-            at_full = assign_precision(np.array([tau]), tau_full=tau, tau_mid=0.0)
+            at_full = tiers(np.array([tau]), tau_full=tau, tau_mid=0.0)
             assert at_full.bits.tolist() == [4]
-            at_mid = assign_precision(np.array([tau]), tau_full=2 * tau, tau_mid=tau)
+            at_mid = tiers(np.array([tau]), tau_full=2 * tau, tau_mid=tau)
             assert at_mid.bits.tolist() == [2]
         # and strictly above each boundary promotes
         up = np.nextafter(1.0, np.inf)
-        a = assign_precision(np.array([up, np.nextafter(0.5, 1.0)]), 1.0, 0.5)
+        a = tiers(np.array([up, np.nextafter(0.5, 1.0)]), 1.0, 0.5)
         assert a.bits.tolist() == [16, 4]

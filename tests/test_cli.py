@@ -6,6 +6,7 @@ installed console script.
 """
 
 import csv
+import importlib.metadata
 import json
 import os
 import shutil
@@ -373,6 +374,23 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert (tmp_path / "stats.csv").exists()
+
+    def test_declared_entry_point(self, tmp_path, monkeypatch):
+        # what the console script runs, read from pyproject.toml, so an
+        # uninstalled checkout checks the declaration too
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"kvmix": "kvmix.cli:main"}
+        entry = importlib.metadata.EntryPoint("kvmix", scripts["kvmix"], "console_scripts")
+        script_main = entry.load()
+        assert script_main is main
+        # a console script calls its target with no arguments and exits with its result
+        out = tmp_path / "stats.csv"
+        argv = ["kvmix", "stats", "--dim", "8", "--length", "16", "--outliers", "1,1,0", "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert script_main() == 0
+        assert out.exists()
 
     def test_module_invocation(self, tmp_path):
         # the child imports the same kvmix as this test, installed or not

@@ -15,13 +15,13 @@ from kvmix import (
     CacheConfig,
     InvalidInput,
     MixedKVCache,
+    PackedBuffer,
     ParetoPoint,
     PlantedSpec,
     PrecisionAssignment,
     QueryAccumulator,
     TensorDump,
     apply_rope,
-    assign_precision,
     attention_error,
     attention_exact,
     decode_simulation,
@@ -34,6 +34,7 @@ from kvmix import (
     salience_score,
     select_under_budget,
     threshold_grid,
+    unpack_codes,
 )
 
 NAN = float("nan")
@@ -61,6 +62,14 @@ PROBES = {
     "fixed_uniform_width_2_7": lambda: AllocationPolicy.fixed_uniform(2.7),
     "quantize_group_width_4_9": lambda: quantize_group([0.0, 1.0], 4.9),
     "pack_codes_width_2_5": lambda: pack_codes([0, 1], 2.5),
+    "pack_codes_numeric_string": lambda: pack_codes(["1"], 2),
+    "pack_codes_object_none": lambda: pack_codes(np.array([None], dtype=object), 2),
+    "pack_codes_int_beyond_int64": lambda: pack_codes([2**70], 2),
+    # a cast of these to an integer type warns before any range check
+    "pack_codes_infinite": lambda: pack_codes([np.inf], 2),
+    "pack_codes_beyond_int64": lambda: pack_codes([1e30], 2),
+    "packed_buffer_width_3": lambda: unpack_codes(PackedBuffer(b"\x00", 3, 2)),
+    "packed_buffer_list_data": lambda: unpack_codes(PackedBuffer([1], 2, 4)),
     "cache_config_value_bits_2_5": lambda: CacheConfig(dim=4, value_bits=2.5),
     "salience_budget_of_three": lambda: AllocationPolicy.salience(budget=(1, 2, 3)),
     "error_only_scalar_budget": lambda: AllocationPolicy.error_only(budget=5),
@@ -70,7 +79,9 @@ PROBES = {
     "cache_config_string_threshold": lambda: CacheConfig(dim=4, tau_full="x"),
     "cache_config_none_threshold": lambda: CacheConfig(dim=4, tau_full=None),
     "cache_config_list_threshold": lambda: CacheConfig(dim=4, tau_mid=[0.1]),
-    "assign_precision_string_threshold": lambda: assign_precision(np.ones(3), "a", 0.5),
+    "resolve_assignment_error_only_string_threshold": lambda: resolve_assignment(
+        AllocationPolicy.error_only(), None, np.ones(3), ("a", 0.5)
+    ),
     "resolve_assignment_string_threshold": lambda: resolve_assignment(
         AllocationPolicy.salience(), np.ones(3), np.ones(3), (1.0, "b")
     ),
@@ -90,7 +101,9 @@ PROBES = {
     "cache_config_numeric_string_threshold": lambda: CacheConfig(dim=4, tau_full="1.5"),
     "cache_config_bytes_threshold": lambda: CacheConfig(dim=4, tau_mid=b"0.5"),
     "cache_config_string_array_threshold": lambda: CacheConfig(dim=4, tau_full=np.array("1.5")),
-    "assign_precision_numeric_string_threshold": lambda: assign_precision(np.ones(3), 1.0, "0.5"),
+    "resolve_assignment_error_only_numeric_string_threshold": lambda: resolve_assignment(
+        AllocationPolicy.error_only(), None, np.ones(3), (1.0, "0.5")
+    ),
     "resolve_assignment_one_threshold": lambda: resolve_assignment(
         AllocationPolicy.salience(), np.ones(3), np.ones(3), (1.0,)
     ),
@@ -124,6 +137,9 @@ PROBES = {
     "attention_error_overflowing_logits": lambda: attention_error(*HUGE_ROWS),
     "salience_score_overflows": lambda: salience_score([1e200], [1e200]),
     "accumulator_add_sum_overflows": lambda: QueryAccumulator(2).add(np.full((2, 2), 1e308)),
+    # x cos - y sin of finite entries overflows, or an angle does and its sine is NaN
+    "apply_rope_rotation_overflows": lambda: apply_rope(np.full((1, 2), 1.5e308), [np.pi / 4]),
+    "apply_rope_angle_overflows": lambda: apply_rope(np.ones((1, 4)), [1e308], theta_base=1e-300),
     # hi - lo overflows: linspace would lose lo and return infinite thresholds
     "threshold_grid_range_overflows": lambda: threshold_grid(-1e308, 1e308, 3),
     # finite float64 values that a float32 section would store as +-inf
@@ -153,7 +169,9 @@ PROBES = {
         np.ones((1, 3)), np.ones((2, 2)), np.ones((2, 2))
     ),
     "assignment_empty": lambda: PrecisionAssignment([]),
-    "assign_precision_empty": lambda: assign_precision([], 1, 0.5),
+    "resolve_assignment_error_only_empty": lambda: resolve_assignment(
+        AllocationPolicy.error_only(), None, [], (1, 0.5)
+    ),
     "apply_rope_zero_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=0),
     "dump_add_name_beyond_u16": lambda: TensorDump().add("x" * 65536, [1.0]),
     # keys with no row or no channel: no softmax over them, no 1 / sqrt(0) scale

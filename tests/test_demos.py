@@ -84,7 +84,6 @@ def test_export_list():
         "UnsupportedFormat",
         "ValueBlock",
         "apply_rope",
-        "assign_precision",
         "attention_error",
         "attention_exact",
         "decode_simulation",

@@ -46,6 +46,8 @@ def test_tracer_installs_and_restores(monkeypatch):
             calls = tracer.summary()
             assert calls["attention.decode_simulation"]["calls"] == 1
             assert calls["cache.flush"]["calls"] == 3
+            # every flush scores one block past the 2-token sink
+            assert calls["policies.resolve_assignment"]["calls"] == 3
         finally:
             tracer.restore()
     finally:

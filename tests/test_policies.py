@@ -12,12 +12,17 @@ from kvmix import (
     InvalidInput,
     PlantedSpec,
     PolicyKind,
-    assign_precision,
+    PrecisionAssignment,
     decode_simulation,
     resolve_assignment,
 )
 
 TAUS = (1.0, 0.5)
+
+
+def tier_rule(scores, tau_full, tau_mid):
+    """16 bits above tau_full, 4 above tau_mid, else 2, written out by hand."""
+    return PrecisionAssignment(np.where(scores > tau_full, 16, np.where(scores > tau_mid, 4, 2)))
 
 
 def fixed_uniform(n_channels, bits):
@@ -164,13 +169,13 @@ class TestResolveAssignment:
     def test_salience_threshold_mode(self):
         # salience = I * S = [0.5, 0.75, 0.75, 0.5]
         a = resolve_assignment(AllocationPolicy.salience(), self.IMP, self.SENS, self.TAUS)
-        expect = assign_precision(self.IMP * self.SENS, *self.TAUS)
+        expect = tier_rule(self.IMP * self.SENS, *self.TAUS)
         assert a == expect
         assert a.bits.tolist() == [2, 4, 4, 2]
 
     def test_error_only_threshold_mode(self):
         a = resolve_assignment(AllocationPolicy.error_only(), self.IMP, self.SENS, self.TAUS)
-        expect = assign_precision(self.SENS, *self.TAUS)
+        expect = tier_rule(self.SENS, *self.TAUS)
         assert a == expect
 
     def test_salience_budget_mode(self):

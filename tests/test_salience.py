@@ -1,5 +1,8 @@
 """Channel scoring tests: importance, sensitivity, salience, tiers, rotary map.
 
+The tier rule is probed through resolve_assignment under the error-only
+policy, which cuts the sensitivity argument alone by the thresholds.
+
 The accumulator's partition invariance is checked bit-exactly: feeding
 the same rows in different chunkings must give an identical float sum,
 which the left-to-right fold guarantees.
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvmix import (
+    AllocationPolicy,
     BitWidth,
     EmptyWindow,
     InvalidInput,
@@ -18,10 +22,15 @@ from kvmix import (
     PrecisionAssignment,
     QueryAccumulator,
     apply_rope,
-    assign_precision,
+    resolve_assignment,
     salience_score,
     sensitivity_score,
 )
+
+
+def tiers(scores, tau_full, tau_mid):
+    """The tier rule applied to `scores`: the error-only policy's threshold mode."""
+    return resolve_assignment(AllocationPolicy.error_only(), None, scores, (tau_full, tau_mid))
 
 
 class TestQueryAccumulator:
@@ -155,35 +164,35 @@ class TestSalienceScore:
 
 class TestAssignPrecision:
     def test_three_tier_split(self):
-        a = assign_precision(np.array([1.5, 1.0, 0.5]), tau_full=1.44, tau_mid=0.79)
+        a = tiers(np.array([1.5, 1.0, 0.5]), tau_full=1.44, tau_mid=0.79)
         assert a.bits.tolist() == [16, 4, 2]
         assert a.tier_counts() == (1, 1, 1)
 
     def test_boundary_goes_to_cheaper_tier(self):
         # equality with tau_full stays at 4 bits, equality with tau_mid drops to 2
-        a = assign_precision(np.array([1.0, 0.5]), tau_full=1.0, tau_mid=0.5)
+        a = tiers(np.array([1.0, 0.5]), tau_full=1.0, tau_mid=0.5)
         assert a.bits.tolist() == [4, 2]
 
     def test_negative_thresholds_promote_everything(self):
-        a = assign_precision(np.array([0.0, 0.3, 7.0]), tau_full=-1.0, tau_mid=-1.0)
+        a = tiers(np.array([0.0, 0.3, 7.0]), tau_full=-1.0, tau_mid=-1.0)
         assert a.bits.tolist() == [16, 16, 16]
         assert a.mean_bits() == 16.0
 
     def test_infinite_thresholds_demote_everything(self):
-        a = assign_precision(np.array([0.0, 0.3, 7.0]), tau_full=np.inf, tau_mid=np.inf)
+        a = tiers(np.array([0.0, 0.3, 7.0]), tau_full=np.inf, tau_mid=np.inf)
         assert a.bits.tolist() == [2, 2, 2]
         assert a.mean_bits() == 2.0
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(InvalidThresholds):
-            assign_precision(np.array([1.0]), tau_full=0.5, tau_mid=1.0)
+            tiers(np.array([1.0]), tau_full=0.5, tau_mid=1.0)
 
     def test_nan_threshold_rejected(self):
         with pytest.raises(InvalidThresholds):
-            assign_precision(np.array([1.0]), tau_full=np.nan, tau_mid=0.0)
+            tiers(np.array([1.0]), tau_full=np.nan, tau_mid=0.0)
 
     def test_channels_at_and_counts(self):
-        a = assign_precision(np.array([5.0, 0.1, 2.0, 0.1]), tau_full=3.0, tau_mid=1.0)
+        a = tiers(np.array([5.0, 0.1, 2.0, 0.1]), tau_full=3.0, tau_mid=1.0)
         assert a.channels_at(BitWidth.FULL).tolist() == [0]
         assert a.channels_at(BitWidth.UINT4).tolist() == [2]
         assert a.channels_at(BitWidth.UINT2).tolist() == [1, 3]
@@ -199,7 +208,7 @@ class TestAssignPrecision:
         assert a != c
 
     def test_assignment_is_immutable(self):
-        a = assign_precision(np.array([1.0]), tau_full=2.0, tau_mid=0.5)
+        a = tiers(np.array([1.0]), tau_full=2.0, tau_mid=0.5)
         with pytest.raises(ValueError):
             a.bits[0] = 16
 
@@ -219,8 +228,8 @@ def test_tiering_covariant_under_joint_scaling(seed, n, factor):
     rng = np.random.default_rng(seed)
     salience = rng.uniform(0.0, 2.0, size=n)
     tau_full, tau_mid = 1.2, 0.4
-    base = assign_precision(salience, tau_full, tau_mid)
-    scaled = assign_precision(salience * factor, tau_full * factor, tau_mid * factor)
+    base = tiers(salience, tau_full, tau_mid)
+    scaled = tiers(salience * factor, tau_full * factor, tau_mid * factor)
     # equality comparisons at boundaries can flip with rounding, so keep
     # the check on instances with no exact threshold hits
     hits = np.any(np.isclose(salience[:, None], [[tau_full, tau_mid]], rtol=1e-9))
