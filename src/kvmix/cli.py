@@ -5,7 +5,10 @@ run      replay seeded synthetic instances (or one trace dump) through
          report, one record per policy/seed, as CSV and JSON.
 search   sweep the salience threshold grid, write the full evaluation
          log and its Pareto frontier, optionally pick the most faithful
-         point under a bit budget.
+         point under a bit budget. The grid sets the thresholds and
+         keeps values at 16 bits, so search takes no --thresholds or
+         --value-bits, and its JSON "config" holds the geometry alone:
+         dim, value_dim, group_size, residual_len and sink_len.
 stats    score the channels of one seeded synthetic instance (or one
          trace dump): importance / sensitivity / salience, and the tier
          the salience policy gives at --thresholds; write the
@@ -89,45 +92,23 @@ def _parse_numbers(text: str, n: int, kind: type, what: str) -> tuple:
         raise InvalidInput(message) from None
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group-size", type=int, default=32, help="tokens or elements per quant group")
     parser.add_argument("--residual-len", type=int, default=128, help="residual buffer capacity")
     parser.add_argument("--sink-len", type=int, default=32, help="leading tokens kept full-precision")
-    parser.add_argument("--value-bits", type=int, choices=(2, 4, 16), default=2, help="value storage width (16 = none)")
-    parser.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid salience cutoffs")
 
 
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dump", default=None, help="trace dump to use instead of synthetic data")
     parser.add_argument("--dim", type=int, default=64, help="key/query channel count")
     parser.add_argument("--length", type=int, default=256, help="tokens per synthetic instance")
     parser.add_argument("--outliers", default="4,4,0", help="planted ns,nq,overlap channel counts")
 
 
-def _config_from_args(args, dim: int, value_dim: int) -> CacheConfig:
-    tau_full, tau_mid = _parse_numbers(args.thresholds, 2, float, "--thresholds")
-    return CacheConfig(
-        dim=dim,
-        value_dim=value_dim,
-        group_size=args.group_size,
-        residual_len=args.residual_len,
-        sink_len=args.sink_len,
-        tau_full=tau_full,
-        tau_mid=tau_mid,
-        value_bits=args.value_bits,
-    )
-
-
-def _load_dump(path: str) -> TensorDump:
-    try:
-        return TensorDump.read(path)
-    except FileNotFoundError:
-        raise _MissingDump(path)
-
-
-class _MissingDump(Exception):
-    def __init__(self, path: str):
-        super().__init__(path)
-        self.path = path
+def _config(args, inst, **tiering) -> CacheConfig:
+    """The instance's dims and the geometry flags, plus run's `tiering` fields."""
+    geometry = dict(group_size=args.group_size, residual_len=args.residual_len, sink_len=args.sink_len)
+    return CacheConfig(dim=inst.dim, value_dim=inst.value_dim, **geometry, **tiering)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,9 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="n_full,n_mid top-k channel budget (salience / error-only)")
     run.add_argument("--seeds", type=int, default=20, help="synthetic instances: seeds 0..N-1")
     run.add_argument("--steps", type=int, default=None, help="decode steps (default: full length)")
-    run.add_argument("--dump", default=None, help="trace dump to replay instead of synthetic data")
     run.add_argument("--out", default="run_report", help="output base path (.csv and .json)")
-    _add_config_flags(run)
+    run.add_argument("--value-bits", type=int, choices=(2, 4, 16), default=2, help="value storage width (16 = none)")
+    run.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid salience cutoffs")
+    _add_geometry_flags(run)
     _add_instance_flags(run)
 
     search = sub.add_parser("search", help="sweep the salience threshold grid")
@@ -156,14 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--budget", type=float, default=None, help="pick min fidelity with b_eff <= budget")
     search.add_argument("--seeds", type=int, default=5, help="synthetic instances per candidate")
     search.add_argument("--steps", type=int, default=None, help="decode steps per instance")
-    search.add_argument("--dump", default=None, help="trace dump to evaluate instead of synthetic data")
     search.add_argument("--out", default="search_report", help="output base path")
-    _add_config_flags(search)
+    _add_geometry_flags(search)
     _add_instance_flags(search)
 
     stats = sub.add_parser("stats", help="per-channel importance/sensitivity/salience table")
     stats.add_argument("--seed", type=int, default=0, help="seed of the synthetic instance")
-    stats.add_argument("--dump", default=None, help="trace dump to score instead of synthetic data")
     stats.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid tier cutoffs")
     stats.add_argument("--out", default="channel_stats.csv", help="output CSV path")
     _add_instance_flags(stats)
@@ -173,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instances(args, seeds):
     """(seed, instance) pairs: the --dump trace as seed 0, or one planted instance per seed."""
     if args.dump is not None:
-        return [(0, instance_from_dump(_load_dump(args.dump)))]
+        return [(0, instance_from_dump(TensorDump.read(args.dump)))]
     ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
     spec = PlantedSpec(
         dim=args.dim,
@@ -190,8 +170,10 @@ def _cmd_run(args) -> int:
     names = [args.policy] if args.compare is None else [args.policy, args.compare]
     policies = [AllocationPolicy(*_POLICIES[name], budget=budget) for name in names]
     instances = _load_instances(args, range(check_count(args.seeds, "--seeds", 1)))
-    first = instances[0][1]
-    config = _config_from_args(args, first.dim, first.value_dim)
+    tau_full, tau_mid = _parse_numbers(args.thresholds, 2, float, "--thresholds")
+    config = _config(
+        args, instances[0][1], tau_full=tau_full, tau_mid=tau_mid, value_bits=args.value_bits
+    )
 
     records = []
     for policy in policies:
@@ -243,16 +225,18 @@ def _cmd_search(args) -> int:
     lo, hi = _parse_numbers(args.range_, 2, float, "--range")
     seeds = range(check_count(args.seeds, "--seeds", 1))
     instances = [inst for _, inst in _load_instances(args, seeds)]
-    config = _config_from_args(args, instances[0].dim, instances[0].value_dim)
+    config = _config(args, instances[0])
     log = evaluate_grid(instances, config, lo, hi, args.grid, args.steps)
     frontier = pareto_frontier(log)
+    names = ("dim", "value_dim", "group_size", "residual_len", "sink_len")
+    geometry = {name: getattr(config, name) for name in names}
 
     grid_rows = [asdict(p) for p in log]
     frontier_rows = [asdict(p) for p in frontier]
     write_records_csv(f"{args.out}_grid.csv", grid_rows)
-    write_records_json(f"{args.out}_grid.json", {"config": asdict(config), "points": grid_rows})
+    write_records_json(f"{args.out}_grid.json", {"config": geometry, "points": grid_rows})
     write_records_csv(f"{args.out}_frontier.csv", frontier_rows)
-    payload = {"config": asdict(config), "frontier": frontier_rows}
+    payload = {"config": geometry, "frontier": frontier_rows}
 
     print(f"evaluated {len(log)} candidates, frontier size {len(frontier)}")
     for p in frontier:
@@ -318,9 +302,6 @@ def main(argv=None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_stats(args)
-    except _MissingDump as exc:
-        print(f"error: missing-dump: {exc.path}", file=sys.stderr)
-        return 3
     except (UnsupportedFormat, CorruptFile) as exc:
         print(f"error: bad-dump: {exc}", file=sys.stderr)
         return 1
@@ -334,6 +315,12 @@ def main(argv=None) -> int:
         print(f"error: failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        # TensorDump.read opens the --dump path as given, so a missing dump
+        # raises with that path as its filename; any other file is "io"
+        missing = isinstance(exc, FileNotFoundError) and args.dump is not None
+        if missing and exc.filename == args.dump:
+            print(f"error: missing-dump: {args.dump}", file=sys.stderr)
+            return 3
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
 

@@ -238,7 +238,8 @@ def resolve_assignment(
     scores are cut by the tier rule in threshold mode and ranked in
     budget mode. A `policy` that is not an AllocationPolicy, a
     `thresholds` argument that is not a pair, an empty or non-finite
-    `sensitivity`, or a salience beyond float64 raises InvalidInput.
+    `sensitivity`, a negative score under SALIENCE or ERROR_ONLY, or a
+    salience beyond float64 raises InvalidInput.
     """
     if not isinstance(policy, AllocationPolicy):
         raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
@@ -254,7 +255,12 @@ def resolve_assignment(
     elif policy.kind == PolicyKind.FIXED_UNIFORM:
         bits = np.full(sens.size, int(policy.bits), dtype=np.uint8)
     else:
-        scores = salience_score(importance, sens) if policy.kind == PolicyKind.SALIENCE else sens
+        if policy.kind == PolicyKind.SALIENCE:
+            scores = salience_score(importance, sens)
+        elif (sens < 0).any():  # the check salience_score makes
+            raise InvalidInput("scores are non-negative by construction")
+        else:
+            scores = sens
         if policy.budget is None:
             bits = _tier_bits(scores, *check_thresholds(tau_full, tau_mid))
         else:

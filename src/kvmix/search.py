@@ -68,22 +68,18 @@ def threshold_grid(lo: float, hi: float, grid_points: int) -> list[tuple[float, 
     """All (tau_full, tau_mid) grid pairs with tau_mid <= tau_full.
 
     The grid is an even linspace per axis over a finite [lo, hi]; only
-    the ordered (upper triangle) pairs are kept, enumerated
-    tau_full-major, ascending. A range bound that is not a finite real
-    number, lo > hi, hi - lo beyond float64, or a grid_points below 1
-    raises InvalidInput.
+    the upper triangle is kept, the grid_points * (grid_points + 1) / 2
+    pairs (axis[i], axis[j]) with j <= i, enumerated tau_full-major,
+    ascending. A range bound that is not a finite real number, lo > hi,
+    hi - lo beyond float64, or a grid_points below 1 raises InvalidInput.
     """
     check_count(grid_points, "grid_points", 1)
     lo, hi = float(check_array(lo, "lo", 0)), float(check_array(hi, "hi", 0))
     if lo > hi or not math.isfinite(hi - lo):
         raise InvalidInput(f"threshold range [{lo}, {hi}] is empty or wider than float64")
-    axis = np.linspace(lo, hi, grid_points)
-    return [
-        (float(tf), float(tm))
-        for tf in axis
-        for tm in axis
-        if tm <= tf
-    ]
+    axis = np.linspace(lo, hi, grid_points).tolist()
+    # by index, not by value: a degenerate range repeats axis values
+    return [(tf, tm) for i, tf in enumerate(axis) for tm in axis[: i + 1]]
 
 
 def evaluate_candidate(
@@ -246,14 +242,22 @@ def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
     )
 
 
+def _checked(points) -> list[ParetoPoint]:
+    pts = list(points)
+    if any(math.isnan(p.b_eff) or math.isnan(p.fidelity) for p in pts):
+        raise InvalidInput("a point's b_eff or fidelity is NaN")
+    return pts
+
+
 def pareto_frontier(points) -> list[ParetoPoint]:
     """Nondominated subset, sorted by ascending b_eff.
 
     A point is dominated when some other point is no worse on both
     objectives and strictly better on at least one. Exact objective ties
-    survive together. The result is invariant to input order.
+    survive together. The result is invariant to input order. A point
+    whose b_eff or fidelity is NaN raises InvalidInput.
     """
-    pts = list(points)
+    pts = _checked(points)
     if not pts:
         raise InvalidInput("cannot take the frontier of an empty set")
     front = [p for p in pts if not any(_dominates(q, p) for q in pts)]
@@ -264,14 +268,14 @@ def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:
     """Most faithful frontier point with b_eff <= max_b_eff.
 
     Raises BudgetInfeasible when every point exceeds the budget, and
-    InvalidInput for a budget that is not a number or is NaN; +inf
-    selects the global minimum. Fidelity ties resolve to the cheaper
-    point.
+    InvalidInput for a budget that is not a number or is NaN, or a point
+    whose b_eff or fidelity is NaN; +inf selects the global minimum.
+    Fidelity ties resolve to the cheaper point.
     """
     max_b_eff = check_real(max_b_eff, "max_b_eff")
     if math.isnan(max_b_eff):
         raise InvalidInput("max_b_eff must not be NaN")
-    feasible = [p for p in frontier if p.b_eff <= max_b_eff]
+    feasible = [p for p in _checked(frontier) if p.b_eff <= max_b_eff]
     if not feasible:
         raise BudgetInfeasible(f"no evaluated point stores keys at <= {max_b_eff} bits per element")
     return min(feasible, key=lambda p: (p.fidelity, p.b_eff, p.tau_full, p.tau_mid))

@@ -285,6 +285,20 @@ class TestSearchCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid-config:")
 
+    @pytest.mark.parametrize("flag, value", [("--thresholds", "9,3"), ("--value-bits", "16")])
+    def test_tiering_flags_rejected_by_parser(self, tmp_path, capsys, flag, value):
+        # the grid sets both, so search does not take them
+        with pytest.raises(SystemExit) as exc:
+            main(search_args(tmp_path, flag, value))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_reports_record_the_geometry_as_config(self, tmp_path):
+        assert main(search_args(tmp_path, "--budget", "17.0")) == 0
+        geometry = {"dim": 16, "value_dim": 16, "group_size": 8, "residual_len": 16, "sink_len": 2}
+        for name in ("srch_grid.json", "srch_frontier.json"):
+            assert json.loads((tmp_path / name).read_text())["config"] == geometry
+
 
 class TestStatsCommand:
     def test_planted_table_shape_and_decorrelation(self, tmp_path, capsys):

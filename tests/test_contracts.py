@@ -29,6 +29,7 @@ from kvmix import (
     evaluate_candidate,
     evaluate_grid,
     pack_codes,
+    pareto_frontier,
     quantize_group,
     resolve_assignment,
     salience_score,
@@ -42,6 +43,7 @@ KEYS = np.arange(8.0).reshape(4, 2)
 SMALL = CacheConfig(dim=8, group_size=4, residual_len=8, sink_len=2)
 SPEC = PlantedSpec(dim=8, length=16, n_outlier_scale=1, n_outlier_query=1)
 FRONT = [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=2.0, fidelity=1.0)]
+NAN_POINT = ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=4.0, fidelity=NAN)
 HUGE_ROWS = (np.full((8, 4), 1e200), np.full((8, 4), 1e200), np.ones((8, 4)))
 
 PROBES = {
@@ -187,6 +189,20 @@ PROBES = {
     # rows of the wrong width are rejected even when there are none of them
     "accumulator_add_rows_of_no_channels": lambda: QueryAccumulator(4).add(np.zeros((3, 0))),
     "accumulator_add_no_rows_of_wrong_width": lambda: QueryAccumulator(4).add(np.zeros((0, 5))),
+    # a sensitivity is a range / 3: negative under either policy, in either mode
+    "resolve_assignment_error_only_negative_sensitivity": lambda: resolve_assignment(
+        AllocationPolicy.error_only(), None, [-3.0, 1.0], (1.0, 0.5)
+    ),
+    "resolve_assignment_error_only_budget_negative_sensitivity": lambda: resolve_assignment(
+        AllocationPolicy.error_only(budget=(1, 0)), None, [-3.0, 1.0], (1.0, 0.5)
+    ),
+    # a NaN objective neither dominates nor is dominated, so it would be
+    # kept or chosen by input order
+    "pareto_frontier_nan_fidelity": lambda: pareto_frontier([NAN_POINT, *FRONT]),
+    "pareto_frontier_nan_b_eff": lambda: pareto_frontier(
+        [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=NAN, fidelity=1.0), *FRONT]
+    ),
+    "select_under_budget_nan_fidelity": lambda: select_under_budget([NAN_POINT, *FRONT], 10),
 }
 
 

@@ -6,7 +6,9 @@ binding of quantize_group), and perfbench/workloads.py counts the
 payload of a cache from its blocks' `groups` and `rows`. A refactor
 that drops one of those names breaks the benchmark; these tests catch
 that in the suite. They import the benchmark's modules without writing
-bytecode next to them.
+bytecode next to them. The search and decode workloads' own output
+checks, goldens included, run here too, so a change that moves an
+output fails the suite and not only a benchmark run.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kvmix.attention
 import kvmix.cache
@@ -89,3 +92,16 @@ def test_accounting_matches_the_storage_arrays(monkeypatch):
         assert workloads.recomputed_key_bits(cache) == cache.effective_bitwidth()
     finally:
         sys.modules.pop("workloads", None)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["search", "decode"])
+def test_workload_checks_pass(monkeypatch, tmp_path, name, seed):
+    # the seeds perfbench/goldens.json holds, so golden drift fails here
+    workloads = import_perfbench(monkeypatch, "workloads")
+    try:
+        checks = workloads.WORKLOADS[name](seed, tmp_path).check()["checks"]
+    finally:
+        sys.modules.pop("workloads", None)
+    assert any(c["name"].startswith("golden ") for c in checks)
+    assert [c for c in checks if not c["ok"]] == []

@@ -52,6 +52,10 @@ class TestThresholdGrid:
     def test_upper_triangle_count(self):
         grid = threshold_grid(0.1, 2.0, 5)
         assert len(grid) == 5 * 6 // 2
+        # pairs are kept by index, so a range whose axis repeats values
+        # still gives the upper triangle
+        assert len(threshold_grid(1.0, 1.0, 3)) == 3 * 4 // 2
+        assert len(threshold_grid(1.0, np.nextafter(1.0, 2.0), 4)) == 4 * 5 // 2
 
     def test_every_pair_ordered(self):
         for tf, tm in threshold_grid(0.5, 1.5, 7):
