@@ -238,14 +238,10 @@ class PlantedSpec:
         )
 
 
-def _decode_rows(source, config: CacheConfig, steps: int | None, seed: int = 0):
-    """The checked (queries, keys, values) rows of the first `steps` decode steps."""
-    if isinstance(source, PlantedSpec):
-        inst = source.materialize(seed)
-    elif isinstance(source, AttentionInstance):
-        inst = source
-    else:
-        raise InvalidInput("source must be an AttentionInstance or a PlantedSpec")
+def _decode_rows(inst: AttentionInstance, config: CacheConfig, steps: int | None):
+    """The checked (queries, keys, values) rows of an instance's first `steps` decode steps."""
+    if not isinstance(inst, AttentionInstance):
+        raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
     if not isinstance(config, CacheConfig):
         raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
     steps = inst.length if steps is None else check_count(steps, "steps", 1)
@@ -293,7 +289,9 @@ def decode_simulation(
     cache comes back alongside the report. Logits or errors that
     overflow float64 raise InvalidInput.
     """
-    queries, keys, values = _decode_rows(source, config, steps, seed)
+    if isinstance(source, PlantedSpec):
+        source = source.materialize(seed)
+    queries, keys, values = _decode_rows(source, config, steps)
     cache = MixedKVCache(config, policy)
     cache.extend(keys, values, queries)
     delta = keys - cache.reconstruct_keys()

@@ -11,8 +11,8 @@ block itself, importance from the whole query history), each key channel
 is assigned a precision tier by the active policy, and the block is
 frozen into immutable, read-only storage:
 
-- full-precision channels become a sparse outlier store (sorted channel
-  index list plus dense float columns);
+- full-precision channels become dense outlier columns, whose sorted
+  channel list is read off the assignment;
 - 4-bit and 2-bit channels are quantized per channel in runs of
   `group_size` consecutive tokens, each run with its own (zero, scale);
   each tier holds a packed uint8 code array and (run, channel) zero and
@@ -120,27 +120,31 @@ class KeyBlock:
     """One immutable flushed block of keys.
 
     Sink blocks carry `keys_exact` and no assignment. Quantized blocks
-    carry the assignment, the full-precision outlier columns, and for
+    carry the assignment, the columns of its 16-bit channels, and for
     each 4-/2-bit tier the arrays that _quantize_column_runs returns for
     that tier's channels (ascending), in token runs of the configured
-    group size. `groups` is a view of those arrays as objects.
+    group size. `outlier_channels` and `groups` are views of them.
     """
 
     start: int
     length: int
     keys_exact: np.ndarray | None = None
     assignment: PrecisionAssignment | None = None
-    outlier_channels: np.ndarray | None = None
     outlier_columns: np.ndarray | None = None
     _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        _freeze(self.keys_exact, self.outlier_channels, self.outlier_columns, *_run_arrays(self._runs))
+        _freeze(self.keys_exact, self.outlier_columns, *_run_arrays(self._runs))
 
     @property
     def is_sink(self) -> bool:
         return self.keys_exact is not None
+
+    @property
+    def outlier_channels(self) -> np.ndarray | None:
+        """The assignment's 16-bit channels, ascending and read-only; None for a sink."""
+        return None if self.is_sink else self.assignment.channels_at(BitWidth.FULL)
 
     @property
     def groups(self) -> dict[int, tuple[QuantizedGroup, ...]] | None:
@@ -241,7 +245,8 @@ class MixedKVCache:
 
     Rows must arrive post-rotation (the cache stores keys in the form they
     are attended to, and scores queries in that same form). Under the
-    FULL_PRECISION policy nothing is quantized, values included.
+    FULL_PRECISION policy nothing is quantized, values included. A top-k
+    budget of more than config.dim channels raises InvalidInput.
     """
 
     def __init__(self, config: CacheConfig, policy: AllocationPolicy | None = None):
@@ -251,9 +256,11 @@ class MixedKVCache:
             raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
         self.config = config
         self.policy = policy if policy is not None else AllocationPolicy.salience()
+        if self.policy.budget is not None and sum(self.policy.budget) > config.dim:
+            raise InvalidInput(f"budget {self.policy.budget} exceeds the {config.dim} channels")
         self._running = QueryAccumulator(config.dim)
-        self._key_blocks: list[KeyBlock] = []
-        self._value_blocks: list[ValueBlock] = []
+        # flushed (key block, value block) pairs, in token order
+        self._blocks: list[tuple[KeyBlock, ValueBlock]] = []
         # (keys, values, queries) arrays whose first _fill rows are the
         # residual buffer; None while the buffer is empty
         self._res: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
@@ -263,16 +270,16 @@ class MixedKVCache:
 
     @property
     def key_blocks(self) -> tuple[KeyBlock, ...]:
-        return tuple(self._key_blocks)
+        return tuple(key_block for key_block, _ in self._blocks)
 
     @property
     def value_blocks(self) -> tuple[ValueBlock, ...]:
-        return tuple(self._value_blocks)
+        return tuple(value_block for _, value_block in self._blocks)
 
     @property
     def assignments(self) -> tuple[PrecisionAssignment | None, ...]:
         """Per-key-block assignment history; None marks sink blocks."""
-        return tuple(blk.assignment for blk in self._key_blocks)
+        return tuple(key_block.assignment for key_block, _ in self._blocks)
 
     @property
     def num_tokens(self) -> int:
@@ -281,9 +288,9 @@ class MixedKVCache:
     @property
     def flushed_tokens(self) -> int:
         """End of the last flushed block, 0 before the first flush."""
-        if not self._key_blocks:
+        if not self._blocks:
             return 0
-        last = self._key_blocks[-1]
+        last, _ = self._blocks[-1]
         return last.start + last.length
 
     @property
@@ -348,7 +355,7 @@ class MixedKVCache:
         """
         cap = self.config.residual_len
         total = keys.shape[0]
-        saved = (self._running, self._res, self._fill, len(self._key_blocks))
+        saved = (self._running, self._res, self._fill, len(self._blocks))
         try:
             lo = 0
             while lo < total:
@@ -359,8 +366,7 @@ class MixedKVCache:
                     self.flush()
         except BaseException:
             self._running, self._res, self._fill, n_blocks = saved
-            del self._key_blocks[n_blocks:]
-            del self._value_blocks[n_blocks:]
+            del self._blocks[n_blocks:]
             raise
 
     def _store(self, *segment: np.ndarray) -> None:
@@ -426,8 +432,7 @@ class MixedKVCache:
                 keys[sink_cut:], values[sink_cut:], start + sink_cut, running.importance()
             ))
 
-        self._key_blocks.extend(key_block for key_block, _ in pairs)
-        self._value_blocks.extend(value_block for _, value_block in pairs)
+        self._blocks.extend(pairs)
         self._running = running
         self._res = None
         self._fill = 0
@@ -442,7 +447,6 @@ class MixedKVCache:
         sensitivity = sensitivity_score(keys) if scored else np.zeros(cfg.dim)
         assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
 
-        outliers = assignment.channels_at(BitWidth.FULL)
         runs = {}
         for width in _QUANT_WIDTHS:
             channels = assignment.channels_at(width)
@@ -452,8 +456,7 @@ class MixedKVCache:
             start=start,
             length=length,
             assignment=assignment,
-            outlier_channels=outliers,
-            outlier_columns=keys[:, outliers].copy(),
+            outlier_columns=keys[:, assignment.channels_at(BitWidth.FULL)].copy(),
             _runs=runs,
         )
 
@@ -468,11 +471,11 @@ class MixedKVCache:
 
     def reconstruct_keys(self) -> np.ndarray:
         """Dequantized view of every stored key row, residual included."""
-        return _reconstruct(self._key_blocks, self._residual(0), self.config.dim)
+        return _reconstruct(self.key_blocks, self._residual(0), self.config.dim)
 
     def reconstruct_values(self) -> np.ndarray:
         """Dequantized view of every stored value row, residual included."""
-        return _reconstruct(self._value_blocks, self._residual(1), self.config.value_dim)
+        return _reconstruct(self.value_blocks, self._residual(1), self.config.value_dim)
 
     # -- accounting ---------------------------------------------------
 
@@ -482,23 +485,20 @@ class MixedKVCache:
         Quantization metadata (zero points and scales) is excluded; see
         metadata_counts(). Raises UndefinedMetric before the first flush.
         """
-        if not self._key_blocks:
+        if not self._blocks:
             raise UndefinedMetric("no block has been flushed yet")
         dim = self.config.dim
         total_bits = self._fill * dim * 16
-        for blk in self._key_blocks:
-            if blk.assignment is None:
-                total_bits += blk.length * dim * 16
-            else:
-                n_full, n_mid, n_low = blk.assignment.tier_counts()
-                total_bits += blk.length * (n_full * 16 + n_mid * 4 + n_low * 2)
+        for blk in self.key_blocks:
+            row_bits = dim * 16 if blk.is_sink else int(blk.assignment.bits.sum(dtype=np.int64))
+            total_bits += blk.length * row_bits
         # integer sums, so their order does not change the quotient
         return total_bits / (self.num_tokens * dim)
 
     def metadata_counts(self) -> dict[str, int]:
         """Count of stored (zero, scale) scalars, keys and values apart."""
         counts = {}
-        for name, blocks in (("key_scalars", self._key_blocks), ("value_scalars", self._value_blocks)):
+        for name, blocks in (("key_scalars", self.key_blocks), ("value_scalars", self.value_blocks)):
             tiers = [runs for blk in blocks if blk._runs is not None for runs in blk._runs.values()]
             counts[name] = sum(2 * zero.size for runs in tiers for _, _, zero, _ in runs)
         return counts

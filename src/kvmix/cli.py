@@ -15,6 +15,9 @@ stats    score the channels of one seeded synthetic instance (or one
          per-channel table as CSV; the printed Pearson correlation
          summarizes how decoupled importance and sensitivity are.
 
+A --dump trace replaces the synthetic instances, so --dim, --length,
+--outliers, --seeds (run, search) and --seed (stats) exit 2 next to it.
+
 run's --policy and --compare names and the policy label each writes
 (--budget applies to the first two alone; on the others it exits 2):
 
@@ -98,11 +101,20 @@ def _add_geometry_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sink-len", type=int, default=32, help="leading tokens kept full-precision")
 
 
+class _Synthetic(argparse.Action):
+    """Store a flag that shapes the synthetic instances, and note it as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.synthetic_flags = (*namespace.synthetic_flags, self.option_strings[0])
+
+
 def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(synthetic_flags=())
     parser.add_argument("--dump", default=None, help="trace dump to use instead of synthetic data")
-    parser.add_argument("--dim", type=int, default=64, help="key/query channel count")
-    parser.add_argument("--length", type=int, default=256, help="tokens per synthetic instance")
-    parser.add_argument("--outliers", default="4,4,0", help="planted ns,nq,overlap channel counts")
+    parser.add_argument("--dim", type=int, default=64, action=_Synthetic, help="key/query channel count")
+    parser.add_argument("--length", type=int, default=256, action=_Synthetic, help="tokens per synthetic instance")
+    parser.add_argument("--outliers", default="4,4,0", action=_Synthetic, help="planted ns,nq,overlap channel counts")
 
 
 def _config(args, inst, **tiering) -> CacheConfig:
@@ -124,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="second policy evaluated on the same instances")
     run.add_argument("--budget", default=None,
                      help="n_full,n_mid top-k channel budget (salience / error-only)")
-    run.add_argument("--seeds", type=int, default=20, help="synthetic instances: seeds 0..N-1")
+    run.add_argument("--seeds", type=int, default=20, action=_Synthetic, help="synthetic instances: seeds 0..N-1")
     run.add_argument("--steps", type=int, default=None, help="decode steps (default: full length)")
     run.add_argument("--out", default="run_report", help="output base path (.csv and .json)")
     run.add_argument("--value-bits", type=int, choices=(2, 4, 16), default=2, help="value storage width (16 = none)")
@@ -136,14 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--grid", type=int, default=20, help="grid points per threshold axis")
     search.add_argument("--range", dest="range_", default="0.1,2.0", help="lo,hi threshold range")
     search.add_argument("--budget", type=float, default=None, help="pick min fidelity with b_eff <= budget")
-    search.add_argument("--seeds", type=int, default=5, help="synthetic instances per candidate")
+    search.add_argument("--seeds", type=int, default=5, action=_Synthetic, help="synthetic instances per candidate")
     search.add_argument("--steps", type=int, default=None, help="decode steps per instance")
     search.add_argument("--out", default="search_report", help="output base path")
     _add_geometry_flags(search)
     _add_instance_flags(search)
 
     stats = sub.add_parser("stats", help="per-channel importance/sensitivity/salience table")
-    stats.add_argument("--seed", type=int, default=0, help="seed of the synthetic instance")
+    stats.add_argument("--seed", type=int, default=0, action=_Synthetic, help="seed of the synthetic instance")
     stats.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid tier cutoffs")
     stats.add_argument("--out", default="channel_stats.csv", help="output CSV path")
     _add_instance_flags(stats)
@@ -153,6 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instances(args, seeds):
     """(seed, instance) pairs: the --dump trace as seed 0, or one planted instance per seed."""
     if args.dump is not None:
+        if args.synthetic_flags:
+            given = ", ".join(dict.fromkeys(args.synthetic_flags))
+            raise InvalidInput(f"--dump replaces the synthetic instances; drop {given}")
         return [(0, instance_from_dump(TensorDump.read(args.dump)))]
     ns, nq, ov = _parse_numbers(args.outliers, 3, int, "--outliers")
     spec = PlantedSpec(

@@ -73,7 +73,8 @@ class PrecisionAssignment:
     """Per-channel storage widths for one flushed block of keys.
 
     `bits` holds 16, 4, or 2 per channel; any other entry, a fraction
-    included, raises InvalidInput.
+    included, raises InvalidInput, as does an empty vector. Every
+    assignment, each flush's included, is built by this constructor.
     """
 
     bits: np.ndarray
@@ -82,31 +83,21 @@ class PrecisionAssignment:
         arr = check_array(self.bits, "bits", 1)
         if arr.size == 0:
             raise InvalidInput("assignment must cover at least one channel")
-        if not np.all(np.isin(arr, (2, 4, 16))):
+        if not ((arr == 2) | (arr == 4) | (arr == 16)).all():
             raise InvalidInput("channel widths must be 2, 4, or 16")
         arr = arr.astype(np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
-
-    @classmethod
-    def _of(cls, bits: np.ndarray) -> "PrecisionAssignment":
-        """Wrap a non-empty uint8 vector of 2/4/16 that the library built itself.
-
-        The checks of the constructor are skipped; the vector is taken
-        over and made read-only.
-        """
-        bits.setflags(write=False)
-        assignment = object.__new__(cls)
-        object.__setattr__(assignment, "bits", bits)
-        return assignment
 
     @property
     def dim(self) -> int:
         return self.bits.shape[0]
 
     def channels_at(self, width) -> np.ndarray:
-        """Sorted channel indices stored at the given width."""
-        return np.flatnonzero(self.bits == int(width))
+        """Sorted channel indices stored at the given width, read-only like `bits`."""
+        channels = np.flatnonzero(self.bits == int(width))
+        channels.setflags(write=False)
+        return channels
 
     def tier_counts(self) -> tuple[int, int, int]:
         """(n_full, n_mid, n_low) channel counts."""
@@ -238,8 +229,10 @@ def resolve_assignment(
     scores are cut by the tier rule in threshold mode and ranked in
     budget mode. A `policy` that is not an AllocationPolicy, a
     `thresholds` argument that is not a pair, an empty or non-finite
-    `sensitivity`, a negative score under SALIENCE or ERROR_ONLY, or a
-    salience beyond float64 raises InvalidInput.
+    `sensitivity`, a negative score under SALIENCE or ERROR_ONLY, a
+    salience beyond float64, or a budget of more channels than
+    `sensitivity` has raises InvalidInput. It returns
+    PrecisionAssignment(bits), checked as any other.
     """
     if not isinstance(policy, AllocationPolicy):
         raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
@@ -265,4 +258,4 @@ def resolve_assignment(
             bits = _tier_bits(scores, *check_thresholds(tau_full, tau_mid))
         else:
             bits = _topk_bits(scores, policy.budget)
-    return PrecisionAssignment._of(bits)
+    return PrecisionAssignment(bits)

@@ -95,7 +95,7 @@ class PackedBuffer:
         if not isinstance(self.data, bytes):
             raise InvalidInput(f"packed data must be bytes, got {type(self.data).__name__}")
         check_count(self.length, "length", 0)
-        expected = _packed_byte_length(self.length, self.bit_width)
+        expected = math.ceil(self.length * int(self.bit_width) / 8)
         if len(self.data) != expected:
             raise CorruptBuffer(
                 f"packed buffer holds {len(self.data)} bytes, expected {expected} "
@@ -104,10 +104,6 @@ class PackedBuffer:
 
     def __len__(self) -> int:
         return self.length
-
-
-def _packed_byte_length(length: int, bits: BitWidth) -> int:
-    return math.ceil(length * int(bits) / 8)
 
 
 @dataclass(frozen=True)
@@ -220,12 +216,11 @@ def _dequantize_column_runs(runs, bits) -> np.ndarray:
 
 def _column_groups(runs, bits) -> list[tuple[QuantizedGroup, ...]]:
     """The groups of _quantize_column_runs output as objects, per column."""
-    width = _require_quant_width(bits)
     columns: list[list[QuantizedGroup]] = [[] for _ in range(runs[0][1].shape[1])]
     for size, packed, zeros, scales in runs:
         for run_bytes, run_zeros, run_scales in zip(packed, zeros.tolist(), scales.tolist()):
             for column, data, z, s in zip(columns, run_bytes, run_zeros, run_scales):
-                column.append(QuantizedGroup(PackedBuffer(data.tobytes(), width, size), z, s))
+                column.append(QuantizedGroup(PackedBuffer(data.tobytes(), bits, size), z, s))
     return [tuple(column) for column in columns]
 
 
@@ -257,13 +252,9 @@ def pack_codes(codes, bits) -> PackedBuffer:
 
 
 def unpack_codes(buffer: PackedBuffer) -> np.ndarray:
-    """Invert pack_codes, returning a uint8 vector of length buffer.length."""
-    width = int(buffer.bit_width)
-    # PackedBuffer validates byte length at construction; re-check so that
-    # buffers built by other means still fail loudly here.
-    expected = _packed_byte_length(buffer.length, buffer.bit_width)
-    if len(buffer.data) != expected:
-        raise CorruptBuffer(
-            f"packed buffer holds {len(buffer.data)} bytes, expected {expected}"
-        )
-    return _unpack_bits(np.frombuffer(buffer.data, dtype=np.uint8), width, buffer.length)
+    """Invert pack_codes, returning a uint8 vector of length buffer.length.
+
+    The buffer's width and byte length were checked when it was built.
+    """
+    raw = np.frombuffer(buffer.data, dtype=np.uint8)
+    return _unpack_bits(raw, int(buffer.bit_width), buffer.length)

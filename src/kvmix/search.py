@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import _decode_rows, decode_simulation
+from .attention import AttentionInstance, _decode_rows, decode_simulation
 from .cache import CacheConfig, MixedKVCache
 from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
 from .policies import AllocationPolicy, _tier_bits
@@ -89,7 +89,7 @@ def evaluate_candidate(
     config: CacheConfig,
     steps: int | None = None,
 ) -> ParetoPoint:
-    """Score one threshold pair: mean fidelity and mean b_eff over instances."""
+    """Score one threshold pair: mean fidelity and mean b_eff over AttentionInstances."""
     instances = tuple(instances)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
@@ -98,6 +98,8 @@ def evaluate_candidate(
     fidelity = 0.0
     b_eff = 0.0
     for inst in instances:
+        if not isinstance(inst, AttentionInstance):
+            raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
         report = decode_simulation(inst, candidate_config, policy, steps=steps)
         fidelity += report.e_attn_frobenius
         b_eff += report.effective_bits

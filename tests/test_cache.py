@@ -482,6 +482,8 @@ class TestTierStorage:
         feed_random(cache, 8, seed=6)
         blk = cache.key_blocks[0]
         assert blk.outlier_channels.tolist() == sorted(blk.outlier_channels.tolist())
+        # the outlier channels are read off the assignment, not stored beside it
+        assert np.array_equal(blk.outlier_channels, blk.assignment.channels_at(16))
         assert blk.outlier_columns.shape == (8, 2)
         assert len(blk.groups) == 6
         # each channel column of 8 tokens splits into two runs of 4

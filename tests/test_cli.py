@@ -371,6 +371,28 @@ class TestStatsCommand:
         assert capsys.readouterr().err.startswith("error: invalid-config:")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, seed_flag in (("run", "--seeds"), ("search", "--seeds"), ("stats", "--seed"))
+        for flag, value in ((seed_flag, "5"), ("--dim", "999"), ("--length", "3"), ("--outliers", "1,2,3"))
+    ],
+)
+def test_dump_rejects_synthetic_instance_flags(tmp_path, capsys, command, flag, value):
+    # the dump replaces the planted instances, so a flag that shapes them is an error
+    inst = PlantedSpec(dim=16, length=32, n_outlier_scale=2, n_outlier_query=2).materialize(0)
+    dump_path = tmp_path / "trace.mkvq"
+    dump_from_instance(inst).write(dump_path)
+    geometry = [] if command == "stats" else ["--group-size", "4", "--residual-len", "8", "--sink-len", "2"]
+    out = tmp_path / "report"
+    code = main([command, "--dump", str(dump_path), *geometry, flag, value, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid-config:") and flag in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.mkvq"]
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("kvmix")

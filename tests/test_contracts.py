@@ -196,6 +196,17 @@ PROBES = {
     "resolve_assignment_error_only_budget_negative_sensitivity": lambda: resolve_assignment(
         AllocationPolicy.error_only(budget=(1, 0)), None, [-3.0, 1.0], (1.0, 0.5)
     ),
+    # a top-k budget wider than the cache is rejected up front, not at the
+    # first scored flush, which a 12-token decode under R = 16 never reaches
+    "cache_budget_beyond_dim": lambda: MixedKVCache(
+        CacheConfig(dim=8, group_size=4, residual_len=16, sink_len=2),
+        AllocationPolicy.salience(budget=(9, 0)),
+    ),
+    "decode_simulation_budget_beyond_dim_before_any_flush": lambda: decode_simulation(
+        PlantedSpec(dim=8, length=12, n_outlier_scale=1, n_outlier_query=1),
+        CacheConfig(dim=8, group_size=4, residual_len=16, sink_len=2),
+        AllocationPolicy.salience(budget=(9, 0)),
+    ),
     # a NaN objective neither dominates nor is dominated, so it would be
     # kept or chosen by input order
     "pareto_frontier_nan_fidelity": lambda: pareto_frontier([NAN_POINT, *FRONT]),

@@ -394,7 +394,14 @@ class TestIngestOnceGrid:
 
     @pytest.mark.parametrize(
         "case",
-        ["no_instances", "inverted_range", "geometry_mismatch", "steps_past_length", "not_an_instance"],
+        [
+            "no_instances",
+            "inverted_range",
+            "geometry_mismatch",
+            "steps_past_length",
+            "not_an_instance",
+            "planted_spec",
+        ],
     )
     def test_errors_match_per_candidate_path(self, case):
         inst = self.SPEC.materialize(0)
@@ -404,6 +411,8 @@ class TestIngestOnceGrid:
             "geometry_mismatch": ([inst], CacheConfig(dim=8, group_size=8, residual_len=16), 0.1, 2.0, 3, None),
             "steps_past_length": ([inst], self.CFG, 0.1, 2.0, 3, 41),
             "not_an_instance": ([inst, "trace"], self.CFG, 0.1, 2.0, 3, None),
+            # a spec is not read as its seed-0 instance by either path
+            "planted_spec": ([self.SPEC], self.CFG, 0.1, 2.0, 3, None),
         }[case]
         expected = raised(lambda: per_candidate(*args))
         assert expected is not None and issubclass(expected, InvalidInput)
