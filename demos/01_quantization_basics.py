@@ -9,13 +9,8 @@ into bytes, and bound the reconstruction error by half the scale.
 
 import numpy as np
 
-from kvmix import (
-    BitWidth,
-    dequantize_group,
-    pack_codes,
-    quantize_group,
-    unpack_codes,
-)
+from kvmix import BitWidth
+from kvmix.quant import dequantize_group, pack_codes, quantize_group, unpack_codes
 
 # A group is any 1-D run of floats. Quantization is asymmetric: the
 # zero point is the group minimum, the scale is the range divided by

@@ -29,7 +29,9 @@ step's reconstructed prefix follows from one final reconstruction and a
 mask of the tokens flushed by then, evaluated in a few matrix passes.
 The search module sweeps the two salience thresholds and returns the
 fidelity / bit-width Pareto frontier. The same experiments are
-scriptable through the `kvmix` command line tool.
+scriptable through the `kvmix` command line tool. The scalar group
+quantizer (kvmix.quant) and the replay references attention_error and
+evaluate_candidate are imported from their modules, not from here.
 """
 
 from .attention import (
@@ -37,14 +39,12 @@ from .attention import (
     FidelityReport,
     PlantedChannels,
     PlantedSpec,
-    attention_error,
     attention_exact,
     decode_simulation,
 )
 from .cache import CacheConfig, KeyBlock, MixedKVCache, ValueBlock
 from .errors import (
     BudgetInfeasible,
-    CorruptBuffer,
     CorruptFile,
     EmptyWindow,
     InvalidInput,
@@ -67,15 +67,7 @@ from .policies import (
     PrecisionAssignment,
     resolve_assignment,
 )
-from .quant import (
-    BitWidth,
-    PackedBuffer,
-    QuantizedGroup,
-    dequantize_group,
-    pack_codes,
-    quantize_group,
-    unpack_codes,
-)
+from .quant import BitWidth
 from .salience import (
     QueryAccumulator,
     apply_rope,
@@ -84,7 +76,6 @@ from .salience import (
 )
 from .search import (
     ParetoPoint,
-    evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
     select_under_budget,
@@ -99,7 +90,6 @@ __all__ = [
     "BitWidth",
     "BudgetInfeasible",
     "CacheConfig",
-    "CorruptBuffer",
     "CorruptFile",
     "EmptyWindow",
     "FidelityReport",
@@ -109,36 +99,28 @@ __all__ = [
     "KeyBlock",
     "MixedKVCache",
     "NothingToFlush",
-    "PackedBuffer",
     "ParetoPoint",
     "PlantedChannels",
     "PlantedSpec",
     "PolicyKind",
     "PrecisionAssignment",
-    "QuantizedGroup",
     "QueryAccumulator",
     "TensorDump",
     "UndefinedMetric",
     "UnsupportedFormat",
     "ValueBlock",
     "apply_rope",
-    "attention_error",
     "attention_exact",
     "decode_simulation",
-    "dequantize_group",
     "dump_from_instance",
-    "evaluate_candidate",
     "evaluate_grid",
     "instance_from_dump",
-    "pack_codes",
     "pareto_frontier",
-    "quantize_group",
     "resolve_assignment",
     "salience_score",
     "select_under_budget",
     "sensitivity_score",
     "threshold_grid",
-    "unpack_codes",
     "write_records_csv",
     "write_records_json",
 ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, MixedKVCache
-from .errors import InvalidInput, UndefinedMetric, check_array, check_count
+from .errors import InvalidInput, check_array, check_count
 from .policies import AllocationPolicy
 from .salience import _as_matrix
 
@@ -285,9 +285,11 @@ def decode_simulation(
     lossless cache gives errors of exactly 0.
 
     Under the FULL_PRECISION policy value quantization is disabled too,
-    so the run is lossless end to end. With return_cache=True the final
-    cache comes back alongside the report. Logits or errors that
-    overflow float64 raise InvalidInput.
+    so the run is lossless end to end. The report's effective_bits is the
+    final cache's effective_bitwidth(): 16 for a run too short to flush
+    a block past the sink. With return_cache=True the final cache comes
+    back alongside the report. Logits or errors that overflow float64
+    raise InvalidInput.
     """
     if isinstance(source, PlantedSpec):
         source = source.materialize(seed)
@@ -334,17 +336,11 @@ def decode_simulation(
     if not (math.isfinite(sq_logit) and math.isfinite(sq_output)):
         raise InvalidInput("attention logits or errors overflow float64")
 
-    try:
-        effective_bits = cache.effective_bitwidth()
-    except UndefinedMetric:
-        # Nothing flushed: every token still sits in the residual buffer.
-        effective_bits = 16.0
-
     report = FidelityReport(
         e_attn_frobenius=math.sqrt(sq_logit),
         e_attn_max=max_logit,
         output_error_frobenius=math.sqrt(sq_output),
-        effective_bits=effective_bits,
+        effective_bits=cache.effective_bitwidth(),
         policy_label=cache.policy.label,
     )
     if return_cache:

@@ -483,10 +483,12 @@ class MixedKVCache:
         """Mean stored bits per key element, sink and residual at 16.
 
         Quantization metadata (zero points and scales) is excluded; see
-        metadata_counts(). Raises UndefinedMetric before the first flush.
+        metadata_counts(). Before the first flush every token sits in the
+        residual buffer, so the width is 16. Raises UndefinedMetric for a
+        cache that holds no token.
         """
-        if not self._blocks:
-            raise UndefinedMetric("no block has been flushed yet")
+        if self.num_tokens == 0:
+            raise UndefinedMetric("the cache holds no token")
         dim = self.config.dim
         total_bits = self._fill * dim * 16
         for blk in self.key_blocks:

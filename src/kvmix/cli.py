@@ -18,6 +18,9 @@ stats    score the channels of one seeded synthetic instance (or one
 A --dump trace replaces the synthetic instances, so --dim, --length,
 --outliers, --seeds (run, search) and --seed (stats) exit 2 next to it.
 
+A pair whose first number is negative follows its flag after "=":
+--thresholds=-1,-2 and --range=-1,1 parse; "--range -1,1" exits 2.
+
 run's --policy and --compare names and the policy label each writes
 (--budget applies to the first two alone; on the others it exits 2):
 
@@ -140,13 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, default=None, help="decode steps (default: full length)")
     run.add_argument("--out", default="run_report", help="output base path (.csv and .json)")
     run.add_argument("--value-bits", type=int, choices=(2, 4, 16), default=2, help="value storage width (16 = none)")
-    run.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid salience cutoffs")
+    run.add_argument("--thresholds", default="1.0,0.5",
+                     help="tau_full,tau_mid salience cutoffs (negative first: --thresholds=-1,-2)")
     _add_geometry_flags(run)
     _add_instance_flags(run)
 
     search = sub.add_parser("search", help="sweep the salience threshold grid")
     search.add_argument("--grid", type=int, default=20, help="grid points per threshold axis")
-    search.add_argument("--range", dest="range_", default="0.1,2.0", help="lo,hi threshold range")
+    search.add_argument("--range", dest="range_", default="0.1,2.0",
+                        help="lo,hi threshold range (negative lo: --range=-1,1)")
     search.add_argument("--budget", type=float, default=None, help="pick min fidelity with b_eff <= budget")
     search.add_argument("--seeds", type=int, default=5, action=_Synthetic, help="synthetic instances per candidate")
     search.add_argument("--steps", type=int, default=None, help="decode steps per instance")
@@ -156,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats = sub.add_parser("stats", help="per-channel importance/sensitivity/salience table")
     stats.add_argument("--seed", type=int, default=0, action=_Synthetic, help="seed of the synthetic instance")
-    stats.add_argument("--thresholds", default="1.0,0.5", help="tau_full,tau_mid tier cutoffs")
+    stats.add_argument("--thresholds", default="1.0,0.5",
+                       help="tau_full,tau_mid tier cutoffs (negative first: --thresholds=-1,-2)")
     stats.add_argument("--out", default="channel_stats.csv", help="output CSV path")
     _add_instance_flags(stats)
     return parser

@@ -15,7 +15,8 @@ The container is a flat sequence of named float32 sections:
 
 Attention traces store one section per tensor under
 "layer{L}/head{H}/{q|k|v}". An unknown magic or version is rejected as
-UnsupportedFormat; truncation or internal inconsistency as CorruptFile.
+UnsupportedFormat; truncation or internal inconsistency as CorruptFile;
+a blob that is not bytes-like (a str, None) as InvalidInput.
 Payload bytes round-trip exactly (write then read is bit-identical).
 
 Report writers emit the same records as comma-separated rows and as a
@@ -110,7 +111,10 @@ class TensorDump:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TensorDump":
-        view = memoryview(blob)
+        try:
+            view = memoryview(blob)
+        except TypeError:
+            raise InvalidInput(f"blob must be bytes-like, got {type(blob).__name__}") from None
         offset = 0
 
         def take(n: int, what: str) -> memoryview:

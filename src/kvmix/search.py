@@ -246,8 +246,11 @@ def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
 
 def _checked(points) -> list[ParetoPoint]:
     pts = list(points)
-    if any(math.isnan(p.b_eff) or math.isnan(p.fidelity) for p in pts):
-        raise InvalidInput("a point's b_eff or fidelity is NaN")
+    for p in pts:
+        if not isinstance(p, ParetoPoint):
+            raise InvalidInput(f"points must be ParetoPoints, got {type(p).__name__}")
+        if math.isnan(p.b_eff) or math.isnan(p.fidelity):
+            raise InvalidInput("a point's b_eff or fidelity is NaN")
     return pts
 
 
@@ -256,8 +259,9 @@ def pareto_frontier(points) -> list[ParetoPoint]:
 
     A point is dominated when some other point is no worse on both
     objectives and strictly better on at least one. Exact objective ties
-    survive together. The result is invariant to input order. A point
-    whose b_eff or fidelity is NaN raises InvalidInput.
+    survive together. The result is invariant to input order. An item
+    that is not a ParetoPoint, or a point whose b_eff or fidelity is NaN,
+    raises InvalidInput.
     """
     pts = _checked(points)
     if not pts:
@@ -270,8 +274,9 @@ def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:
     """Most faithful frontier point with b_eff <= max_b_eff.
 
     Raises BudgetInfeasible when every point exceeds the budget, and
-    InvalidInput for a budget that is not a number or is NaN, or a point
-    whose b_eff or fidelity is NaN; +inf selects the global minimum.
+    InvalidInput for a budget that is not a number or is NaN, an item
+    that is not a ParetoPoint, or a point whose b_eff or fidelity is NaN;
+    +inf selects the global minimum.
     Fidelity ties resolve to the cheaper point.
     """
     max_b_eff = check_real(max_b_eff, "max_b_eff")

@@ -22,14 +22,11 @@ from kvmix import (
     MixedKVCache,
     PlantedSpec,
     decode_simulation,
-    dequantize_group,
     evaluate_grid,
-    pack_codes,
     pareto_frontier,
-    quantize_group,
     resolve_assignment,
-    unpack_codes,
 )
+from kvmix.quant import dequantize_group, pack_codes, quantize_group, unpack_codes
 
 
 @contextmanager

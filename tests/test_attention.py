@@ -26,11 +26,11 @@ from kvmix import (
     MixedKVCache,
     PlantedSpec,
     UndefinedMetric,
-    attention_error,
     attention_exact,
     decode_simulation,
     sensitivity_score,
 )
+from kvmix.attention import attention_error
 
 
 class TestAttentionExact:

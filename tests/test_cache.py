@@ -663,8 +663,7 @@ class TestBitAccounting:
         with pytest.raises(UndefinedMetric):
             cache.effective_bitwidth()
         feed_random(cache, 3)
-        with pytest.raises(UndefinedMetric):
-            cache.effective_bitwidth()
+        assert cache.effective_bitwidth() == 16.0
 
     def test_analytic_mix_three_bits(self):
         # 5 full + 15 mid + 80 low of 100 channels:

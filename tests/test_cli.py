@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import kvmix.cli
-from kvmix import CorruptBuffer, PlantedSpec, TensorDump, dump_from_instance
+from kvmix import PlantedSpec, TensorDump, dump_from_instance
 from kvmix.cli import main
+from kvmix.errors import CorruptBuffer
 
 
 def read_csv(path):
@@ -391,6 +392,26 @@ def test_dump_rejects_synthetic_instance_flags(tmp_path, capsys, command, flag, 
     err = capsys.readouterr().err
     assert err.startswith("error: invalid-config:") and flag in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.mkvq"]
+
+
+@pytest.mark.parametrize(
+    "command, pair, reports",
+    [
+        ("run", "--thresholds=-inf,-inf", ["rep.csv", "rep.json"]),
+        ("search", "--range=-1,1", ["srch_frontier.csv", "srch_frontier.json", "srch_grid.csv", "srch_grid.json"]),
+        ("stats", "--thresholds=-1,-2", ["stats.csv"]),
+    ],
+)
+def test_negative_first_number_after_equals_sign(tmp_path, command, pair, reports):
+    # argparse takes "-1,-2" after a space for a flag; after "=" it is the value
+    argv = {
+        "run": run_args(tmp_path, pair),
+        "search": search_args(tmp_path, pair),
+        "stats": ["stats", "--dim", "4", "--length", "5", "--outliers", "0,0,0",
+                  pair, "--out", str(tmp_path / "stats.csv")],
+    }[command]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == reports
 
 
 class TestConsoleScript:

@@ -15,28 +15,25 @@ from kvmix import (
     CacheConfig,
     InvalidInput,
     MixedKVCache,
-    PackedBuffer,
     ParetoPoint,
     PlantedSpec,
     PrecisionAssignment,
     QueryAccumulator,
     TensorDump,
     apply_rope,
-    attention_error,
     attention_exact,
     decode_simulation,
     dump_from_instance,
-    evaluate_candidate,
     evaluate_grid,
-    pack_codes,
     pareto_frontier,
-    quantize_group,
     resolve_assignment,
     salience_score,
     select_under_budget,
     threshold_grid,
-    unpack_codes,
 )
+from kvmix.attention import attention_error
+from kvmix.quant import PackedBuffer, pack_codes, quantize_group, unpack_codes
+from kvmix.search import evaluate_candidate
 
 NAN = float("nan")
 KEYS = np.arange(8.0).reshape(4, 2)
@@ -214,6 +211,11 @@ PROBES = {
         [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=NAN, fidelity=1.0), *FRONT]
     ),
     "select_under_budget_nan_fidelity": lambda: select_under_budget([NAN_POINT, *FRONT], 10),
+    # items or blobs of the wrong type
+    "pareto_frontier_ints": lambda: pareto_frontier([1, 2]),
+    "select_under_budget_int_point": lambda: select_under_budget([1], 2.0),
+    "dump_from_bytes_str": lambda: TensorDump.from_bytes("MKVQ"),
+    "dump_from_bytes_none": lambda: TensorDump.from_bytes(None),
 }
 
 

@@ -1,6 +1,8 @@
 """Public surface: every demo script and README example runs, and the
 export list is pinned."""
 
+import argparse
+import importlib
 import os
 import re
 import shlex
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import kvmix
-from kvmix.cli import main
+from kvmix.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -54,6 +56,27 @@ def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
     assert main(argv[1:]) == 0, capsys.readouterr().err
 
 
+def test_readme_flag_table_matches_parser():
+    # each command's "--" options are the table's flags whose cell is not "no"
+    table = re.search(r"^\| Flags \|.*?\n\n", README, re.S | re.M).group(0)
+    header, _, *rows = [line.strip("|").split("|") for line in table.strip().splitlines()]
+    commands = [cell.strip().strip("`") for cell in header[1:]]
+    documented = {command: set() for command in commands}
+    for flags, *cells in rows:
+        for command, cell in zip(commands, cells):
+            if cell.strip() != "no":
+                documented[command].update(re.findall(r"`(--[\w-]+)`", flags))
+    (subcommands,) = [
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert sorted(subcommands) == sorted(commands)
+    for command, sub in subcommands.items():
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert {opt for opt in options if opt.startswith("--")} - {"--help"} == documented[command], command
+
+
 def test_export_list():
     assert sorted(kvmix.__all__) == [
         "AllocationPolicy",
@@ -61,7 +84,6 @@ def test_export_list():
         "BitWidth",
         "BudgetInfeasible",
         "CacheConfig",
-        "CorruptBuffer",
         "CorruptFile",
         "EmptyWindow",
         "FidelityReport",
@@ -71,38 +93,45 @@ def test_export_list():
         "KeyBlock",
         "MixedKVCache",
         "NothingToFlush",
-        "PackedBuffer",
         "ParetoPoint",
         "PlantedChannels",
         "PlantedSpec",
         "PolicyKind",
         "PrecisionAssignment",
-        "QuantizedGroup",
         "QueryAccumulator",
         "TensorDump",
         "UndefinedMetric",
         "UnsupportedFormat",
         "ValueBlock",
         "apply_rope",
-        "attention_error",
         "attention_exact",
         "decode_simulation",
-        "dequantize_group",
         "dump_from_instance",
-        "evaluate_candidate",
         "evaluate_grid",
         "instance_from_dump",
-        "pack_codes",
         "pareto_frontier",
-        "quantize_group",
         "resolve_assignment",
         "salience_score",
         "select_under_budget",
         "sensitivity_score",
         "threshold_grid",
-        "unpack_codes",
         "write_records_csv",
         "write_records_json",
     ]
     for name in kvmix.__all__:
         assert hasattr(kvmix, name)
+    # the scalar group API and the replay references are importable only
+    # from the module that defines them
+    for module, name in [
+        ("quant", "QuantizedGroup"),
+        ("quant", "PackedBuffer"),
+        ("quant", "quantize_group"),
+        ("quant", "dequantize_group"),
+        ("quant", "pack_codes"),
+        ("quant", "unpack_codes"),
+        ("errors", "CorruptBuffer"),
+        ("attention", "attention_error"),
+        ("search", "evaluate_candidate"),
+    ]:
+        assert getattr(importlib.import_module(f"kvmix.{module}"), name).__doc__
+        assert name not in kvmix.__all__ and not hasattr(kvmix, name)

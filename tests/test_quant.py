@@ -10,18 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvmix import (
-    BitWidth,
-    CorruptBuffer,
-    InvalidInput,
+from kvmix import BitWidth, InvalidInput
+from kvmix.errors import CorruptBuffer
+from kvmix.quant import (
     PackedBuffer,
     QuantizedGroup,
     dequantize_group,
     pack_codes,
     quantize_group,
     unpack_codes,
-)
-from kvmix.quant import (
     _column_groups,
     _dequantize_column_runs,
     _pack_columns,

@@ -206,6 +206,9 @@ class TestAssignPrecision:
         assert a == b
         assert hash(a) == hash(b)
         assert a != c
+        # a non-assignment compares unequal rather than raising
+        assert a != "x"
+        assert (a == 3) is False
 
     def test_assignment_is_immutable(self):
         a = tiers(np.array([1.0]), tau_full=2.0, tau_mid=0.5)

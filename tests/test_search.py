@@ -31,13 +31,13 @@ from kvmix import (
     QueryAccumulator,
     apply_rope,
     decode_simulation,
-    evaluate_candidate,
     evaluate_grid,
     pareto_frontier,
     select_under_budget,
     sensitivity_score,
     threshold_grid,
 )
+from kvmix.search import evaluate_candidate
 
 
 def mk(b_eff: float, fidelity: float) -> ParetoPoint:
