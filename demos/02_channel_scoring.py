@@ -69,7 +69,7 @@ assignment = resolve_assignment(
 )
 n_full, n_mid, n_low = assignment.tier_counts()
 print(f"\ntiers at (4.0, 1.0): {n_full} x 16-bit, {n_mid} x 4-bit, {n_low} x 2-bit")
-print("mean stored bits per key element:", assignment.mean_bits())
+print("mean stored bits per key element:", assignment.bits.mean())
 
 # The query outliers take the expensive tiers; the scale outliers,
 # whose queries were damped, mostly do not.

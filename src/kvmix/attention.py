@@ -127,14 +127,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def attention_exact(queries, keys, values, causal: bool = True, scale: float | None = None):
-    """Scaled dot-product attention with a numerically stable softmax.
+def attention_exact(queries, keys, values, causal: bool = True):
+    """Scaled dot-product attention, logits scaled by 1/sqrt(dim), with a stable softmax.
 
     With causal=True position i attends to keys [0, i], which requires as
     many query rows as key rows. Returns (weights, outputs): the softmax
-    weight matrix and the attended value rows. Keys with no row or no
-    channel raise InvalidInput, as do logits or outputs that overflow
-    float64.
+    weight matrix and the attended value rows. A causal flag that is not
+    a bool, or keys with no row or no channel, raise InvalidInput, as do
+    logits or outputs that overflow float64.
     """
     q = _as_matrix(queries, "queries")
     k = check_array(keys, "keys", 2)
@@ -145,11 +145,12 @@ def attention_exact(queries, keys, values, causal: bool = True, scale: float | N
         raise InvalidInput("keys and values disagree on token count")
     if 0 in k.shape:
         raise InvalidInput(f"keys need at least one row and one channel, got shape {k.shape}")
-    scale = 1.0 / math.sqrt(k.shape[1]) if scale is None else check_array(scale, "scale", 0)
+    if not isinstance(causal, bool):
+        raise InvalidInput(f"causal must be a bool, got {causal!r}")
     if causal and q.shape[0] != k.shape[0]:
         raise InvalidInput("causal masking requires one query row per key row")
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = (q @ k.T) * scale
+        logits = (q @ k.T) * (1.0 / math.sqrt(k.shape[1]))
         if causal:
             logits[np.triu_indices(q.shape[0], k=1)] = -np.inf
         weights = _softmax_rows(logits)

@@ -120,10 +120,10 @@ class KeyBlock:
     """One immutable flushed block of keys.
 
     Sink blocks carry `keys_exact` and no assignment. Quantized blocks
-    carry the assignment, the columns of its 16-bit channels, and for
+    carry the assignment, the columns of its channels_at(16), and for
     each 4-/2-bit tier the arrays that _quantize_column_runs returns for
     that tier's channels (ascending), in token runs of the configured
-    group size. `outlier_channels` and `groups` are views of them.
+    group size. `groups` is a view of them.
     """
 
     start: int
@@ -140,11 +140,6 @@ class KeyBlock:
     @property
     def is_sink(self) -> bool:
         return self.keys_exact is not None
-
-    @property
-    def outlier_channels(self) -> np.ndarray | None:
-        """The assignment's 16-bit channels, ascending and read-only; None for a sink."""
-        return None if self.is_sink else self.assignment.channels_at(BitWidth.FULL)
 
     @property
     def groups(self) -> dict[int, tuple[QuantizedGroup, ...]] | None:
@@ -164,7 +159,7 @@ class KeyBlock:
                 self._dense = self.keys_exact
             else:
                 out = np.empty((self.length, self.assignment.dim), dtype=np.float64)
-                out[:, self.outlier_channels] = self.outlier_columns
+                out[:, self.assignment.channels_at(BitWidth.FULL)] = self.outlier_columns
                 for width, runs in self._runs.items():
                     channels = self.assignment.channels_at(width)
                     out[:, channels] = _dequantize_column_runs(runs, width).T
@@ -177,13 +172,11 @@ class KeyBlock:
 class ValueBlock:
     """One immutable flushed block of values, quantized per token.
 
-    Exact blocks carry `values_exact`; quantized ones the arrays of the
-    transposed block (one column per token) under the value width, of
-    which `rows` is a view.
+    Its tokens are those of the key block flushed with it. Exact blocks
+    carry `values_exact`; quantized ones the arrays of the transposed
+    block (one column per token) at the value width; `rows` views them.
     """
 
-    start: int
-    length: int
     values_exact: np.ndarray | None = None
     _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -424,7 +417,7 @@ class MixedKVCache:
             # Copies, so the sink rows do not pin the whole flushed matrix.
             pairs.append((
                 KeyBlock(start=start, length=sink_cut, keys_exact=keys[:sink_cut].copy()),
-                ValueBlock(start=start, length=sink_cut, values_exact=values[:sink_cut].copy()),
+                ValueBlock(values_exact=values[:sink_cut].copy()),
             ))
 
         if sink_cut < length:
@@ -461,10 +454,10 @@ class MixedKVCache:
         )
 
         if cfg.value_bits == BitWidth.FULL or self.policy.kind == PolicyKind.FULL_PRECISION:
-            value_block = ValueBlock(start=start, length=length, values_exact=values.copy())
+            value_block = ValueBlock(values_exact=values.copy())
         else:
             value_runs = _quantize_column_runs(values.T, cfg.value_bits, cfg.group_size)
-            value_block = ValueBlock(start=start, length=length, _runs={cfg.value_bits: value_runs})
+            value_block = ValueBlock(_runs={cfg.value_bits: value_runs})
         return key_block, value_block
 
     # -- reconstruction -----------------------------------------------

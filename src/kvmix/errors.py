@@ -4,10 +4,11 @@ Every failure the library raises deliberately is a subclass of
 :class:`KVMixError`, so callers can catch one type at an API boundary
 (the CLI does exactly that to map failures onto exit codes).
 
-check_count, check_real and check_array are the input contract of every
-public function: a non-integral count, a scalar that is not a real number
-(strings included) or an integer beyond float64, or a non-real,
-non-finite or wrongly shaped array raises InvalidInput.
+check_count, check_real, check_array and check_items are the input
+contract of every public function: a non-integral count, a scalar that
+is not a real number (strings included) or an integer beyond float64, a
+non-real, non-finite or wrongly shaped array, or a collection that is
+not iterable raises InvalidInput.
 """
 
 import operator
@@ -77,6 +78,14 @@ def check_count(value, name: str, minimum: int) -> int:
     if count < minimum:
         raise InvalidInput(f"{name} must be at least {minimum}, got {count}")
     return count
+
+
+def check_items(x, name: str) -> tuple:
+    """The items of `x` as a tuple; InvalidInput when `x` is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise InvalidInput(f"{name} must be iterable, got {type(x).__name__}") from None
 
 
 def _parses_as_non_real(arr: np.ndarray) -> bool:

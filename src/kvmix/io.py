@@ -13,10 +13,11 @@ The container is a flat sequence of named float32 sections:
         dims     rank x u32 LE
         payload  prod(dims) float32 LE, row-major
 
-Attention traces store one section per tensor under
-"layer{L}/head{H}/{q|k|v}". An unknown magic or version is rejected as
-UnsupportedFormat; truncation or internal inconsistency as CorruptFile;
-a blob that is not bytes-like (a str, None) as InvalidInput.
+Attention traces store one section per tensor under "layer0/head0/{q|k|v}".
+A blob is read as bytes, whatever the item size of its buffer. An unknown
+magic or version is rejected as UnsupportedFormat; truncation or internal
+inconsistency as CorruptFile; a blob that is not bytes-like (a str, None)
+or not C-contiguous as InvalidInput.
 Payload bytes round-trip exactly (write then read is bit-identical).
 
 Report writers emit the same records as comma-separated rows and as a
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionInstance
-from .errors import CorruptFile, InvalidInput, UnsupportedFormat, _parses_as_non_real
+from .errors import CorruptFile, InvalidInput, UnsupportedFormat, _parses_as_non_real, check_items
 
 __all__ = [
     "TensorDump",
@@ -112,9 +113,10 @@ class TensorDump:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TensorDump":
         try:
-            view = memoryview(blob)
+            view = memoryview(blob).cast("B")
         except TypeError:
-            raise InvalidInput(f"blob must be bytes-like, got {type(blob).__name__}") from None
+            kind = type(blob).__name__
+            raise InvalidInput(f"blob must be a C-contiguous bytes-like buffer, got {kind}") from None
         offset = 0
 
         def take(n: int, what: str) -> memoryview:
@@ -163,24 +165,23 @@ class TensorDump:
             return cls.from_bytes(fh.read())
 
 
-def _section(layer: int, head: int, tensor: str) -> str:
-    return f"layer{layer}/head{head}/{tensor}"
-
-
-def dump_from_instance(inst: AttentionInstance, layer: int = 0, head: int = 0) -> TensorDump:
-    """Store an attention instance as q/k/v sections of one layer/head."""
+def dump_from_instance(inst: AttentionInstance) -> TensorDump:
+    """Store an attention instance as its layer0/head0/{q,k,v} sections."""
+    if not isinstance(inst, AttentionInstance):
+        raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
     dump = TensorDump()
-    dump.add(_section(layer, head, "q"), inst.queries)
-    dump.add(_section(layer, head, "k"), inst.keys)
-    dump.add(_section(layer, head, "v"), inst.values)
+    for tensor, arr in (("q", inst.queries), ("k", inst.keys), ("v", inst.values)):
+        dump.add(f"layer0/head0/{tensor}", arr)
     return dump
 
 
-def instance_from_dump(dump: TensorDump, layer: int = 0, head: int = 0) -> AttentionInstance:
-    """Rebuild an attention instance from q/k/v sections (cast to float64)."""
+def instance_from_dump(dump: TensorDump) -> AttentionInstance:
+    """Rebuild an attention instance from its layer0/head0 q/k/v sections (cast to float64)."""
+    if not isinstance(dump, TensorDump):
+        raise InvalidInput(f"dump must be a TensorDump, got {type(dump).__name__}")
     tensors = {}
     for tensor in ("q", "k", "v"):
-        name = _section(layer, head, tensor)
+        name = f"layer0/head0/{tensor}"
         if name not in dump:
             raise InvalidInput(f"dump lacks section {name!r}")
         arr = dump[name]
@@ -215,12 +216,16 @@ def _json_ready(value):
 def write_records_csv(path, records) -> None:
     """Write records as CSV with \\n line ends, headed by the first record's keys.
 
-    A record with other keys raises InvalidInput before the file opens.
+    Records that are not an iterable of dicts, or a record with other
+    keys, raise InvalidInput before the file opens.
     """
-    columns = list(records[0]) if records else []
+    records = check_items(records, "records")
     for record in records:
+        if not isinstance(record, dict):
+            raise InvalidInput(f"records must be dicts, got {type(record).__name__}")
         if record.keys() != records[0].keys():
-            raise InvalidInput(f"record keys {list(record)} differ from the header {columns}")
+            raise InvalidInput(f"record keys {list(record)} differ from the header {list(records[0])}")
+    columns = list(records[0]) if records else []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)

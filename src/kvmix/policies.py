@@ -107,10 +107,6 @@ class PrecisionAssignment:
             int(np.count_nonzero(self.bits == 2)),
         )
 
-    def mean_bits(self) -> float:
-        """Average storage width per key element under this assignment."""
-        return float(self.bits.astype(np.float64).mean())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PrecisionAssignment):
             return NotImplemented

@@ -132,23 +132,17 @@ def _pack_columns(codes: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(packed, -1, -2))
 
 
-def _byte_codes(width: int) -> np.ndarray:
-    """(256, 8 // width) table: the codes each byte value holds, lowest bits first."""
-    shifts = np.arange(0, 8, width, dtype=np.uint8)
-    return (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & np.uint8(2**width - 1)
-
-
-_LUT = {int(width): _byte_codes(int(width)) for width in _QUANT_WIDTHS}
-
-
 def _unpack_bits(raw: np.ndarray, width: int, n: int) -> np.ndarray:
     """Invert _pack_columns: uint8 bytes (..., nbytes) back to codes (..., n).
 
-    Each byte is looked up in a per-width table of the codes it holds;
+    One shift-and-mask per code slot reads that slot out of every byte;
     the padding codes of the last byte are trimmed.
     """
-    codes = _LUT[width][raw]
-    return codes.reshape(*raw.shape[:-1], raw.shape[-1] * (8 // width))[..., :n]
+    per_byte = 8 // width
+    codes = np.empty((*raw.shape, per_byte), dtype=np.uint8)
+    for slot in range(per_byte):
+        np.bitwise_and(raw >> np.uint8(slot * width), np.uint8(2**width - 1), out=codes[..., slot])
+    return codes.reshape(*raw.shape[:-1], raw.shape[-1] * per_byte)[..., :n]
 
 
 def quantize_group(values, bits) -> QuantizedGroup:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .attention import AttentionInstance, _decode_rows, decode_simulation
 from .cache import CacheConfig, MixedKVCache
-from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_real
+from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_items, check_real
 from .policies import AllocationPolicy, _tier_bits
 from .quant import BitWidth
 from .salience import QueryAccumulator, salience_score, sensitivity_score
@@ -90,7 +90,7 @@ def evaluate_candidate(
     steps: int | None = None,
 ) -> ParetoPoint:
     """Score one threshold pair: mean fidelity and mean b_eff over AttentionInstances."""
-    instances = tuple(instances)
+    instances = check_items(instances, "instances")
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
     candidate_config = replace(config, tau_full=tau_full, tau_mid=tau_mid)
@@ -137,7 +137,7 @@ def evaluate_grid(
     logit error overflows. A value quantization or an output error that
     alone overflows passes the grid but raises in evaluate_candidate.
     """
-    instances = tuple(instances)
+    instances = check_items(instances, "instances")
     grid = threshold_grid(lo, hi, grid_points)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
@@ -244,8 +244,8 @@ def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
     )
 
 
-def _checked(points) -> list[ParetoPoint]:
-    pts = list(points)
+def _checked(points) -> tuple[ParetoPoint, ...]:
+    pts = check_items(points, "points")
     for p in pts:
         if not isinstance(p, ParetoPoint):
             raise InvalidInput(f"points must be ParetoPoints, got {type(p).__name__}")

@@ -121,7 +121,7 @@ def _assert_same_cache_state(a: MixedKVCache, b: MixedKVCache) -> None:
             np.testing.assert_array_equal(blk_a.keys_exact, blk_b.keys_exact)
         else:
             np.testing.assert_array_equal(
-                blk_a.outlier_channels, blk_b.outlier_channels
+                blk_a.assignment.channels_at(16), blk_b.assignment.channels_at(16)
             )
             np.testing.assert_array_equal(blk_a.outlier_columns, blk_b.outlier_columns)
             assert blk_a.groups.keys() == blk_b.groups.keys()

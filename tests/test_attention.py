@@ -96,7 +96,8 @@ class TestAttentionExact:
         q = np.array([[2.0, 0.0, 0.0, 0.0]])
         k = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
         w_default, _ = attention_exact(q, k, np.zeros((2, 1)), causal=False)
-        w_manual, _ = attention_exact(q, k, np.zeros((2, 1)), causal=False, scale=0.5)
+        # q . k = [2, -2], scaled by 1 / sqrt(4) to the logits [1, -1]
+        w_manual = np.exp([[1.0, -1.0]]) / np.exp([1.0, -1.0]).sum()
         np.testing.assert_allclose(w_default, w_manual, rtol=1e-12)
 
     def test_non_finite_inputs_rejected(self):
@@ -337,10 +338,8 @@ def step_loop_reference(inst, config, policy, steps) -> FidelityReport:
         if err_row.size:
             max_logit = max(max_logit, float(np.abs(err_row).max()))
 
-        _, out_exact = attention_exact(
-            q_t, keys[prefix], values[prefix], causal=False, scale=inst.scale
-        )
-        _, out_approx = attention_exact(q_t, k_hat, v_hat, causal=False, scale=inst.scale)
+        _, out_exact = attention_exact(q_t, keys[prefix], values[prefix], causal=False)
+        _, out_approx = attention_exact(q_t, k_hat, v_hat, causal=False)
         diff = out_exact - out_approx
         sq_output += float(np.dot(diff[0], diff[0]))
 

@@ -275,12 +275,18 @@ class TestResidualProtocol:
         assert cache.flushed_tokens == (earlier_flushes + 1) * residual
 
 
-def stored_fields(blk) -> list:
-    """Everything a flushed key or value block stores, in a fixed order."""
-    fields = [type(blk).__name__, blk.start, blk.length]
-    for name in ("keys_exact", "values_exact", "outlier_channels", "outlier_columns"):
-        fields.append(getattr(blk, name, None))
+def stored_fields(blk, key_blk) -> list:
+    """Everything a flushed key or value block stores, in a fixed order.
+
+    A value block covers the span of the key block flushed with it, so
+    the span is read off `key_blk`; for a key block that is the block itself.
+    """
+    fields = [type(blk).__name__, key_blk.start, key_blk.length]
     assignment = getattr(blk, "assignment", None)
+    fields.append(getattr(blk, "keys_exact", None))
+    fields.append(getattr(blk, "values_exact", None))
+    fields.append(None if assignment is None else assignment.channels_at(16))
+    fields.append(getattr(blk, "outlier_columns", None))
     fields.append(None if assignment is None else assignment.bits)
     for width, tier in sorted((blk._runs or {}).items()):
         fields.append(int(width))
@@ -299,19 +305,20 @@ def assert_same_state(got: MixedKVCache, want: MixedKVCache) -> None:
     )
     assert len(got.key_blocks) == len(want.key_blocks)
     assert len(got.value_blocks) == len(want.value_blocks)
-    # the key blocks tile [0, flushed_tokens) in order, value blocks alongside
+    # the key blocks tile [0, flushed_tokens) in order
     end = 0
-    for key_blk, value_blk in zip(got.key_blocks, got.value_blocks, strict=True):
+    for key_blk in got.key_blocks:
         assert key_blk.start == end
-        assert (value_blk.start, value_blk.length) == (key_blk.start, key_blk.length)
         end = key_blk.start + key_blk.length
     assert end == got.flushed_tokens
-    for mine, theirs in zip(got.key_blocks + got.value_blocks, want.key_blocks + want.value_blocks):
-        a, b = stored_fields(mine), stored_fields(theirs)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            assert (x is None) == (y is None)
-            assert x is None or np.array_equal(x, y)
+    pairs = zip(got.key_blocks, got.value_blocks, want.key_blocks, want.value_blocks, strict=True)
+    for got_key, got_value, want_key, want_value in pairs:
+        for mine, theirs in ((got_key, want_key), (got_value, want_value)):
+            a, b = stored_fields(mine, got_key), stored_fields(theirs, want_key)
+            assert len(a) == len(b)
+            for x, y in zip(a, b):
+                assert (x is None) == (y is None)
+                assert x is None or np.array_equal(x, y)
     assert got.assignments == want.assignments
     assert np.array_equal(got.reconstruct_keys(), want.reconstruct_keys())
     assert np.array_equal(got.reconstruct_values(), want.reconstruct_values())
@@ -481,9 +488,8 @@ class TestTierStorage:
         cache = MixedKVCache(cfg, AllocationPolicy.salience(budget=(2, 3)))
         feed_random(cache, 8, seed=6)
         blk = cache.key_blocks[0]
-        assert blk.outlier_channels.tolist() == sorted(blk.outlier_channels.tolist())
-        # the outlier channels are read off the assignment, not stored beside it
-        assert np.array_equal(blk.outlier_channels, blk.assignment.channels_at(16))
+        outlier_channels = blk.assignment.channels_at(16)
+        assert outlier_channels.tolist() == sorted(outlier_channels.tolist())
         assert blk.outlier_columns.shape == (8, 2)
         assert len(blk.groups) == 6
         # each channel column of 8 tokens splits into two runs of 4
@@ -551,11 +557,11 @@ class TestTierStorage:
                     quantize_group_oracle(column[lo : lo + g], int(bits[channel]))
                     for lo in range(0, blk.length, g)
                 )
-        for blk in cache.value_blocks:
+        for key_blk, blk in zip(cache.key_blocks, cache.value_blocks, strict=True):
             if blk.is_exact:
                 continue
             for t, runs in enumerate(blk.rows):
-                row = values[blk.start + t]
+                row = values[key_blk.start + t]
                 assert runs == tuple(
                     quantize_group_oracle(row[lo : lo + g], cfg.value_bits)
                     for lo in range(0, cfg.value_dim, g)

@@ -25,11 +25,13 @@ from kvmix import (
     decode_simulation,
     dump_from_instance,
     evaluate_grid,
+    instance_from_dump,
     pareto_frontier,
     resolve_assignment,
     salience_score,
     select_under_budget,
     threshold_grid,
+    write_records_csv,
 )
 from kvmix.attention import attention_error
 from kvmix.quant import PackedBuffer, pack_codes, quantize_group, unpack_codes
@@ -42,6 +44,7 @@ SPEC = PlantedSpec(dim=8, length=16, n_outlier_scale=1, n_outlier_query=1)
 FRONT = [ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=2.0, fidelity=1.0)]
 NAN_POINT = ParetoPoint(tau_full=1.0, tau_mid=0.5, b_eff=4.0, fidelity=NAN)
 HUGE_ROWS = (np.full((8, 4), 1e200), np.full((8, 4), 1e200), np.ones((8, 4)))
+UNOPENABLE = "no-such-directory/report.csv"
 
 PROBES = {
     "attention_error_nan_key": lambda: attention_error(
@@ -72,7 +75,6 @@ PROBES = {
     "cache_config_value_bits_2_5": lambda: CacheConfig(dim=4, value_bits=2.5),
     "salience_budget_of_three": lambda: AllocationPolicy.salience(budget=(1, 2, 3)),
     "error_only_scalar_budget": lambda: AllocationPolicy.error_only(budget=5),
-    "attention_exact_nan_scale": lambda: attention_exact(KEYS, KEYS, KEYS, scale=NAN),
     "planted_spec_negative_seed": lambda: SPEC.materialize(-1),
     "planted_spec_fractional_seed": lambda: SPEC.materialize(2.5),
     "cache_config_string_threshold": lambda: CacheConfig(dim=4, tau_full="x"),
@@ -216,6 +218,17 @@ PROBES = {
     "select_under_budget_int_point": lambda: select_under_budget([1], 2.0),
     "dump_from_bytes_str": lambda: TensorDump.from_bytes("MKVQ"),
     "dump_from_bytes_none": lambda: TensorDump.from_bytes(None),
+    "dump_from_instance_none": lambda: dump_from_instance(None),
+    "dump_from_instance_planted_spec": lambda: dump_from_instance(SPEC),
+    "instance_from_dump_none": lambda: instance_from_dump(None),
+    # a path whose directory does not exist: a write that opened the file
+    # first would raise FileNotFoundError instead
+    "write_records_csv_none": lambda: write_records_csv(UNOPENABLE, None),
+    "write_records_csv_int_record": lambda: write_records_csv(UNOPENABLE, [1]),
+    "pareto_frontier_none": lambda: pareto_frontier(None),
+    "select_under_budget_none": lambda: select_under_budget(None, 1.0),
+    "evaluate_grid_none_instances": lambda: evaluate_grid(None, SMALL),
+    "attention_exact_string_causal": lambda: attention_exact(KEYS, KEYS, KEYS, causal="no"),
 }
 
 
@@ -372,7 +385,10 @@ FROZEN_PROBES = {
     "sink_keys_exact": (True, lambda cache: cache.key_blocks[0].keys_exact.__setitem__(0, 9.0)),
     "sink_values_exact": (True, lambda cache: cache.value_blocks[0].values_exact.__setitem__(0, 9.0)),
     "outlier_columns": (True, lambda cache: cache.key_blocks[1].outlier_columns.__setitem__(0, 9.0)),
-    "outlier_channels": (True, lambda cache: cache.key_blocks[1].outlier_channels.__setitem__(0, 7)),
+    "outlier_channels": (
+        True,
+        lambda cache: cache.key_blocks[1].assignment.channels_at(16).__setitem__(0, 7),
+    ),
     "run_arrays": (
         True,
         lambda cache: [
@@ -401,7 +417,7 @@ def _frozen_cache() -> MixedKVCache:
 def test_frozen_probe_changes_nothing(probe):
     refused, write = FROZEN_PROBES[probe]
     cache, reference = _frozen_cache(), _frozen_cache()
-    assert cache.key_blocks[0].is_sink and cache.key_blocks[1].outlier_channels.size
+    assert cache.key_blocks[0].is_sink and cache.key_blocks[1].assignment.channels_at(16).size
     if refused:
         with pytest.raises(ValueError, match="read-only"):
             write(cache)

@@ -1,8 +1,10 @@
 """Public surface: every demo script and README example runs, and the
-export list is pinned."""
+export list and the exported signatures are pinned."""
 
 import argparse
+import enum
 import importlib
+import inspect
 import os
 import re
 import shlex
@@ -135,3 +137,49 @@ def test_export_list():
     ]:
         assert getattr(importlib.import_module(f"kvmix.{module}"), name).__doc__
         assert name not in kvmix.__all__ and not hasattr(kvmix, name)
+
+
+def test_public_signatures():
+    # every exported function, dataclass and class constructor, by its
+    # parameter names; exceptions and enums take no settings of their own
+    signatures = {
+        name: list(inspect.signature(obj).parameters)
+        for name, obj in vars(kvmix).items()
+        if name in kvmix.__all__
+        and not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)))
+    }
+    assert signatures == {
+        "AllocationPolicy": ["kind", "bits", "budget"],
+        "AttentionInstance": ["queries", "keys", "values", "planted"],
+        "CacheConfig": [
+            "dim", "value_dim", "group_size", "residual_len", "sink_len", "tau_full", "tau_mid",
+            "value_bits",
+        ],
+        "FidelityReport": [
+            "e_attn_frobenius", "e_attn_max", "output_error_frobenius", "effective_bits",
+            "policy_label",
+        ],
+        "KeyBlock": ["start", "length", "keys_exact", "assignment", "outlier_columns", "_runs", "_dense"],
+        "MixedKVCache": ["config", "policy"],
+        "ParetoPoint": ["tau_full", "tau_mid", "b_eff", "fidelity"],
+        "PlantedChannels": ["scale_channels", "query_channels"],
+        "PlantedSpec": ["dim", "length", "n_outlier_scale", "n_outlier_query", "overlap"],
+        "PrecisionAssignment": ["bits"],
+        "QueryAccumulator": ["dim"],
+        "TensorDump": ["sections"],
+        "ValueBlock": ["values_exact", "_runs", "_dense"],
+        "apply_rope": ["x", "positions", "theta_base"],
+        "attention_exact": ["queries", "keys", "values", "causal"],
+        "decode_simulation": ["source", "config", "policy", "steps", "seed", "return_cache"],
+        "dump_from_instance": ["inst"],
+        "evaluate_grid": ["instances", "config", "lo", "hi", "grid_points", "steps"],
+        "instance_from_dump": ["dump"],
+        "pareto_frontier": ["points"],
+        "resolve_assignment": ["policy", "importance", "sensitivity", "thresholds"],
+        "salience_score": ["importance", "sensitivity"],
+        "select_under_budget": ["frontier", "max_b_eff"],
+        "sensitivity_score": ["key_block"],
+        "threshold_grid": ["lo", "hi", "grid_points"],
+        "write_records_csv": ["path", "records"],
+        "write_records_json": ["path", "payload"],
+    }

@@ -40,6 +40,25 @@ class TestContainerRoundTrip:
         blob = small_dump().to_bytes()
         assert TensorDump.from_bytes(blob).to_bytes() == blob
 
+    @pytest.mark.parametrize(
+        "as_buffer",
+        [
+            lambda blob: np.frombuffer(blob, np.uint16),
+            lambda blob: memoryview(blob).cast("H"),
+            lambda blob: np.frombuffer(blob, np.uint8).reshape(2, -1),
+        ],
+        ids=["uint16_array", "uint16_memoryview", "uint8_matrix"],
+    )
+    def test_contiguous_buffer_reads_as_its_bytes(self, as_buffer):
+        blob = small_dump().to_bytes()
+        assert len(blob) % 2 == 0
+        assert TensorDump.from_bytes(as_buffer(blob)).to_bytes() == blob
+
+    def test_non_contiguous_buffer_rejected(self):
+        blob = small_dump().to_bytes()
+        with pytest.raises(InvalidInput, match="C-contiguous"):
+            TensorDump.from_bytes(np.frombuffer(blob + blob, np.uint8)[::2])
+
     def test_sections_survive_round_trip(self):
         out = TensorDump.from_bytes(small_dump().to_bytes())
         np.testing.assert_array_equal(out["a"], np.arange(6).reshape(2, 3))
@@ -153,10 +172,10 @@ class TestInstanceDumps:
 
     def test_section_names_carry_layer_and_head(self):
         inst = PlantedSpec(dim=4, length=4, n_outlier_scale=0, n_outlier_query=0).materialize(0)
-        dump = dump_from_instance(inst, layer=2, head=5)
-        assert "layer2/head5/q" in dump
-        assert "layer2/head5/k" in dump
-        assert "layer2/head5/v" in dump
+        dump = dump_from_instance(inst)
+        assert "layer0/head0/q" in dump
+        assert "layer0/head0/k" in dump
+        assert "layer0/head0/v" in dump
 
     def test_missing_section_rejected(self):
         dump = TensorDump()

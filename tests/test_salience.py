@@ -176,12 +176,12 @@ class TestAssignPrecision:
     def test_negative_thresholds_promote_everything(self):
         a = tiers(np.array([0.0, 0.3, 7.0]), tau_full=-1.0, tau_mid=-1.0)
         assert a.bits.tolist() == [16, 16, 16]
-        assert a.mean_bits() == 16.0
+        assert a.bits.mean() == 16.0
 
     def test_infinite_thresholds_demote_everything(self):
         a = tiers(np.array([0.0, 0.3, 7.0]), tau_full=np.inf, tau_mid=np.inf)
         assert a.bits.tolist() == [2, 2, 2]
-        assert a.mean_bits() == 2.0
+        assert a.bits.mean() == 2.0
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(InvalidThresholds):
@@ -197,7 +197,7 @@ class TestAssignPrecision:
         assert a.channels_at(BitWidth.UINT4).tolist() == [2]
         assert a.channels_at(BitWidth.UINT2).tolist() == [1, 3]
         assert a.tier_counts() == (1, 1, 2)
-        assert a.mean_bits() == pytest.approx((16 + 4 + 2 + 2) / 4)
+        assert a.bits.mean() == pytest.approx((16 + 4 + 2 + 2) / 4)
 
     def test_assignment_equality_and_hash(self):
         a = PrecisionAssignment(np.array([16, 4, 2], dtype=np.uint8))
