@@ -46,11 +46,9 @@ from .cache import CacheConfig, KeyBlock, MixedKVCache, ValueBlock
 from .errors import (
     BudgetInfeasible,
     CorruptFile,
-    EmptyWindow,
     InvalidInput,
     InvalidThresholds,
     KVMixError,
-    NothingToFlush,
     UndefinedMetric,
     UnsupportedFormat,
 )
@@ -91,14 +89,12 @@ __all__ = [
     "BudgetInfeasible",
     "CacheConfig",
     "CorruptFile",
-    "EmptyWindow",
     "FidelityReport",
     "InvalidInput",
     "InvalidThresholds",
     "KVMixError",
     "KeyBlock",
     "MixedKVCache",
-    "NothingToFlush",
     "ParetoPoint",
     "PlantedChannels",
     "PlantedSpec",

@@ -289,9 +289,11 @@ def decode_simulation(
     so the run is lossless end to end. The report's effective_bits is the
     final cache's effective_bitwidth(): 16 for a run too short to flush
     a block past the sink. With return_cache=True the final cache comes
-    back alongside the report. Logits or errors that overflow float64
-    raise InvalidInput.
+    back alongside the report; a return_cache that is not a bool, or
+    logits or errors that overflow float64, raise InvalidInput.
     """
+    if not isinstance(return_cache, bool):
+        raise InvalidInput(f"return_cache must be a bool, got {return_cache!r}")
     if isinstance(source, PlantedSpec):
         source = source.materialize(seed)
     queries, keys, values = _decode_rows(source, config, steps)

@@ -24,7 +24,7 @@ frozen into immutable, read-only storage:
 The first `sink_len` tokens of the sequence are exempt: at flush time they
 are split off into their own full-precision block and never quantized or
 scored. A final partial block simply stays in the residual buffer; callers
-may force it out with flush().
+may force it out with flush(), which does nothing when no row is buffered.
 
 Once flushed, a block never changes, so reconstructions of tokens [0, t]
 are stable under further appends. Flush boundaries, accumulator folds, and
@@ -34,11 +34,13 @@ block-at-a-time feeding of the same rows bit-identical.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidInput, NothingToFlush, UndefinedMetric, check_array, check_count
+from .errors import InvalidInput, UndefinedMetric, check_array, check_count
 from .policies import (
     AllocationPolicy,
     PolicyKind,
@@ -65,6 +67,9 @@ from .quant import (  # noqa: F401
 from .salience import QueryAccumulator, sensitivity_score
 
 __all__ = ["CacheConfig", "KeyBlock", "ValueBlock", "MixedKVCache"]
+
+# the runs of every exact block: shared and read-only, so none holds a dict
+_NO_RUNS: Mapping = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,10 @@ class CacheConfig:
 class KeyBlock:
     """One immutable flushed block of keys.
 
-    Sink blocks carry `keys_exact` and no assignment. Quantized blocks
-    carry the assignment, the columns of its channels_at(16), and for
-    each 4-/2-bit tier the arrays that _quantize_column_runs returns for
-    that tier's channels (ascending), in token runs of the configured
+    Sink blocks carry `keys_exact`, no assignment and no runs. Quantized
+    blocks carry the assignment, the columns of its channels_at(16), and
+    for each 4-/2-bit tier the arrays that _quantize_column_runs returns
+    for that tier's channels (ascending), in token runs of the configured
     group size. `groups` is a view of them.
     """
 
@@ -131,7 +136,7 @@ class KeyBlock:
     keys_exact: np.ndarray | None = None
     assignment: PrecisionAssignment | None = None
     outlier_columns: np.ndarray | None = None
-    _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
+    _runs: Mapping[BitWidth, list] = field(default_factory=lambda: _NO_RUNS, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,12 +178,13 @@ class ValueBlock:
     """One immutable flushed block of values, quantized per token.
 
     Its tokens are those of the key block flushed with it. Exact blocks
-    carry `values_exact`; quantized ones the arrays of the transposed
-    block (one column per token) at the value width; `rows` views them.
+    carry `values_exact` and no runs; quantized ones the arrays of the
+    transposed block (one column per token) at the value width; `rows`
+    views them.
     """
 
     values_exact: np.ndarray | None = None
-    _runs: dict[BitWidth, list] | None = field(default=None, repr=False)
+    _runs: Mapping[BitWidth, list] = field(default_factory=lambda: _NO_RUNS, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -209,10 +215,8 @@ class ValueBlock:
         return self._dense
 
 
-def _run_arrays(runs: dict[BitWidth, list] | None) -> list[np.ndarray]:
+def _run_arrays(runs: Mapping[BitWidth, list]) -> list[np.ndarray]:
     """The packed, zero and scale arrays of every run length of every tier."""
-    if runs is None:
-        return []
     return [arr for tier in runs.values() for _, *arrays in tier for arr in arrays]
 
 
@@ -223,23 +227,15 @@ def _freeze(*arrays: np.ndarray | None) -> None:
             arr.setflags(write=False)
 
 
-def _reconstruct(blocks, residual: np.ndarray | None, dim: int) -> np.ndarray:
-    """Every block's dense rows, then the residual rows, as one matrix."""
-    parts = [blk.dense() for blk in blocks]
-    if residual is not None:
-        parts.append(residual)
-    if not parts:
-        return np.zeros((0, dim), dtype=np.float64)
-    return np.vstack(parts)
-
-
 class MixedKVCache:
     """Streaming KV cache quantized under an allocation policy.
 
     Rows must arrive post-rotation (the cache stores keys in the form they
     are attended to, and scores queries in that same form). Under the
     FULL_PRECISION policy nothing is quantized, values included. A top-k
-    budget of more than config.dim channels raises InvalidInput.
+    budget of more than config.dim channels raises InvalidInput. The
+    residual arrays exist only while rows are buffered, and flush() with
+    none buffered changes nothing.
     """
 
     def __init__(self, config: CacheConfig, policy: AllocationPolicy | None = None):
@@ -298,14 +294,14 @@ class MixedKVCache:
         rows still buffered, so it covers every query fed so far, and adding
         to it does not change the cache.
         """
-        acc = self._running.copy()
-        if self._fill:
-            acc.add(self._residual(2))
-        return acc
+        return self._running.copy().add(self._residual(2))
 
-    def _residual(self, index: int) -> np.ndarray | None:
-        """The buffered keys (0), values (1) or queries (2); None when empty."""
-        return self._res[index][: self._fill] if self._fill else None
+    def _residual(self, index: int) -> np.ndarray:
+        """The buffered keys (0), values (1) or queries (2); zero rows when empty."""
+        if self._res is None:
+            width = self.config.value_dim if index == 1 else self.config.dim
+            return np.empty((0, width))
+        return self._res[index][: self._fill]
 
     # -- feeding ------------------------------------------------------
 
@@ -401,10 +397,8 @@ class MixedKVCache:
         any sink-region rows, then scores and quantizes the rest under the
         active policy. Every block and the new accumulator are built before
         any is stored, so a rejected flush leaves the cache unchanged.
-        Raises NothingToFlush when the residual buffer is empty.
+        With nothing buffered it freezes no block and folds no query.
         """
-        if not self._fill:
-            raise NothingToFlush("residual buffer is empty")
         # views: every array a block keeps is a copy of its rows
         keys, values, queries = (self._residual(i) for i in range(3))
         running = self._running.copy().add(queries)
@@ -464,11 +458,15 @@ class MixedKVCache:
 
     def reconstruct_keys(self) -> np.ndarray:
         """Dequantized view of every stored key row, residual included."""
-        return _reconstruct(self.key_blocks, self._residual(0), self.config.dim)
+        return self._reconstruct(0)
 
     def reconstruct_values(self) -> np.ndarray:
         """Dequantized view of every stored value row, residual included."""
-        return _reconstruct(self.value_blocks, self._residual(1), self.config.value_dim)
+        return self._reconstruct(1)
+
+    def _reconstruct(self, index: int) -> np.ndarray:
+        """Every block's dense keys (0) or values (1), then the residual rows, as one matrix."""
+        return np.vstack([pair[index].dense() for pair in self._blocks] + [self._residual(index)])
 
     # -- accounting ---------------------------------------------------
 
@@ -494,6 +492,6 @@ class MixedKVCache:
         """Count of stored (zero, scale) scalars, keys and values apart."""
         counts = {}
         for name, blocks in (("key_scalars", self.key_blocks), ("value_scalars", self.value_blocks)):
-            tiers = [runs for blk in blocks if blk._runs is not None for runs in blk._runs.values()]
+            tiers = [runs for blk in blocks for runs in blk._runs.values()]
             counts[name] = sum(2 * zero.size for runs in tiers for _, _, zero, _ in runs)
         return counts

@@ -5,10 +5,10 @@ Every failure the library raises deliberately is a subclass of
 (the CLI does exactly that to map failures onto exit codes).
 
 check_count, check_real, check_array and check_items are the input
-contract of every public function: a non-integral count, a scalar that
-is not a real number (strings included) or an integer beyond float64, a
-non-real, non-finite or wrongly shaped array, or a collection that is
-not iterable raises InvalidInput.
+contract of every public function: a non-integral or bool count, a
+scalar that is not a real number (strings included) or an integer
+beyond float64, a non-real, non-finite or wrongly shaped array, or a
+collection that is not iterable raises InvalidInput.
 """
 
 import operator
@@ -19,9 +19,6 @@ __all__ = [
     "KVMixError",
     "InvalidInput",
     "InvalidThresholds",
-    "CorruptBuffer",
-    "EmptyWindow",
-    "NothingToFlush",
     "UndefinedMetric",
     "BudgetInfeasible",
     "UnsupportedFormat",
@@ -41,20 +38,9 @@ class InvalidThresholds(InvalidInput):
     """Tier thresholds are out of order (low cutoff above the full cutoff)."""
 
 
-class CorruptBuffer(KVMixError, ValueError):
-    """A packed code buffer's byte length is inconsistent with its header."""
-
-
-class EmptyWindow(KVMixError, ValueError):
-    """An importance score was requested before any query rows were seen."""
-
-
-class NothingToFlush(KVMixError, RuntimeError):
-    """flush() was called while the residual buffer is empty."""
-
-
 class UndefinedMetric(KVMixError, RuntimeError):
-    """A cache statistic was requested before any block has been flushed."""
+    """A mean was requested over nothing: an accumulator's importance before
+    any query row, or a cache's effective bit width before any token."""
 
 
 class BudgetInfeasible(KVMixError, ValueError):
@@ -70,8 +56,10 @@ class CorruptFile(KVMixError, ValueError):
 
 
 def check_count(value, name: str, minimum: int) -> int:
-    """`value` as an int; InvalidInput for a non-integer or one below `minimum`."""
+    """`value` as an int; InvalidInput for a non-integer, a bool or one below `minimum`."""
     try:
+        if isinstance(value, bool):  # numpy's bool has no __index__ already
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None

@@ -6,7 +6,7 @@ policy kinds cover the method under study and its baselines:
 - SALIENCE ranks channels by importance * sensitivity (the query-aware
   score), either thresholded or as a budgeted top-k;
 - ERROR_ONLY ranks by sensitivity alone, ignoring the queries entirely
-  (the magnitude-only ablation);
+  (the magnitude-only ablation): salience with unit importance;
 - FIXED_UNIFORM stores every channel at one width (2 or 4 bits), the
   uniform-quantization baseline run through the same cache machinery;
 - FULL_PRECISION disables quantization altogether.
@@ -220,14 +220,15 @@ def resolve_assignment(
 
     `importance` and `sensitivity` are the block's I and S vectors;
     `thresholds` is the (tau_full, tau_mid) pair used in threshold mode.
-    SALIENCE scores channels by salience_score(I, S), ERROR_ONLY by S
-    alone, and the other kinds ignore both scores and thresholds; the
-    scores are cut by the tier rule in threshold mode and ranked in
-    budget mode. A `policy` that is not an AllocationPolicy, a
-    `thresholds` argument that is not a pair, an empty or non-finite
-    `sensitivity`, a negative score under SALIENCE or ERROR_ONLY, a
-    salience beyond float64, or a budget of more channels than
-    `sensitivity` has raises InvalidInput. It returns
+    SALIENCE scores channels by salience_score(I, S) and ERROR_ONLY by
+    salience_score(1, S), which is S; the scores are cut by the tier
+    rule in threshold mode and ranked in budget mode. The other kinds
+    store every channel at one width (16 for FULL_PRECISION), ignoring
+    both scores and thresholds. A `policy` that is not an
+    AllocationPolicy, a `thresholds` argument that is not a pair, an
+    empty or non-finite `sensitivity`, a negative score under SALIENCE
+    or ERROR_ONLY, a salience beyond float64, or a budget of more
+    channels than `sensitivity` has raises InvalidInput. It returns
     PrecisionAssignment(bits), checked as any other.
     """
     if not isinstance(policy, AllocationPolicy):
@@ -239,17 +240,12 @@ def resolve_assignment(
     sens = check_array(sensitivity, "sensitivity", 1)
     if sens.size == 0:
         raise InvalidInput("assignment must cover at least one channel")
-    if policy.kind == PolicyKind.FULL_PRECISION:
-        bits = np.full(sens.size, 16, dtype=np.uint8)
-    elif policy.kind == PolicyKind.FIXED_UNIFORM:
-        bits = np.full(sens.size, int(policy.bits), dtype=np.uint8)
+    if policy.kind in (PolicyKind.FULL_PRECISION, PolicyKind.FIXED_UNIFORM):
+        bits = np.full(sens.size, int(policy.bits or BitWidth.FULL), dtype=np.uint8)
     else:
-        if policy.kind == PolicyKind.SALIENCE:
-            scores = salience_score(importance, sens)
-        elif (sens < 0).any():  # the check salience_score makes
-            raise InvalidInput("scores are non-negative by construction")
-        else:
-            scores = sens
+        if policy.kind == PolicyKind.ERROR_ONLY:
+            importance = np.ones(sens.size)
+        scores = salience_score(importance, sens)
         if policy.budget is None:
             bits = _tier_bits(scores, *check_thresholds(tau_full, tau_mid))
         else:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptBuffer, InvalidInput, check_array, check_count
+from .errors import InvalidInput, check_array, check_count
 
 __all__ = [
     "BitWidth",
@@ -81,9 +81,8 @@ class PackedBuffer:
 
     `data` holds `length` codes of `bit_width` bits each, LSB-first within
     a byte and little-endian across bytes; the tail byte is zero-padded.
-    A width other than 2 or 4, or `data` that is not bytes, raises
-    InvalidInput; a byte count that does not fit `length` raises
-    CorruptBuffer.
+    A width other than 2 or 4, `data` that is not bytes, or a byte count
+    that does not fit `length` raises InvalidInput.
     """
 
     data: bytes
@@ -97,7 +96,7 @@ class PackedBuffer:
         check_count(self.length, "length", 0)
         expected = math.ceil(self.length * int(self.bit_width) / 8)
         if len(self.data) != expected:
-            raise CorruptBuffer(
+            raise InvalidInput(
                 f"packed buffer holds {len(self.data)} bytes, expected {expected} "
                 f"for {self.length} codes at {int(self.bit_width)} bits"
             )

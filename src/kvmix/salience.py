@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyWindow, InvalidInput, check_array, check_count
+from .errors import InvalidInput, UndefinedMetric, check_array, check_count
 
 __all__ = [
     "QueryAccumulator",
@@ -93,9 +93,9 @@ class QueryAccumulator:
         return self
 
     def importance(self) -> np.ndarray:
-        """Per-channel mean |Q| over everything folded in so far."""
+        """Per-channel mean |Q| over the rows folded in; UndefinedMetric before any."""
         if self._count == 0:
-            raise EmptyWindow("no query rows accumulated")
+            raise UndefinedMetric("no query rows accumulated")
         return self._abs_sum / self._count
 
     def copy(self) -> "QueryAccumulator":

@@ -93,6 +93,8 @@ def evaluate_candidate(
     instances = check_items(instances, "instances")
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
+    if not isinstance(config, CacheConfig):
+        raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
     candidate_config = replace(config, tau_full=tau_full, tau_mid=tau_mid)
     policy = AllocationPolicy.salience()
     fidelity = 0.0

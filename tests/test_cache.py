@@ -16,7 +16,6 @@ from kvmix import (
     InvalidInput,
     InvalidThresholds,
     MixedKVCache,
-    NothingToFlush,
     UndefinedMetric,
     sensitivity_score,
 )
@@ -124,13 +123,17 @@ class TestResidualProtocol:
         assert cache.flushed_tokens == 11
         assert cache.residual_tokens == 0
 
-    def test_flush_on_empty_buffer_raises(self):
+    def test_flush_on_empty_buffer_changes_nothing(self):
+        # on an empty cache, and right after an auto-flush
         cache = MixedKVCache(small_config())
-        with pytest.raises(NothingToFlush):
+        for n in (0, 8):
+            feed_random(cache, n)
+            state = (cache.num_tokens, cache.residual_tokens, cache.query_accumulator.count)
+            blocks = cache.key_blocks + cache.value_blocks
             cache.flush()
-        feed_random(cache, 8)
-        with pytest.raises(NothingToFlush):
-            cache.flush()
+            assert (cache.num_tokens, cache.residual_tokens, cache.query_accumulator.count) == state
+            after = cache.key_blocks + cache.value_blocks
+            assert len(after) == len(blocks) and all(a is b for a, b in zip(after, blocks))
 
     def test_position_argument_checked(self):
         cache = MixedKVCache(small_config())
@@ -366,12 +369,9 @@ class TestSegmentFeed:
         folded = np.zeros(5)  # the query statistic, folded one row at a time
         for kind, n in calls:
             if kind == "flush":
-                if split.residual_tokens:
-                    split.flush()
+                split.flush()
+                if by_row.residual_tokens:
                     by_row.flush()
-                else:
-                    with pytest.raises(NothingToFlush):
-                        split.flush()
             else:
                 if kind == "extend":
                     split.extend(keys[fed : fed + n], values[fed : fed + n], queries[fed : fed + n])

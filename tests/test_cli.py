@@ -20,7 +20,7 @@ import pytest
 import kvmix.cli
 from kvmix import PlantedSpec, TensorDump, dump_from_instance
 from kvmix.cli import main
-from kvmix.errors import CorruptBuffer
+from kvmix.errors import UndefinedMetric
 
 
 def read_csv(path):
@@ -180,10 +180,10 @@ class TestRunCommand:
 
     def test_internal_failure_exits_1(self, tmp_path, capsys, monkeypatch):
         # a library fault inside a command is not a configuration error
-        def corrupt(*args, **kwargs):
-            raise CorruptBuffer("packed buffer holds 1 bytes, expected 2")
+        def undefined(*args, **kwargs):
+            raise UndefinedMetric("the cache holds no token")
 
-        monkeypatch.setattr(kvmix.cli, "decode_simulation", corrupt)
+        monkeypatch.setattr(kvmix.cli, "decode_simulation", undefined)
         code = main(run_args(tmp_path))
         assert code == 1
         assert capsys.readouterr().err.startswith("error: failure:")

@@ -229,6 +229,21 @@ PROBES = {
     "select_under_budget_none": lambda: select_under_budget(None, 1.0),
     "evaluate_grid_none_instances": lambda: evaluate_grid(None, SMALL),
     "attention_exact_string_causal": lambda: attention_exact(KEYS, KEYS, KEYS, causal="no"),
+    "decode_simulation_string_return_cache": lambda: decode_simulation(
+        SPEC, SMALL, AllocationPolicy.salience(), return_cache="no"
+    ),
+    "evaluate_candidate_none_config": lambda: evaluate_candidate(1.0, 0.5, [SPEC.materialize(0)], None),
+    # a bool is an int to operator.index, but never a count
+    "cache_config_bool_dim": lambda: CacheConfig(dim=True),
+    "cache_append_bool_position": lambda: MixedKVCache(SMALL).append(
+        np.ones(8), np.ones(8), np.ones(8), position=False
+    ),
+    "decode_simulation_bool_steps": lambda: decode_simulation(
+        SPEC, SMALL, AllocationPolicy.salience(), steps=True
+    ),
+    "threshold_grid_bool_points": lambda: threshold_grid(0, 1, True),
+    "planted_spec_bool_length": lambda: PlantedSpec(dim=16, length=True),
+    "salience_bool_budget": lambda: AllocationPolicy.salience(budget=(True, 1)),
 }
 
 

@@ -87,14 +87,12 @@ def test_export_list():
         "BudgetInfeasible",
         "CacheConfig",
         "CorruptFile",
-        "EmptyWindow",
         "FidelityReport",
         "InvalidInput",
         "InvalidThresholds",
         "KVMixError",
         "KeyBlock",
         "MixedKVCache",
-        "NothingToFlush",
         "ParetoPoint",
         "PlantedChannels",
         "PlantedSpec",
@@ -131,7 +129,6 @@ def test_export_list():
         ("quant", "dequantize_group"),
         ("quant", "pack_codes"),
         ("quant", "unpack_codes"),
-        ("errors", "CorruptBuffer"),
         ("attention", "attention_error"),
         ("search", "evaluate_candidate"),
     ]:

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never reads.
+"""Source hygiene: no module of the package imports a name it never reads,
+and every exception type it declares is raised somewhere.
 
 A name counts as read when the module loads it anywhere (an attribute
 access like np.zeros reads np) or lists it in __all__. Imports kept on
@@ -9,6 +10,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import kvmix.errors
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kvmix"
 
@@ -55,3 +58,23 @@ def test_allowed_imports_are_still_unused():
     for module, name in sorted(ALLOWED):
         tree = ast.parse((PACKAGE / f"{module}.py").read_text())
         assert name in imported_names(tree) and name not in read_names(tree), (module, name)
+
+
+def raised_names(tree: ast.Module) -> set[str]:
+    """Every name a raise statement of the module constructs or re-raises."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_every_error_is_raised():
+    # a failure type that nothing raises is dead, like an unused import
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
+    unraised = set(kvmix.errors.__all__) - {"KVMixError"} - raised
+    assert not unraised, f"no raise statement in src/kvmix constructs {sorted(unraised)}"

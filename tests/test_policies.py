@@ -197,6 +197,17 @@ class TestResolveAssignment:
 
 
 class TestDegenerateEquivalence:
+    @pytest.mark.parametrize("budget", [None, (3, 5)], ids=["threshold", "budget"])
+    def test_error_only_is_salience_with_unit_importance(self, budget):
+        # 1 * S == S exactly, so the two policies agree bit for bit
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            imp, sens = rng.uniform(0.0, 5.0, size=(2, 16))
+            taus = tuple(sorted(rng.uniform(0.0, 5.0, size=2), reverse=True))
+            lhs = resolve_assignment(AllocationPolicy.error_only(budget), imp, sens, taus)
+            rhs = resolve_assignment(AllocationPolicy.salience(budget), np.ones(16), sens, taus)
+            assert lhs == rhs
+
     def test_constant_importance_reduces_salience_to_error_only(self):
         # with I constant, I*S is a positive multiple of S, so the two
         # rankings agree channel for channel

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvmix import BitWidth, InvalidInput
-from kvmix.errors import CorruptBuffer
 from kvmix.quant import (
     PackedBuffer,
     QuantizedGroup,
@@ -184,9 +183,9 @@ class TestPacking:
 
     def test_buffer_length_validation(self):
         # 5 two-bit codes need 2 bytes, not 1 or 3
-        with pytest.raises(CorruptBuffer):
+        with pytest.raises(InvalidInput, match="bytes, expected"):
             PackedBuffer(data=b"\x00", bit_width=BitWidth.UINT2, length=5)
-        with pytest.raises(CorruptBuffer):
+        with pytest.raises(InvalidInput, match="bytes, expected"):
             PackedBuffer(data=b"\x00\x00\x00", bit_width=BitWidth.UINT2, length=5)
         PackedBuffer(data=b"\x00\x00", bit_width=BitWidth.UINT2, length=5)
 

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 from kvmix import (
     AllocationPolicy,
     BitWidth,
-    EmptyWindow,
     InvalidInput,
     InvalidThresholds,
     PrecisionAssignment,
     QueryAccumulator,
+    UndefinedMetric,
     apply_rope,
     resolve_assignment,
     salience_score,
@@ -42,7 +42,7 @@ class TestQueryAccumulator:
 
     def test_empty_window_raises(self):
         acc = QueryAccumulator(3)
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(UndefinedMetric):
             acc.importance()
 
     def test_single_row_promoted(self):
