@@ -47,10 +47,8 @@ from .errors import (
     BudgetInfeasible,
     CorruptFile,
     InvalidInput,
-    InvalidThresholds,
     KVMixError,
     UndefinedMetric,
-    UnsupportedFormat,
 )
 from .io import (
     TensorDump,
@@ -91,7 +89,6 @@ __all__ = [
     "CorruptFile",
     "FidelityReport",
     "InvalidInput",
-    "InvalidThresholds",
     "KVMixError",
     "KeyBlock",
     "MixedKVCache",
@@ -103,7 +100,6 @@ __all__ = [
     "QueryAccumulator",
     "TensorDump",
     "UndefinedMetric",
-    "UnsupportedFormat",
     "ValueBlock",
     "apply_rope",
     "attention_exact",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, MixedKVCache
-from .errors import InvalidInput, check_array, check_count
+from .errors import InvalidInput, check_array, check_count, check_type
 from .policies import AllocationPolicy
 from .salience import _as_matrix
 
@@ -145,8 +145,7 @@ def attention_exact(queries, keys, values, causal: bool = True):
         raise InvalidInput("keys and values disagree on token count")
     if 0 in k.shape:
         raise InvalidInput(f"keys need at least one row and one channel, got shape {k.shape}")
-    if not isinstance(causal, bool):
-        raise InvalidInput(f"causal must be a bool, got {causal!r}")
+    check_type(causal, "causal", bool)
     if causal and q.shape[0] != k.shape[0]:
         raise InvalidInput("causal masking requires one query row per key row")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,10 +240,8 @@ class PlantedSpec:
 
 def _decode_rows(inst: AttentionInstance, config: CacheConfig, steps: int | None):
     """The checked (queries, keys, values) rows of an instance's first `steps` decode steps."""
-    if not isinstance(inst, AttentionInstance):
-        raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
-    if not isinstance(config, CacheConfig):
-        raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
+    check_type(inst, "instance", AttentionInstance)
+    check_type(config, "config", CacheConfig)
     steps = inst.length if steps is None else check_count(steps, "steps", 1)
     if steps > inst.length:
         raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
@@ -292,8 +289,7 @@ def decode_simulation(
     back alongside the report; a return_cache that is not a bool, or
     logits or errors that overflow float64, raise InvalidInput.
     """
-    if not isinstance(return_cache, bool):
-        raise InvalidInput(f"return_cache must be a bool, got {return_cache!r}")
+    check_type(return_cache, "return_cache", bool)
     if isinstance(source, PlantedSpec):
         source = source.materialize(seed)
     queries, keys, values = _decode_rows(source, config, steps)

@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidInput, UndefinedMetric, check_array, check_count
+from .errors import InvalidInput, UndefinedMetric, check_array, check_count, check_type
 from .policies import (
     AllocationPolicy,
     PolicyKind,
@@ -114,10 +114,6 @@ class CacheConfig:
         object.__setattr__(self, "tau_full", tau_full)
         object.__setattr__(self, "tau_mid", tau_mid)
         object.__setattr__(self, "value_bits", _as_bitwidth(self.value_bits))
-
-    @property
-    def thresholds(self) -> tuple[float, float]:
-        return (self.tau_full, self.tau_mid)
 
 
 @dataclass(eq=False)
@@ -239,12 +235,10 @@ class MixedKVCache:
     """
 
     def __init__(self, config: CacheConfig, policy: AllocationPolicy | None = None):
-        if not isinstance(config, CacheConfig):
-            raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
-        if not isinstance(policy, (AllocationPolicy, type(None))):
-            raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
-        self.config = config
-        self.policy = policy if policy is not None else AllocationPolicy.salience()
+        self.config = check_type(config, "config", CacheConfig)
+        if policy is None:
+            policy = AllocationPolicy.salience()
+        self.policy = check_type(policy, "policy", AllocationPolicy)
         if self.policy.budget is not None and sum(self.policy.budget) > config.dim:
             raise InvalidInput(f"budget {self.policy.budget} exceeds the {config.dim} channels")
         self._running = QueryAccumulator(config.dim)
@@ -432,7 +426,7 @@ class MixedKVCache:
         # only scored kinds read it, so only they reject a range beyond float64
         scored = self.policy.kind in (PolicyKind.SALIENCE, PolicyKind.ERROR_ONLY)
         sensitivity = sensitivity_score(keys) if scored else np.zeros(cfg.dim)
-        assignment = resolve_assignment(self.policy, importance, sensitivity, cfg.thresholds)
+        assignment = resolve_assignment(self.policy, importance, sensitivity, (cfg.tau_full, cfg.tau_mid))
 
         runs = {}
         for width in _QUANT_WIDTHS:

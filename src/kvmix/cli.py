@@ -35,10 +35,11 @@ point and scale at 32 bits: not the float64 the cache holds, nor the 16
 bits (fp16) that KIVI counts, which would halve the column.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
-dump file, 1 any other failure: a corrupt dump, an infeasible budget, or
-a file that cannot be read or written ("io", such as a dump path that is
-a directory or an output in a missing directory). Every failure prints a
-single "error: <category>: <detail>" line to stderr.
+dump file, 1 any other failure: a corrupt dump (an unknown magic, version
+or dtype code included), an infeasible budget, or a file that cannot be
+read or written ("io", such as a dump path that is a directory or an
+output in a missing directory). Every failure prints a single
+"error: <category>: <detail>" line to stderr.
 
 For fixed seeds and flags the CSV/JSON outputs are byte-identical across
 runs, with one documented exception: the wall_time_s column of run
@@ -56,14 +57,7 @@ import numpy as np
 
 from .attention import PlantedSpec, decode_simulation
 from .cache import CacheConfig
-from .errors import (
-    BudgetInfeasible,
-    CorruptFile,
-    InvalidInput,
-    KVMixError,
-    UnsupportedFormat,
-    check_count,
-)
+from .errors import BudgetInfeasible, CorruptFile, InvalidInput, KVMixError, check_count
 from .io import (
     TensorDump,
     instance_from_dump,
@@ -323,7 +317,7 @@ def main(argv=None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_stats(args)
-    except (UnsupportedFormat, CorruptFile) as exc:
+    except CorruptFile as exc:
         print(f"error: bad-dump: {exc}", file=sys.stderr)
         return 1
     except BudgetInfeasible as exc:

@@ -1,14 +1,16 @@
 """Exception taxonomy shared by all kvmix modules.
 
-Every failure the library raises deliberately is a subclass of
-:class:`KVMixError`, so callers can catch one type at an API boundary
-(the CLI does exactly that to map failures onto exit codes).
+Every failure the library raises deliberately is a KVMixError, of one
+of four kinds a caller tells apart (the CLI maps each to an exit code):
+InvalidInput, UndefinedMetric, BudgetInfeasible and CorruptFile.
 
-check_count, check_real, check_array and check_items are the input
-contract of every public function: a non-integral or bool count, a
-scalar that is not a real number (strings included) or an integer
-beyond float64, a non-real, non-finite or wrongly shaped array, or a
-collection that is not iterable raises InvalidInput.
+check_type, check_count, check_real, check_array and check_items are
+the input contract of every public function: an argument of the wrong
+type, a non-integral count, a scalar that is not a real number (strings
+included) or an integer beyond float64, a non-real, non-finite or
+wrongly shaped array, or a collection that is not iterable raises
+InvalidInput. A bool is not a number: no count, real or array check
+takes True, False, a numpy bool or a bool array.
 """
 
 import operator
@@ -18,10 +20,8 @@ import numpy as np
 __all__ = [
     "KVMixError",
     "InvalidInput",
-    "InvalidThresholds",
     "UndefinedMetric",
     "BudgetInfeasible",
-    "UnsupportedFormat",
     "CorruptFile",
 ]
 
@@ -34,10 +34,6 @@ class InvalidInput(KVMixError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class InvalidThresholds(InvalidInput):
-    """Tier thresholds are out of order (low cutoff above the full cutoff)."""
-
-
 class UndefinedMetric(KVMixError, RuntimeError):
     """A mean was requested over nothing: an accumulator's importance before
     any query row, or a cache's effective bit width before any token."""
@@ -47,12 +43,17 @@ class BudgetInfeasible(KVMixError, ValueError):
     """No frontier point satisfies the requested bit budget."""
 
 
-class UnsupportedFormat(KVMixError, ValueError):
-    """A tensor dump has an unknown magic tag or version."""
-
-
 class CorruptFile(KVMixError, ValueError):
-    """A tensor dump is truncated or internally inconsistent."""
+    """A tensor dump has an unknown magic, version or dtype code, or is
+    truncated or internally inconsistent."""
+
+
+def check_type(x, name: str, cls: type):
+    """`x` itself; InvalidInput unless it is an instance of `cls`."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise InvalidInput(f"{name} must be {article} {cls.__name__}, got {type(x).__name__}")
+    return x
 
 
 def check_count(value, name: str, minimum: int) -> int:
@@ -77,17 +78,17 @@ def check_items(x, name: str) -> tuple:
 
 
 def _parses_as_non_real(arr: np.ndarray) -> bool:
-    """Whether `arr` holds text or complex numbers, which a float64 cast parses or truncates."""
+    """Whether `arr` holds text, bools or complex numbers, which a float64 cast would take."""
     if arr.dtype.kind == "O":
-        return any(isinstance(v, (str, bytes)) for v in arr.flat)
-    return arr.dtype.kind in "USc"
+        return any(isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat)
+    return arr.dtype.kind in "USbc"
 
 
 def check_real(x, name: str) -> float:
     """`x` as a float; InvalidInput unless it is a real number.
 
-    A numeric string, which float() would parse, is rejected too. NaN and
-    the infinities pass; callers decide what they mean.
+    A numeric string or a bool, which float() would take, is rejected
+    too. NaN and the infinities pass; callers decide what they mean.
     """
     try:
         if _parses_as_non_real(np.asarray(x)):
@@ -103,8 +104,8 @@ def check_array(x, name: str, ndim) -> np.ndarray:
     """`x` as a finite float64 array with `ndim` axes (an int or a tuple of ints).
 
     Raises InvalidInput when `x` does not convert, is or holds a string
-    (even a numeric one) or a complex number, has another number of
-    axes, or holds a NaN or an infinity.
+    (even a numeric one), a bool or a complex number, has another number
+    of axes, or holds a NaN or an infinity.
     """
     try:
         arr = np.asarray(x)

@@ -15,9 +15,10 @@ The container is a flat sequence of named float32 sections:
 
 Attention traces store one section per tensor under "layer0/head0/{q|k|v}".
 A blob is read as bytes, whatever the item size of its buffer. An unknown
-magic or version is rejected as UnsupportedFormat; truncation or internal
-inconsistency as CorruptFile; a blob that is not bytes-like (a str, None)
-or not C-contiguous as InvalidInput.
+magic, version or dtype code, truncation or internal inconsistency is
+rejected as CorruptFile; a blob that is not bytes-like (a str, None) or
+not C-contiguous as InvalidInput, as is an argument of the wrong type
+(check_type) or a section of bools, text or complex numbers.
 Payload bytes round-trip exactly (write then read is bit-identical).
 
 Report writers emit the same records as comma-separated rows and as a
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import AttentionInstance
-from .errors import CorruptFile, InvalidInput, UnsupportedFormat, _parses_as_non_real, check_items
+from .errors import CorruptFile, InvalidInput, _parses_as_non_real, check_items, check_type
 
 __all__ = [
     "TensorDump",
@@ -64,8 +65,8 @@ class TensorDump:
     sections: dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, name: str, array) -> "TensorDump":
-        if not isinstance(name, str) or not name:
-            raise InvalidInput(f"section name must be a non-empty string, got {name!r}")
+        if not check_type(name, "section name", str):
+            raise InvalidInput("section name must not be empty")
         if len(name.encode("utf-8")) > 0xFFFF:
             raise InvalidInput("section name too long")
         if name in self.sections:
@@ -112,6 +113,7 @@ class TensorDump:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TensorDump":
+        """Parse `blob`; CorruptFile for an unknown magic, version or dtype code, or a corrupt body."""
         try:
             view = memoryview(blob).cast("B")
         except TypeError:
@@ -129,12 +131,12 @@ class TensorDump:
 
         magic = bytes(take(4, "magic"))
         if magic != MAGIC:
-            raise UnsupportedFormat(f"unknown magic {magic!r}")
+            raise CorruptFile(f"unknown magic {magic!r}")
         version, dtype_code, count = struct.unpack("<BBI", take(6, "header"))
         if version != VERSION:
-            raise UnsupportedFormat(f"unsupported version {version}")
+            raise CorruptFile(f"unsupported version {version}")
         if dtype_code != _DTYPE_F32:
-            raise UnsupportedFormat(f"unsupported dtype code {dtype_code}")
+            raise CorruptFile(f"unsupported dtype code {dtype_code}")
 
         dump = cls()
         for _ in range(count):
@@ -167,8 +169,7 @@ class TensorDump:
 
 def dump_from_instance(inst: AttentionInstance) -> TensorDump:
     """Store an attention instance as its layer0/head0/{q,k,v} sections."""
-    if not isinstance(inst, AttentionInstance):
-        raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
+    check_type(inst, "instance", AttentionInstance)
     dump = TensorDump()
     for tensor, arr in (("q", inst.queries), ("k", inst.keys), ("v", inst.values)):
         dump.add(f"layer0/head0/{tensor}", arr)
@@ -177,8 +178,7 @@ def dump_from_instance(inst: AttentionInstance) -> TensorDump:
 
 def instance_from_dump(dump: TensorDump) -> AttentionInstance:
     """Rebuild an attention instance from its layer0/head0 q/k/v sections (cast to float64)."""
-    if not isinstance(dump, TensorDump):
-        raise InvalidInput(f"dump must be a TensorDump, got {type(dump).__name__}")
+    check_type(dump, "dump", TensorDump)
     tensors = {}
     for tensor in ("q", "k", "v"):
         name = f"layer0/head0/{tensor}"
@@ -221,8 +221,7 @@ def write_records_csv(path, records) -> None:
     """
     records = check_items(records, "records")
     for record in records:
-        if not isinstance(record, dict):
-            raise InvalidInput(f"records must be dicts, got {type(record).__name__}")
+        check_type(record, "record", dict)
         if record.keys() != records[0].keys():
             raise InvalidInput(f"record keys {list(record)} differ from the header {list(records[0])}")
     columns = list(records[0]) if records else []

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, InvalidThresholds, check_array, check_count, check_real
+from .errors import InvalidInput, check_array, check_count, check_real, check_type
 from .quant import BitWidth, _as_bitwidth
 from .salience import salience_score
 
@@ -54,15 +54,14 @@ def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
     """Validate a (tau_full, tau_mid) pair and return it as floats.
 
     Raises InvalidInput for a threshold that is not a number (a numeric
-    string included), and InvalidThresholds for a NaN threshold or
-    tau_mid > tau_full (the tiers would overlap). Infinite thresholds are
-    legal sentinels.
+    string or a bool included), a NaN threshold, or tau_mid > tau_full
+    (the tiers would overlap). Infinite thresholds are legal sentinels.
     """
     tau_full, tau_mid = check_real(tau_full, "tau_full"), check_real(tau_mid, "tau_mid")
     if math.isnan(tau_full) or math.isnan(tau_mid):
-        raise InvalidThresholds("thresholds must not be NaN")
+        raise InvalidInput("thresholds must not be NaN")
     if tau_mid > tau_full:
-        raise InvalidThresholds(
+        raise InvalidInput(
             f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
         )
     return tau_full, tau_mid
@@ -231,8 +230,7 @@ def resolve_assignment(
     channels than `sensitivity` has raises InvalidInput. It returns
     PrecisionAssignment(bits), checked as any other.
     """
-    if not isinstance(policy, AllocationPolicy):
-        raise InvalidInput(f"policy must be an AllocationPolicy, got {type(policy).__name__}")
+    check_type(policy, "policy", AllocationPolicy)
     try:
         tau_full, tau_mid = thresholds
     except (TypeError, ValueError):

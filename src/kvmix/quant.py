@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, check_array, check_count
+from .errors import InvalidInput, check_array, check_count, check_type
 
 __all__ = [
     "BitWidth",
@@ -91,8 +91,7 @@ class PackedBuffer:
 
     def __post_init__(self):
         object.__setattr__(self, "bit_width", _require_quant_width(self.bit_width))
-        if not isinstance(self.data, bytes):
-            raise InvalidInput(f"packed data must be bytes, got {type(self.data).__name__}")
+        check_type(self.data, "packed data", bytes)
         check_count(self.length, "length", 0)
         expected = math.ceil(self.length * int(self.bit_width) / 8)
         if len(self.data) != expected:

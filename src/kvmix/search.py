@@ -39,7 +39,9 @@ import numpy as np
 
 from .attention import AttentionInstance, _decode_rows, decode_simulation
 from .cache import CacheConfig, MixedKVCache
-from .errors import BudgetInfeasible, InvalidInput, check_array, check_count, check_items, check_real
+from .errors import (
+    BudgetInfeasible, InvalidInput, check_array, check_count, check_items, check_real, check_type
+)
 from .policies import AllocationPolicy, _tier_bits
 from .quant import BitWidth
 from .salience import QueryAccumulator, salience_score, sensitivity_score
@@ -93,15 +95,13 @@ def evaluate_candidate(
     instances = check_items(instances, "instances")
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
-    if not isinstance(config, CacheConfig):
-        raise InvalidInput(f"config must be a CacheConfig, got {type(config).__name__}")
+    check_type(config, "config", CacheConfig)
     candidate_config = replace(config, tau_full=tau_full, tau_mid=tau_mid)
     policy = AllocationPolicy.salience()
     fidelity = 0.0
     b_eff = 0.0
     for inst in instances:
-        if not isinstance(inst, AttentionInstance):
-            raise InvalidInput(f"instance must be an AttentionInstance, got {type(inst).__name__}")
+        check_type(inst, "instance", AttentionInstance)
         report = decode_simulation(inst, candidate_config, policy, steps=steps)
         fidelity += report.e_attn_frobenius
         b_eff += report.effective_bits
@@ -249,8 +249,7 @@ def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:
 def _checked(points) -> tuple[ParetoPoint, ...]:
     pts = check_items(points, "points")
     for p in pts:
-        if not isinstance(p, ParetoPoint):
-            raise InvalidInput(f"points must be ParetoPoints, got {type(p).__name__}")
+        check_type(p, "point", ParetoPoint)
         if math.isnan(p.b_eff) or math.isnan(p.fidelity):
             raise InvalidInput("a point's b_eff or fidelity is NaN")
     return pts

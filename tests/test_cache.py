@@ -14,7 +14,6 @@ from kvmix import (
     BitWidth,
     CacheConfig,
     InvalidInput,
-    InvalidThresholds,
     MixedKVCache,
     UndefinedMetric,
     sensitivity_score,
@@ -62,11 +61,11 @@ class TestCacheConfig:
             CacheConfig(dim=4, group_size=3, residual_len=8)
 
     def test_threshold_ordering(self):
-        with pytest.raises(InvalidThresholds):
+        with pytest.raises(InvalidInput):
             CacheConfig(dim=4, tau_full=0.2, tau_mid=0.9)
 
     def test_nan_threshold_rejected(self):
-        with pytest.raises(InvalidThresholds):
+        with pytest.raises(InvalidInput):
             CacheConfig(dim=4, tau_full=float("nan"))
 
     def test_negative_sink_rejected(self):
@@ -83,9 +82,9 @@ class TestCacheConfig:
         cfg = CacheConfig(dim=6)
         assert cfg.value_dim == 6
 
-    def test_thresholds_property(self):
+    def test_threshold_fields(self):
         cfg = CacheConfig(dim=4, tau_full=1.5, tau_mid=0.25)
-        assert cfg.thresholds == (1.5, 0.25)
+        assert (cfg.tau_full, cfg.tau_mid) == (1.5, 0.25)
 
     def test_defaults(self):
         cfg = CacheConfig(dim=64)

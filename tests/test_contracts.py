@@ -244,6 +244,11 @@ PROBES = {
     "threshold_grid_bool_points": lambda: threshold_grid(0, 1, True),
     "planted_spec_bool_length": lambda: PlantedSpec(dim=16, length=True),
     "salience_bool_budget": lambda: AllocationPolicy.salience(budget=(True, 1)),
+    # nor a real number or an array element
+    "cache_config_bool_thresholds": lambda: CacheConfig(dim=4, tau_full=True, tau_mid=False),
+    "select_under_budget_bool_budget": lambda: select_under_budget(FRONT, True),
+    "quantize_group_bools": lambda: quantize_group([True, False], 2),
+    "dump_add_bools": lambda: TensorDump().add("flags", [True, False]),
 }
 
 

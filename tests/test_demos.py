@@ -89,7 +89,6 @@ def test_export_list():
         "CorruptFile",
         "FidelityReport",
         "InvalidInput",
-        "InvalidThresholds",
         "KVMixError",
         "KeyBlock",
         "MixedKVCache",
@@ -101,7 +100,6 @@ def test_export_list():
         "QueryAccumulator",
         "TensorDump",
         "UndefinedMetric",
-        "UnsupportedFormat",
         "ValueBlock",
         "apply_rope",
         "attention_exact",

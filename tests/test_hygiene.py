@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never reads,
-and every exception type it declares is raised somewhere.
+every exception type it declares is raised somewhere, and a wrong-typed
+argument is rejected through errors.check_type, not a hand-written check.
 
 A name counts as read when the module loads it anywhere (an attribute
 access like np.zeros reads np) or lists it in __all__. Imports kept on
@@ -78,3 +79,33 @@ def test_every_error_is_raised():
         raised |= raised_names(ast.parse(path.read_text(), filename=str(path)))
     unraised = set(kvmix.errors.__all__) - {"KVMixError"} - raised
     assert not unraised, f"no raise statement in src/kvmix constructs {sorted(unraised)}"
+
+
+def hand_written_type_checks(tree: ast.Module) -> list[int]:
+    """Lines of each `if` whose test holds `not isinstance(...)` and whose body raises InvalidInput."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.If):
+            continue
+        negated = any(
+            isinstance(sub, ast.UnaryOp)
+            and isinstance(sub.op, ast.Not)
+            and isinstance(sub.operand, ast.Call)
+            and isinstance(sub.operand.func, ast.Name)
+            and sub.operand.func.id == "isinstance"
+            for sub in ast.walk(node.test)
+        )
+        if negated and "InvalidInput" in raised_names(ast.Module(body=node.body, type_ignores=[])):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_type_checks_go_through_check_type():
+    # one checker words every wrong-type rejection, so none is written by hand
+    sites = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "errors.py"
+        for line in hand_written_type_checks(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not sites, f"use errors.check_type instead of the checks at {sites}"

@@ -16,7 +16,6 @@ from kvmix import (
     InvalidInput,
     PlantedSpec,
     TensorDump,
-    UnsupportedFormat,
     dump_from_instance,
     instance_from_dump,
     write_records_csv,
@@ -86,19 +85,19 @@ class TestContainerValidation:
     def test_flipped_magic_rejected(self):
         blob = bytearray(small_dump().to_bytes())
         blob[0] ^= 0xFF
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(CorruptFile):
             TensorDump.from_bytes(bytes(blob))
 
     def test_unknown_version_rejected(self):
         blob = bytearray(small_dump().to_bytes())
         blob[4] = 99
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(CorruptFile):
             TensorDump.from_bytes(bytes(blob))
 
     def test_unknown_dtype_rejected(self):
         blob = bytearray(small_dump().to_bytes())
         blob[5] = 7
-        with pytest.raises(UnsupportedFormat):
+        with pytest.raises(CorruptFile):
             TensorDump.from_bytes(bytes(blob))
 
     def test_truncated_payload_rejected(self):

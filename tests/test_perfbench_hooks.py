@@ -75,8 +75,7 @@ def test_accounting_matches_the_storage_arrays(monkeypatch):
         scored = [blk for blk in cache.key_blocks if not blk.is_sink]
         assert scored and cache.key_blocks[0].is_sink and cache.residual_tokens == 3
         assert all(set(blk.assignment.bits.tolist()) == {2, 4, 16} for blk in scored)
-        tiers = [runs for blk in cache.key_blocks + cache.value_blocks
-                 if blk._runs is not None for runs in blk._runs.values()]
+        tiers = [runs for blk in cache.key_blocks + cache.value_blocks for runs in blk._runs.values()]
         assert {size for runs in tiers for size, *_ in runs} == {4, 2}
 
         payload = sum(packed.nbytes + 16 * zero.size for runs in tiers for _, packed, zero, _ in runs)

@@ -17,7 +17,6 @@ from kvmix import (
     AllocationPolicy,
     BitWidth,
     InvalidInput,
-    InvalidThresholds,
     PrecisionAssignment,
     QueryAccumulator,
     UndefinedMetric,
@@ -184,11 +183,11 @@ class TestAssignPrecision:
         assert a.bits.mean() == 2.0
 
     def test_threshold_ordering_enforced(self):
-        with pytest.raises(InvalidThresholds):
+        with pytest.raises(InvalidInput):
             tiers(np.array([1.0]), tau_full=0.5, tau_mid=1.0)
 
     def test_nan_threshold_rejected(self):
-        with pytest.raises(InvalidThresholds):
+        with pytest.raises(InvalidInput):
             tiers(np.array([1.0]), tau_full=np.nan, tau_mid=0.0)
 
     def test_channels_at_and_counts(self):

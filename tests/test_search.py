@@ -24,7 +24,6 @@ from kvmix import (
     BudgetInfeasible,
     CacheConfig,
     InvalidInput,
-    InvalidThresholds,
     MixedKVCache,
     ParetoPoint,
     PlantedSpec,
@@ -188,7 +187,7 @@ class TestEvaluation:
 
     def test_inverted_thresholds_rejected(self):
         inst = self.SPEC.materialize(0)
-        with pytest.raises(InvalidThresholds):
+        with pytest.raises(InvalidInput):
             evaluate_candidate(0.5, 1.0, [inst], self.CFG)
 
     def test_candidate_averages_over_instances(self):
