@@ -297,7 +297,7 @@ def decode_simulation(
     cache.extend(keys, values, queries)
     delta = keys - cache.reconstruct_keys()
     value_err = values - cache.reconstruct_values()
-    scale = 1.0 / math.sqrt(config.dim)
+    scale = source.scale
     rows = min(_DECODE_CHUNK, len(keys))
     future = np.triu(np.ones((rows, rows), dtype=bool), 1)
     buffers = np.empty((4, rows * len(keys)))

@@ -26,10 +26,10 @@ are split off into their own full-precision block and never quantized or
 scored. A final partial block simply stays in the residual buffer; callers
 may force it out with flush(), which does nothing when no row is buffered.
 
-Once flushed, a block never changes, so reconstructions of tokens [0, t]
-are stable under further appends. Flush boundaries, accumulator folds, and
-packing are all deterministic, which makes token-at-a-time feeding and
-block-at-a-time feeding of the same rows bit-identical.
+Once flushed, a block never changes (no field can be assigned and its
+arrays are read-only), so reconstructions of tokens [0, t] are stable under
+further appends. Flush boundaries, folds and packing are deterministic,
+so token- and block-at-a-time feeding of the same rows are bit-identical.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class CacheConfig:
         object.__setattr__(self, "value_bits", _as_bitwidth(self.value_bits))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class KeyBlock:
     """One immutable flushed block of keys.
 
@@ -124,7 +124,7 @@ class KeyBlock:
     blocks carry the assignment, the columns of its channels_at(16), and
     for each 4-/2-bit tier the arrays that _quantize_column_runs returns
     for that tier's channels (ascending), in token runs of the configured
-    group size. `groups` is a view of them.
+    group size. `groups` is a view of them, empty for a sink.
     """
 
     start: int
@@ -133,7 +133,7 @@ class KeyBlock:
     assignment: PrecisionAssignment | None = None
     outlier_columns: np.ndarray | None = None
     _runs: Mapping[BitWidth, list] = field(default_factory=lambda: _NO_RUNS, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self.keys_exact, self.outlier_columns, *_run_arrays(self._runs))
@@ -143,10 +143,8 @@ class KeyBlock:
         return self.keys_exact is not None
 
     @property
-    def groups(self) -> dict[int, tuple[QuantizedGroup, ...]] | None:
-        """{channel: its groups} by ascending channel, built on each call; None for a sink."""
-        if self.is_sink:
-            return None
+    def groups(self) -> dict[int, tuple[QuantizedGroup, ...]]:
+        """{channel: its groups} by ascending channel, built on each call; empty for a sink."""
         by_channel = {}
         for width, runs in self._runs.items():
             channels = self.assignment.channels_at(width).tolist()
@@ -157,7 +155,7 @@ class KeyBlock:
         """Reconstructed (length, dim) block; cached and read-only."""
         if self._dense is None:
             if self.is_sink:
-                self._dense = self.keys_exact
+                out = self.keys_exact
             else:
                 out = np.empty((self.length, self.assignment.dim), dtype=np.float64)
                 out[:, self.assignment.channels_at(BitWidth.FULL)] = self.outlier_columns
@@ -165,23 +163,23 @@ class KeyBlock:
                     channels = self.assignment.channels_at(width)
                     out[:, channels] = _dequantize_column_runs(runs, width).T
                 _freeze(out)
-                self._dense = out
+            object.__setattr__(self, "_dense", out)
         return self._dense
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ValueBlock:
     """One immutable flushed block of values, quantized per token.
 
     Its tokens are those of the key block flushed with it. Exact blocks
     carry `values_exact` and no runs; quantized ones the arrays of the
     transposed block (one column per token) at the value width; `rows`
-    views them.
+    views them, empty for an exact block.
     """
 
     values_exact: np.ndarray | None = None
     _runs: Mapping[BitWidth, list] = field(default_factory=lambda: _NO_RUNS, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _freeze(self.values_exact, *_run_arrays(self._runs))
@@ -191,23 +189,20 @@ class ValueBlock:
         return self.values_exact is not None
 
     @property
-    def rows(self) -> tuple[tuple[QuantizedGroup, ...], ...] | None:
-        """Each token's groups, built on each call; None for an exact block."""
-        if self.is_exact:
-            return None
-        ((width, runs),) = self._runs.items()
-        return tuple(_column_groups(runs, width))
+    def rows(self) -> tuple[tuple[QuantizedGroup, ...], ...]:
+        """Each token's groups, built on each call; empty for an exact block."""
+        return tuple(row for width, tier in self._runs.items() for row in _column_groups(tier, width))
 
     def dense(self) -> np.ndarray:
         """Reconstructed (length, dim) block; cached and read-only."""
         if self._dense is None:
             if self.is_exact:
-                self._dense = self.values_exact
+                out = self.values_exact
             else:
                 ((width, runs),) = self._runs.items()
                 out = _dequantize_column_runs(runs, width)
                 _freeze(out)
-                self._dense = out
+            object.__setattr__(self, "_dense", out)
         return self._dense
 
 

@@ -282,9 +282,7 @@ def _cmd_stats(args) -> int:
     assignment = resolve_assignment(
         AllocationPolicy.salience(), importance, sensitivity, (tau_full, tau_mid)
     )
-    if importance.std() == 0.0 or sensitivity.std() == 0.0:
-        pearson = float("nan")
-    else:
+    with np.errstate(invalid="ignore", divide="ignore"):  # a constant vector gives NaN
         pearson = float(np.corrcoef(importance, sensitivity)[0, 1])
 
     records = [

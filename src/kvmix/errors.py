@@ -7,10 +7,10 @@ InvalidInput, UndefinedMetric, BudgetInfeasible and CorruptFile.
 check_type, check_count, check_real, check_array and check_items are
 the input contract of every public function: an argument of the wrong
 type, a non-integral count, a scalar that is not a real number (strings
-included) or an integer beyond float64, a non-real, non-finite or
-wrongly shaped array, or a collection that is not iterable raises
-InvalidInput. A bool is not a number: no count, real or array check
-takes True, False, a numpy bool or a bool array.
+included), a NaN, an integer beyond float64 (an infinity passes), a non-real,
+non-finite or wrongly shaped array, or a non-iterable collection raises
+InvalidInput. A bool is not a number: no count, real or array check takes
+True, False, a numpy bool, a bool array or a list holding a bool.
 """
 
 import operator
@@ -77,27 +77,32 @@ def check_items(x, name: str) -> tuple:
         raise InvalidInput(f"{name} must be iterable, got {type(x).__name__}") from None
 
 
-def _parses_as_non_real(arr: np.ndarray) -> bool:
-    """Whether `arr` holds text, bools or complex numbers, which a float64 cast would take."""
-    if arr.dtype.kind == "O":
-        return any(isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat)
-    return arr.dtype.kind in "USbc"
+def _parses_as_non_real(x, arr: np.ndarray) -> bool:
+    """Whether `arr`, np.asarray(x), holds what a float64 cast takes: text, bools, complex."""
+    if arr.dtype.kind in "USbc":
+        return True
+    # numpy casts [0.5, True] to floats, so the items of a non-ndarray container are scanned
+    scan = arr.dtype.kind == "O" or (arr.ndim > 0 and not isinstance(x, np.ndarray))
+    return scan and any(isinstance(v, (str, bytes, bool, np.bool_)) for v in np.asarray(x, dtype=object).flat)
 
 
 def check_real(x, name: str) -> float:
-    """`x` as a float; InvalidInput unless it is a real number.
+    """`x` as a float; InvalidInput unless it is a real number other than NaN.
 
     A numeric string or a bool, which float() would take, is rejected
-    too. NaN and the infinities pass; callers decide what they mean.
+    too. The infinities pass; callers decide what they mean.
     """
     try:
-        if _parses_as_non_real(np.asarray(x)):
+        if _parses_as_non_real(x, np.asarray(x)):
             raise TypeError
-        return float(x)
+        value = float(x)
     except OverflowError:
         raise InvalidInput(f"{name} is an integer beyond the float64 range") from None
     except (TypeError, ValueError):
         raise InvalidInput(f"{name} must be a number, got {x!r}") from None
+    if value != value:  # NaN, the one float unequal to itself; np.isnan costs 30 times more
+        raise InvalidInput(f"{name} must not be NaN")
+    return value
 
 
 def check_array(x, name: str, ndim) -> np.ndarray:
@@ -109,10 +114,10 @@ def check_array(x, name: str, ndim) -> np.ndarray:
     """
     try:
         arr = np.asarray(x)
-        if arr.dtype != np.float64:
-            if _parses_as_non_real(arr):
+        if arr.dtype != np.float64 or not isinstance(x, np.ndarray):
+            if _parses_as_non_real(x, arr):
                 raise TypeError
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise InvalidInput(f"{name} must be numeric") from None
     if arr.ndim not in (ndim if isinstance(ndim, tuple) else (ndim,)):

@@ -73,7 +73,7 @@ class TensorDump:
             raise InvalidInput(f"duplicate section {name!r}")
         try:
             source = np.asarray(array)
-            if _parses_as_non_real(source):
+            if _parses_as_non_real(array, source):
                 raise TypeError
             with np.errstate(over="ignore"):
                 arr = source.astype(np.float32, copy=False)

@@ -33,7 +33,6 @@ scores to a PrecisionAssignment; every cache flush calls it.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +57,6 @@ def check_thresholds(tau_full, tau_mid) -> tuple[float, float]:
     (the tiers would overlap). Infinite thresholds are legal sentinels.
     """
     tau_full, tau_mid = check_real(tau_full, "tau_full"), check_real(tau_mid, "tau_mid")
-    if math.isnan(tau_full) or math.isnan(tau_mid):
-        raise InvalidInput("thresholds must not be NaN")
     if tau_mid > tau_full:
         raise InvalidInput(
             f"lower threshold {tau_mid} exceeds upper threshold {tau_full}"
@@ -236,8 +233,6 @@ def resolve_assignment(
     except (TypeError, ValueError):
         raise InvalidInput(f"thresholds is a pair (tau_full, tau_mid), got {thresholds!r}") from None
     sens = check_array(sensitivity, "sensitivity", 1)
-    if sens.size == 0:
-        raise InvalidInput("assignment must cover at least one channel")
     if policy.kind in (PolicyKind.FULL_PRECISION, PolicyKind.FIXED_UNIFORM):
         bits = np.full(sens.size, int(policy.bits or BitWidth.FULL), dtype=np.uint8)
     else:

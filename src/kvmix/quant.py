@@ -232,11 +232,9 @@ def pack_codes(codes, bits) -> PackedBuffer:
     """
     width = _require_quant_width(bits)
     arr = check_array(codes, "codes", (0, 1)).reshape(-1)
-    if arr.size == 0:
-        return PackedBuffer(b"", width, 0)
     if not np.all(arr == np.trunc(arr)):
         raise InvalidInput("codes must be integers")
-    if arr.min() < 0 or arr.max() >= 2 ** int(width):
+    if np.any((arr < 0) | (arr >= 2 ** int(width))):
         raise InvalidInput(f"codes out of range for {int(width)}-bit storage")
 
     packed = _pack_columns(arr.astype(np.uint8)[:, None], int(width))

@@ -79,11 +79,8 @@ class QueryAccumulator:
             raise InvalidInput(
                 f"q_block has {q.shape[1]} channels, accumulator expects {self.dim}"
             )
-        if q.size == 0:
-            return self
-        folded = np.abs(q)
+        folded = np.vstack([self._abs_sum, np.abs(q)])
         with np.errstate(over="ignore"):
-            folded[0] += self._abs_sum
             np.add.accumulate(folded, axis=0, out=folded)
         # the fold only grows, so an overflow anywhere shows in the last row
         if not np.isfinite(folded[-1]).all():
@@ -115,7 +112,7 @@ def sensitivity_score(key_block) -> np.ndarray:
     range that overflows float64.
     """
     keys = _as_matrix(key_block, "key_block")
-    if keys.shape[0] == 0 or keys.size == 0:
+    if keys.size == 0:
         raise InvalidInput("key block must contain at least one row")
     with np.errstate(over="ignore"):
         span = keys.max(axis=0) - keys.min(axis=0)

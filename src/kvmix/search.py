@@ -250,8 +250,8 @@ def _checked(points) -> tuple[ParetoPoint, ...]:
     pts = check_items(points, "points")
     for p in pts:
         check_type(p, "point", ParetoPoint)
-        if math.isnan(p.b_eff) or math.isnan(p.fidelity):
-            raise InvalidInput("a point's b_eff or fidelity is NaN")
+        check_real(p.b_eff, "b_eff")
+        check_real(p.fidelity, "fidelity")
     return pts
 
 
@@ -261,8 +261,8 @@ def pareto_frontier(points) -> list[ParetoPoint]:
     A point is dominated when some other point is no worse on both
     objectives and strictly better on at least one. Exact objective ties
     survive together. The result is invariant to input order. An item
-    that is not a ParetoPoint, or a point whose b_eff or fidelity is NaN,
-    raises InvalidInput.
+    that is not a ParetoPoint, or a point whose b_eff or fidelity is not
+    a number or is NaN, raises InvalidInput.
     """
     pts = _checked(points)
     if not pts:
@@ -275,14 +275,12 @@ def select_under_budget(frontier, max_b_eff: float) -> ParetoPoint:
     """Most faithful frontier point with b_eff <= max_b_eff.
 
     Raises BudgetInfeasible when every point exceeds the budget, and
-    InvalidInput for a budget that is not a number or is NaN, an item
-    that is not a ParetoPoint, or a point whose b_eff or fidelity is NaN;
-    +inf selects the global minimum.
+    InvalidInput for a budget, or a point's b_eff or fidelity, that is
+    not a number or is NaN, or an item that is not a ParetoPoint; +inf
+    selects the global minimum.
     Fidelity ties resolve to the cheaper point.
     """
     max_b_eff = check_real(max_b_eff, "max_b_eff")
-    if math.isnan(max_b_eff):
-        raise InvalidInput("max_b_eff must not be NaN")
     feasible = [p for p in _checked(frontier) if p.b_eff <= max_b_eff]
     if not feasible:
         raise BudgetInfeasible(f"no evaluated point stores keys at <= {max_b_eff} bits per element")

@@ -9,7 +9,6 @@ Run with -s (or read the captured-output section) to see the lines.
 """
 
 import itertools
-import math
 import time
 from contextlib import contextmanager
 

@@ -410,6 +410,7 @@ class TestSinkHandling:
         cache = MixedKVCache(small_config(sink_len=2))
         feed_random(cache, 8)
         assert cache.key_blocks[0].is_sink
+        assert cache.key_blocks[0].groups == {}
         assert cache.assignments[0] is None
         assert cache.assignments[1] is not None
 
@@ -520,12 +521,11 @@ class TestTierStorage:
         )
         assert one.assignments == two.assignments
         for a, b in zip(one.key_blocks, two.key_blocks):
-            if a.groups is not None:
-                for ch in a.groups:
-                    for ga, gb in zip(a.groups[ch], b.groups[ch]):
-                        assert ga.codes.data == gb.codes.data
-                        assert ga.zero_point == gb.zero_point
-                        assert ga.scale == gb.scale
+            for ch in a.groups:
+                for ga, gb in zip(a.groups[ch], b.groups[ch]):
+                    assert ga.codes.data == gb.codes.data
+                    assert ga.zero_point == gb.zero_point
+                    assert ga.scale == gb.scale
 
 
     @pytest.mark.parametrize(
@@ -640,7 +640,7 @@ class TestValueStorage:
         cache = MixedKVCache(cfg)
         _, values, _ = feed_random(cache, 8, seed=12)
         assert cache.value_blocks[0].is_exact
-        assert cache.value_blocks[0].rows is None
+        assert cache.value_blocks[0].rows == ()
         np.testing.assert_array_equal(cache.reconstruct_values(), values)
 
     def test_full_precision_policy_bypasses_value_quantization(self):

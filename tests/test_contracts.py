@@ -6,6 +6,8 @@ ValueError or OverflowError, or a float count truncated to an int. Cache
 probes must also leave the cache exactly as it was.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from kvmix import (
     write_records_csv,
 )
 from kvmix.attention import attention_error
+from kvmix.errors import check_real
 from kvmix.quant import PackedBuffer, pack_codes, quantize_group, unpack_codes
 from kvmix.search import evaluate_candidate
 
@@ -249,6 +252,10 @@ PROBES = {
     "select_under_budget_bool_budget": lambda: select_under_budget(FRONT, True),
     "quantize_group_bools": lambda: quantize_group([True, False], 2),
     "dump_add_bools": lambda: TensorDump().add("flags", [True, False]),
+    # nor among numbers in a list, which numpy would cast to floats with them
+    "quantize_group_bool_among_numbers": lambda: quantize_group([0.5, True], 2),
+    "dump_add_bool_among_numbers": lambda: TensorDump().add("x", [0.5, True]),
+    "quantize_group_complex_list": lambda: quantize_group([1 + 2j, 0.0], 2),
 }
 
 
@@ -346,6 +353,9 @@ CACHE_PROBES = {
     ),
     "append_int_key_beyond_float": lambda cache: cache.append(
         [10**400] + [0] * (SMALL.dim - 1), np.zeros(SMALL.dim), np.zeros(SMALL.dim)
+    ),
+    "append_bool_among_key_numbers": lambda cache: cache.append(
+        [0.5, True] + [0.0] * (SMALL.dim - 2), np.zeros(SMALL.dim), np.zeros(SMALL.dim)
     ),
 }
 
@@ -455,3 +465,33 @@ def test_frozen_probe_changes_nothing(probe):
     assert np.array_equal(cache.query_accumulator.abs_sum, reference.query_accumulator.abs_sum)
     # reconstructions are fresh copies, so callers may still write into them
     assert cache.reconstruct_keys().flags.writeable and cache.reconstruct_values().flags.writeable
+
+
+def test_flushed_block_fields_cannot_be_assigned():
+    # a block frozen at flush time: not its arrays alone, its fields too
+    cache, reference = _frozen_cache(), _frozen_cache()
+    cache.reconstruct_keys(), cache.reconstruct_values()  # memoize every block
+    for blk in (*cache.key_blocks, *cache.value_blocks):
+        for f in dataclasses.fields(blk):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(blk, f.name, 0)
+    assert (cache.num_tokens, cache.flushed_tokens) == (reference.num_tokens, reference.flushed_tokens)
+    assert np.array_equal(cache.reconstruct_keys(), reference.reconstruct_keys())
+    assert np.array_equal(cache.reconstruct_values(), reference.reconstruct_values())
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: CacheConfig(dim=4, tau_mid=NAN), "tau_mid"),
+        (lambda: resolve_assignment(AllocationPolicy.salience(), [1.0], [1.0], (NAN, 0.5)), "tau_full"),
+        (lambda: select_under_budget(FRONT, NAN), "max_b_eff"),
+        (lambda: pareto_frontier([NAN_POINT]), "fidelity"),
+    ],
+    ids=["cache_config", "resolve_assignment", "select_under_budget", "pareto_frontier"],
+)
+def test_nan_scalars_are_refused_by_check_real(call, name):
+    # one NaN rule, worded by errors.check_real; the infinities stay legal
+    with pytest.raises(InvalidInput, match=f"^{name} must not be NaN$"):
+        call()
+    assert (check_real(np.inf, name), check_real(-np.inf, name)) == (np.inf, -np.inf)

@@ -154,7 +154,7 @@ def test_public_signatures():
             "e_attn_frobenius", "e_attn_max", "output_error_frobenius", "effective_bits",
             "policy_label",
         ],
-        "KeyBlock": ["start", "length", "keys_exact", "assignment", "outlier_columns", "_runs", "_dense"],
+        "KeyBlock": ["start", "length", "keys_exact", "assignment", "outlier_columns", "_runs"],
         "MixedKVCache": ["config", "policy"],
         "ParetoPoint": ["tau_full", "tau_mid", "b_eff", "fidelity"],
         "PlantedChannels": ["scale_channels", "query_channels"],
@@ -162,7 +162,7 @@ def test_public_signatures():
         "PrecisionAssignment": ["bits"],
         "QueryAccumulator": ["dim"],
         "TensorDump": ["sections"],
-        "ValueBlock": ["values_exact", "_runs", "_dense"],
+        "ValueBlock": ["values_exact", "_runs"],
         "apply_rope": ["x", "positions", "theta_base"],
         "attention_exact": ["queries", "keys", "values", "causal"],
         "decode_simulation": ["source", "config", "policy", "steps", "seed", "return_cache"],

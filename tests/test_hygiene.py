@@ -1,6 +1,7 @@
-"""Source hygiene: no module of the package imports a name it never reads,
-every exception type it declares is raised somewhere, and a wrong-typed
-argument is rejected through errors.check_type, not a hand-written check.
+"""Source hygiene: no module of the package, the tests or the demos imports
+a name it never reads, every exception type the package declares is raised
+somewhere, and a wrong-typed argument is rejected through errors.check_type,
+not a hand-written check.
 
 A name counts as read when the module loads it anywhere (an attribute
 access like np.zeros reads np) or lists it in __all__. Imports kept on
@@ -14,7 +15,8 @@ import pytest
 
 import kvmix.errors
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kvmix"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kvmix"
 
 # kvmix.cache binds the scalar quantizer so that tools which wrap it where
 # the cache looks it up have names to patch (see tests/test_perfbench_hooks.py)
@@ -46,11 +48,18 @@ def read_names(tree: ast.Module) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+SOURCES = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("demos/*.py"))]
+
+
+# package modules by their name, tests and demos by their folder too
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: p.stem if p.parent == PACKAGE else f"{p.parent.name}/{p.stem}"
+)
 def test_every_import_is_read(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = imported_names(tree) - read_names(tree)
-    unused -= {name for module, name in ALLOWED if module == path.stem}
+    if path.parent == PACKAGE:
+        unused -= {name for module, name in ALLOWED if module == path.stem}
     assert not unused, f"{path.name} imports {sorted(unused)} and never reads them"
 
 

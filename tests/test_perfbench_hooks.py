@@ -94,7 +94,7 @@ def test_accounting_matches_the_storage_arrays(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("name", ["search", "decode"])
+@pytest.mark.parametrize("name", ["search", "decode", "stream"])
 def test_workload_checks_pass(monkeypatch, tmp_path, name, seed):
     # the seeds perfbench/goldens.json holds, so golden drift fails here
     workloads = import_perfbench(monkeypatch, "workloads")

@@ -185,6 +185,23 @@ class TestResolveAssignment:
         # salience [0.5, 0.75, 0.75, 0.5]: the tie at 0.75 promotes channel 1
         assert a.bits.tolist() == [2, 16, 4, 2]
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            AllocationPolicy.full_precision(),
+            AllocationPolicy.fixed_uniform(2),
+            AllocationPolicy.salience(),
+            AllocationPolicy.error_only(),
+            AllocationPolicy.salience(budget=(0, 0)),
+            AllocationPolicy.error_only(budget=(0, 0)),
+        ],
+        ids=lambda p: f"{p.label}-budget" if p.budget else p.label,
+    )
+    def test_no_channels_rejected_under_every_kind(self, policy):
+        # the assignment's own check, reached by every kind
+        with pytest.raises(InvalidInput, match="at least one channel"):
+            resolve_assignment(policy, [], [], self.TAUS)
+
     def test_error_only_budget_mode_ignores_importance(self):
         a = resolve_assignment(
             AllocationPolicy.error_only(budget=(1, 1)), self.IMP, self.SENS, self.TAUS
