@@ -27,7 +27,7 @@ inst = PlantedSpec(
 
 cache = MixedKVCache(config)
 for t in range(inst.length):
-    cache.append(inst.keys[t], inst.values[t], inst.queries[t], position=t)
+    cache.append(inst.keys[t], inst.values[t], inst.queries[t])
     if cache.residual_tokens == 0:  # a flush just happened
         print(
             f"token {t + 1:3d}: flushed, blocks={len(cache.key_blocks)}, "

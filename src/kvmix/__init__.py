@@ -30,8 +30,9 @@ mask of the tokens flushed by then, evaluated in a few matrix passes.
 The search module sweeps the two salience thresholds and returns the
 fidelity / bit-width Pareto frontier. The same experiments are
 scriptable through the `kvmix` command line tool. The scalar group
-quantizer (kvmix.quant) and the replay references attention_error and
-evaluate_candidate are imported from their modules, not from here.
+quantizer (kvmix.quant), the block types (kvmix.cache) and the replay
+references attention_error and evaluate_candidate are imported from
+their modules, not from here.
 """
 
 from .attention import (
@@ -42,7 +43,7 @@ from .attention import (
     attention_exact,
     decode_simulation,
 )
-from .cache import CacheConfig, KeyBlock, MixedKVCache, ValueBlock
+from .cache import CacheConfig, MixedKVCache
 from .errors import (
     BudgetInfeasible,
     CorruptFile,
@@ -90,7 +91,6 @@ __all__ = [
     "FidelityReport",
     "InvalidInput",
     "KVMixError",
-    "KeyBlock",
     "MixedKVCache",
     "ParetoPoint",
     "PlantedChannels",
@@ -100,7 +100,6 @@ __all__ = [
     "QueryAccumulator",
     "TensorDump",
     "UndefinedMetric",
-    "ValueBlock",
     "apply_rope",
     "attention_exact",
     "decode_simulation",

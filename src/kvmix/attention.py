@@ -245,8 +245,6 @@ def _decode_rows(inst: AttentionInstance, config: CacheConfig, steps: int | None
     steps = inst.length if steps is None else check_count(steps, "steps", 1)
     if steps > inst.length:
         raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
-    if inst.dim != config.dim or inst.value_dim != config.value_dim:
-        raise InvalidInput("instance geometry disagrees with the cache config")
     return inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
 
 

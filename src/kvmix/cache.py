@@ -306,19 +306,14 @@ class MixedKVCache:
                 raise InvalidInput(f"{name} must have shape {tokens + (width,)}, got {arr.shape}")
         return k, v, q
 
-    def append(self, k_row, v_row, q_row, position: int | None = None) -> None:
+    def append(self, k_row, v_row, q_row) -> None:
         """Feed one token; auto-flushes when the residual buffer fills.
 
         `k_row` and `q_row` are (dim,), `v_row` is (value_dim,); the
-        query row feeds the importance statistics. An explicit `position`
-        is checked against the append counter.
+        query row feeds the importance statistics.
         A rejected append, including one whose flush fails, leaves the
         cache unchanged and the error propagates.
         """
-        if position is not None and check_count(position, "position", 0) != self.num_tokens:
-            raise InvalidInput(
-                f"position {position} out of order, next token is {self.num_tokens}"
-            )
         self._feed(*(row[None] for row in self._check_tokens(k_row, v_row, q_row, lead=0)))
 
     def _feed(self, keys: np.ndarray, values: np.ndarray, queries: np.ndarray) -> None:

@@ -34,12 +34,13 @@ run's metadata_bits_per_key_element column counts each stored key zero
 point and scale at 32 bits: not the float64 the cache holds, nor the 16
 bits (fp16) that KIVI counts, which would halve the column.
 
-Exit codes: 0 success, 2 invalid configuration or arguments, 3 missing
-dump file, 1 any other failure: a corrupt dump (an unknown magic, version
-or dtype code included), an infeasible budget, or a file that cannot be
-read or written ("io", such as a dump path that is a directory or an
-output in a missing directory). Every failure prints a single
-"error: <category>: <detail>" line to stderr.
+Exit codes: 0 success, 3 missing dump file, 1 a file that cannot be read or
+written ("io": a dump path that is a directory, an output in a missing
+directory). A kvmix error exits with its type's exit_code, 2 for invalid
+configuration or arguments and 1 for any other (a corrupt dump, including
+an unknown magic, version or dtype code, or an infeasible budget). Every
+failure prints one "error: <category>: <detail>" line to stderr, a kvmix
+error its type's category (kvmix.errors).
 
 For fixed seeds and flags the CSV/JSON outputs are byte-identical across
 runs, with one documented exception: the wall_time_s column of run
@@ -57,7 +58,7 @@ import numpy as np
 
 from .attention import PlantedSpec, decode_simulation
 from .cache import CacheConfig
-from .errors import BudgetInfeasible, CorruptFile, InvalidInput, KVMixError, check_count
+from .errors import InvalidInput, KVMixError, check_count
 from .io import (
     TensorDump,
     instance_from_dump,
@@ -315,18 +316,9 @@ def main(argv=None) -> int:
         if args.command == "search":
             return _cmd_search(args)
         return _cmd_stats(args)
-    except CorruptFile as exc:
-        print(f"error: bad-dump: {exc}", file=sys.stderr)
-        return 1
-    except BudgetInfeasible as exc:
-        print(f"error: budget-infeasible: {exc}", file=sys.stderr)
-        return 1
-    except InvalidInput as exc:
-        print(f"error: invalid-config: {exc}", file=sys.stderr)
-        return 2
     except KVMixError as exc:
-        print(f"error: failure: {exc}", file=sys.stderr)
-        return 1
+        print(f"error: {exc.category}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         # TensorDump.read opens the --dump path as given, so a missing dump
         # raises with that path as its filename; any other file is "io"

@@ -1,8 +1,8 @@
 """Exception taxonomy shared by all kvmix modules.
 
-Every failure the library raises deliberately is a KVMixError, of one
-of four kinds a caller tells apart (the CLI maps each to an exit code):
-InvalidInput, UndefinedMetric, BudgetInfeasible and CorruptFile.
+Every failure the library raises deliberately is a KVMixError of one of
+four kinds, InvalidInput, UndefinedMetric, BudgetInfeasible and
+CorruptFile; each type's `category` and `exit_code` are what the CLI prints.
 
 check_type, check_count, check_real, check_array and check_items are
 the input contract of every public function: an argument of the wrong
@@ -28,10 +28,12 @@ __all__ = [
 
 class KVMixError(Exception):
     """Base class for every error raised by this package."""
+    category, exit_code = "failure", 1
 
 
 class InvalidInput(KVMixError, ValueError):
     """An argument violates a documented precondition."""
+    category, exit_code = "invalid-config", 2
 
 
 class UndefinedMetric(KVMixError, RuntimeError):
@@ -41,11 +43,13 @@ class UndefinedMetric(KVMixError, RuntimeError):
 
 class BudgetInfeasible(KVMixError, ValueError):
     """No frontier point satisfies the requested bit budget."""
+    category = "budget-infeasible"
 
 
 class CorruptFile(KVMixError, ValueError):
     """A tensor dump has an unknown magic, version or dtype code, or is
     truncated or internally inconsistent."""
+    category = "bad-dump"
 
 
 def check_type(x, name: str, cls: type):

@@ -60,9 +60,9 @@ _MAX_RANK = 8
 
 @dataclass
 class TensorDump:
-    """An ordered mapping of section names to float32 arrays."""
+    """An ordered mapping of section names to float32 arrays, filled by add."""
 
-    sections: dict[str, np.ndarray] = field(default_factory=dict)
+    sections: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def add(self, name: str, array) -> "TensorDump":
         if not check_type(name, "section name", str):

@@ -106,11 +106,18 @@ class PackedBuffer:
 
 @dataclass(frozen=True)
 class QuantizedGroup:
-    """One quantized group: packed codes plus its affine parameters."""
+    """One quantized group: packed codes plus finite affine parameters, scale >= 0."""
 
     codes: PackedBuffer
     zero_point: float
     scale: float
+
+    def __post_init__(self):
+        check_type(self.codes, "codes", PackedBuffer)
+        for name in ("zero_point", "scale"):
+            object.__setattr__(self, name, float(check_array(getattr(self, name), name, 0)))
+        if self.scale < 0:
+            raise InvalidInput(f"scale must not be negative, got {self.scale}")
 
     def __len__(self) -> int:
         return self.codes.length
@@ -158,7 +165,7 @@ def quantize_group(values, bits) -> QuantizedGroup:
     return _column_groups(_quantize_column_runs(x[:, None], width, x.size), width)[0][0]
 
 
-def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
+def _quantize_column_runs(x: np.ndarray, bits: BitWidth, group_size: int) -> list[tuple]:
     """Quantize every column of an (L, C) matrix in runs of group_size rows.
 
     Returns one (size, packed, zero, scale) per run length, full runs
@@ -166,11 +173,11 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
     uint8, `zero` and `scale` are (n_runs, C). Each run is quantized as
     the module docstring states, in one numpy pass per run length, and
     packed by shift-or along the rows; quantize_group is the one-column,
-    one-run call. Rows are assumed finite; a run whose range or top
-    decoded level overflows raises InvalidInput.
+    one-run call. Rows are assumed finite and `bits` a checked width, 2 or
+    4; a run whose range or top decoded level overflows raises InvalidInput.
     """
-    width = _require_quant_width(bits)
-    levels = 2 ** int(width) - 1
+    width = int(bits)
+    levels = 2**width - 1
     length, n_cols = x.shape
     cut = length - length % group_size
     out = []
@@ -188,7 +195,7 @@ def _quantize_column_runs(x: np.ndarray, bits, group_size: int) -> list[tuple]:
         step = scale[:, None, :]
         np.divide(runs - zero[:, None, :], step, out=y, where=step != 0.0)
         codes = np.clip(np.floor(y + 0.5), 0, levels).astype(np.uint8)
-        out.append((size, _pack_columns(codes, int(width)), zero, scale))
+        out.append((size, _pack_columns(codes, width), zero, scale))
     return out
 
 

@@ -143,22 +143,14 @@ def evaluate_grid(
     grid = threshold_grid(lo, hi, grid_points)
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
-    fidelity = [0.0] * len(grid)
-    b_eff = [0.0] * len(grid)
     # summed in instance order, then averaged, as evaluate_candidate does
-    for inst in instances:
-        for i, (f, b) in enumerate(_score_instance(inst, config, grid, steps)):
-            fidelity[i] += f
-            b_eff[i] += b
-    n = len(instances)
-    return [
-        ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b / n, fidelity=f / n)
-        for (tf, tm), f, b in zip(grid, fidelity, b_eff)
-    ]
+    mean = sum(_score_instance(inst, config, grid, steps) for inst in instances) / len(instances)
+    pairs = zip(grid, mean.T.tolist())
+    return [ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b, fidelity=f) for (tf, tm), (f, b) in pairs]
 
 
-def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float, float]]:
-    """(fidelity, b_eff) of each candidate on one instance."""
+def _score_instance(inst, config: CacheConfig, grid, steps) -> np.ndarray:
+    """The (2, candidates) float64 rows of fidelity and b_eff on one instance."""
     queries, keys, values = _decode_rows(inst, config, steps)
     # (top, top) stores at 2 bits, and (top, bottom) at 4, every key channel
     # some candidate stores at that width, as bottom <= tau_mid <= tau_full <=
@@ -182,7 +174,7 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
         salience.append(salience_score(acc.importance(), sensitivity_score(keys[blk.start : end])))
         spans.append((blk.start, end))
     if not spans:
-        return [(0.0, 16.0)] * len(grid)
+        return np.repeat([[0.0], [16.0]], len(grid), axis=1)
     salience, taus = np.array(salience), np.array(grid).T[:, :, None, None]
     tiers = _tier_bits(np.broadcast_to(salience, (len(grid), *salience.shape)), *taus)
     # b_eff as effective_bitwidth counts it: integer bits over tokens * dim
@@ -235,7 +227,7 @@ def _score_instance(inst, config: CacheConfig, grid, steps) -> list[tuple[float,
     sq_logit = np.maximum(sq_logit, 0.0)[inverse.ravel()]
     if not np.isfinite(sq_logit).all():
         raise InvalidInput("attention logits or errors overflow float64")
-    return [(math.sqrt(sq), int(n) / keys.size) for sq, n in zip(sq_logit, bits)]
+    return np.array([np.sqrt(sq_logit), bits / keys.size])
 
 
 def _dominates(a: ParetoPoint, b: ParetoPoint) -> bool:

@@ -327,7 +327,7 @@ def step_loop_reference(inst, config, policy, steps) -> FidelityReport:
     max_logit = 0.0
     sq_output = 0.0
     for t in range(steps):
-        cache.append(keys[t], values[t], queries[t], position=t)
+        cache.append(keys[t], values[t], queries[t])
         k_hat = cache.reconstruct_keys()
         v_hat = cache.reconstruct_values()
         prefix = slice(0, t + 1)

@@ -134,13 +134,6 @@ class TestResidualProtocol:
             after = cache.key_blocks + cache.value_blocks
             assert len(after) == len(blocks) and all(a is b for a, b in zip(after, blocks))
 
-    def test_position_argument_checked(self):
-        cache = MixedKVCache(small_config())
-        row = np.zeros(8)
-        cache.append(row, row, row, position=0)
-        with pytest.raises(InvalidInput):
-            cache.append(row, row, row, position=5)
-
     def test_row_shape_checked(self):
         cache = MixedKVCache(small_config())
         with pytest.raises(InvalidInput):

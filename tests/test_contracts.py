@@ -37,7 +37,7 @@ from kvmix import (
 )
 from kvmix.attention import attention_error
 from kvmix.errors import check_real
-from kvmix.quant import PackedBuffer, pack_codes, quantize_group, unpack_codes
+from kvmix.quant import PackedBuffer, QuantizedGroup, pack_codes, quantize_group, unpack_codes
 from kvmix.search import evaluate_candidate
 
 NAN = float("nan")
@@ -75,6 +75,10 @@ PROBES = {
     "pack_codes_beyond_int64": lambda: pack_codes([1e30], 2),
     "packed_buffer_width_3": lambda: unpack_codes(PackedBuffer(b"\x00", 3, 2)),
     "packed_buffer_list_data": lambda: unpack_codes(PackedBuffer([1], 2, 4)),
+    "quantized_group_nan_scale": lambda: QuantizedGroup(PackedBuffer(b"\x00", 2, 4), 0.0, NAN),
+    "quantized_group_string_codes": lambda: QuantizedGroup("x", 0.0, 1.0),
+    "quantized_group_string_zero_point": lambda: QuantizedGroup(PackedBuffer(b"\x00", 2, 4), "0", 1.0),
+    "quantized_group_negative_scale": lambda: QuantizedGroup(PackedBuffer(b"\x00", 2, 4), 0.0, -1.0),
     "cache_config_value_bits_2_5": lambda: CacheConfig(dim=4, value_bits=2.5),
     "salience_budget_of_three": lambda: AllocationPolicy.salience(budget=(1, 2, 3)),
     "error_only_scalar_budget": lambda: AllocationPolicy.error_only(budget=5),
@@ -238,9 +242,6 @@ PROBES = {
     "evaluate_candidate_none_config": lambda: evaluate_candidate(1.0, 0.5, [SPEC.materialize(0)], None),
     # a bool is an int to operator.index, but never a count
     "cache_config_bool_dim": lambda: CacheConfig(dim=True),
-    "cache_append_bool_position": lambda: MixedKVCache(SMALL).append(
-        np.ones(8), np.ones(8), np.ones(8), position=False
-    ),
     "decode_simulation_bool_steps": lambda: decode_simulation(
         SPEC, SMALL, AllocationPolicy.salience(), steps=True
     ),
@@ -344,9 +345,6 @@ CACHE_PROBES = {
     ),
     "append_numeric_string_key": lambda cache: cache.append(
         ["1"] * SMALL.dim, np.zeros(SMALL.dim), np.zeros(SMALL.dim)
-    ),
-    "append_float_position": lambda cache: cache.append(
-        np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros(SMALL.dim), position=5.0
     ),
     "append_one_row_query_matrix": lambda cache: cache.append(
         np.zeros(SMALL.dim), np.zeros(SMALL.dim), np.zeros((1, SMALL.dim))

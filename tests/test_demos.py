@@ -79,6 +79,19 @@ def test_readme_flag_table_matches_parser():
         assert {opt for opt in options if opt.startswith("--")} - {"--help"} == documented[command], command
 
 
+def test_readme_error_line_matches_the_error_types():
+    # the module map's kvmix.errors row names each subclass's CLI category and exit code
+    (row,) = [line for line in README.splitlines() if line.startswith("| `kvmix.errors` |")]
+    pairs = re.findall(r"`(\w+)` \(`([\w-]+)`, (\d)", row)
+    documented = {name: (category, int(code)) for name, category, code in pairs}
+    errors = importlib.import_module("kvmix.errors")
+    assert documented == {
+        name: (getattr(errors, name).category, getattr(errors, name).exit_code)
+        for name in errors.__all__
+        if name != "KVMixError"
+    }
+
+
 def test_export_list():
     assert sorted(kvmix.__all__) == [
         "AllocationPolicy",
@@ -90,7 +103,6 @@ def test_export_list():
         "FidelityReport",
         "InvalidInput",
         "KVMixError",
-        "KeyBlock",
         "MixedKVCache",
         "ParetoPoint",
         "PlantedChannels",
@@ -100,7 +112,6 @@ def test_export_list():
         "QueryAccumulator",
         "TensorDump",
         "UndefinedMetric",
-        "ValueBlock",
         "apply_rope",
         "attention_exact",
         "decode_simulation",
@@ -118,9 +129,11 @@ def test_export_list():
     ]
     for name in kvmix.__all__:
         assert hasattr(kvmix, name)
-    # the scalar group API and the replay references are importable only
-    # from the module that defines them
+    # the scalar group API, the flushed block types and the replay
+    # references are importable only from the module that defines them
     for module, name in [
+        ("cache", "KeyBlock"),
+        ("cache", "ValueBlock"),
         ("quant", "QuantizedGroup"),
         ("quant", "PackedBuffer"),
         ("quant", "quantize_group"),
@@ -154,15 +167,13 @@ def test_public_signatures():
             "e_attn_frobenius", "e_attn_max", "output_error_frobenius", "effective_bits",
             "policy_label",
         ],
-        "KeyBlock": ["start", "length", "keys_exact", "assignment", "outlier_columns", "_runs"],
         "MixedKVCache": ["config", "policy"],
         "ParetoPoint": ["tau_full", "tau_mid", "b_eff", "fidelity"],
         "PlantedChannels": ["scale_channels", "query_channels"],
         "PlantedSpec": ["dim", "length", "n_outlier_scale", "n_outlier_query", "overlap"],
         "PrecisionAssignment": ["bits"],
         "QueryAccumulator": ["dim"],
-        "TensorDump": ["sections"],
-        "ValueBlock": ["values_exact", "_runs"],
+        "TensorDump": [],
         "apply_rope": ["x", "positions", "theta_base"],
         "attention_exact": ["queries", "keys", "values", "causal"],
         "decode_simulation": ["source", "config", "policy", "steps", "seed", "return_cache"],

@@ -73,6 +73,12 @@ class TestContainerRoundTrip:
         blob = TensorDump().to_bytes()
         assert TensorDump.from_bytes(blob).sections == {}
 
+    def test_sections_are_filled_only_by_add(self):
+        # a dict handed to the constructor would skip every check in add
+        assert TensorDump().sections == {}
+        with pytest.raises(TypeError):
+            TensorDump(sections={"layer0/head0/q": [1.0, 2.0]})
+
     def test_high_rank_and_exotic_values(self):
         dump = TensorDump()
         arr = np.array([np.float32(1e30), np.float32(-1e-30), 0.0], dtype=np.float32)
