@@ -22,8 +22,12 @@ config = CacheConfig(dim=32, group_size=8, residual_len=32, sink_len=4)
 spec = PlantedSpec(dim=32, length=64, n_outlier_scale=4, n_outlier_query=4, overlap=0)
 instances = [spec.materialize(s) for s in range(5)]
 
-# Evaluate every ordered pair on the grid (tau_mid <= tau_full). Each
-# candidate runs the decode simulation on every instance and averages.
+# Evaluate every ordered pair on the grid (tau_mid <= tau_full). The
+# thresholds only move channels between tiers, so each instance is
+# ingested twice, at (top, top) and (top, bottom) for the grid's largest
+# tau_full and smallest tau_mid. Every candidate then re-selects each
+# block's tiers, and its logit error and b_eff are averaged over the
+# instances.
 # The planted channels carry salience around 10 and the background sits
 # near 1, so the range 0.1..12 spans all-promoted to all-demoted.
 log = evaluate_grid(instances, config, lo=0.1, hi=12.0, grid_points=8)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CacheConfig, MixedKVCache
-from .errors import InvalidInput, check_array, check_count, check_type
+from .errors import InvalidInput, check_array, check_count, check_fields, check_type
 from .policies import AllocationPolicy
 from .salience import _as_matrix
 
@@ -74,8 +74,7 @@ class AttentionInstance:
     planted: PlantedChannels | None = None
 
     def __post_init__(self):
-        for name in ("queries", "keys", "values"):
-            object.__setattr__(self, name, check_array(getattr(self, name), name, 2))
+        check_fields(self, check_array, queries=2, keys=2, values=2)
         q, k, v = self.queries, self.keys, self.values
         if min(q.size, k.size, v.size) == 0:
             raise InvalidInput("queries, keys and values must be non-empty")
@@ -198,14 +197,7 @@ class PlantedSpec:
     overlap: int = 0
 
     def __post_init__(self):
-        for name, minimum in (
-            ("dim", 1),
-            ("length", 1),
-            ("n_outlier_scale", 0),
-            ("n_outlier_query", 0),
-            ("overlap", 0),
-        ):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
+        check_fields(self, check_count, dim=1, length=1, n_outlier_scale=0, n_outlier_query=0, overlap=0)
         if self.overlap > min(self.n_outlier_scale, self.n_outlier_query):
             raise InvalidInput("overlap cannot exceed either outlier count")
         if self.n_outlier_scale + self.n_outlier_query - self.overlap > self.dim:
@@ -236,16 +228,6 @@ class PlantedSpec:
                 scale_channels=scale_channels, query_channels=query_channels
             ),
         )
-
-
-def _decode_rows(inst: AttentionInstance, config: CacheConfig, steps: int | None):
-    """The checked (queries, keys, values) rows of an instance's first `steps` decode steps."""
-    check_type(inst, "instance", AttentionInstance)
-    check_type(config, "config", CacheConfig)
-    steps = inst.length if steps is None else check_count(steps, "steps", 1)
-    if steps > inst.length:
-        raise InvalidInput(f"instance has {inst.length} rows, cannot run {steps} steps")
-    return inst.queries[:steps], inst.keys[:steps], inst.values[:steps]
 
 
 def decode_simulation(
@@ -290,7 +272,12 @@ def decode_simulation(
     check_type(return_cache, "return_cache", bool)
     if isinstance(source, PlantedSpec):
         source = source.materialize(seed)
-    queries, keys, values = _decode_rows(source, config, steps)
+    check_type(source, "instance", AttentionInstance)
+    check_type(config, "config", CacheConfig)
+    steps = source.length if steps is None else check_count(steps, "steps", 1)
+    if steps > source.length:
+        raise InvalidInput(f"instance has {source.length} rows, cannot run {steps} steps")
+    queries, keys, values = source.queries[:steps], source.keys[:steps], source.values[:steps]
     cache = MixedKVCache(config, policy)
     cache.extend(keys, values, queries)
     delta = keys - cache.reconstruct_keys()

@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidInput, UndefinedMetric, check_array, check_count, check_type
+from .errors import InvalidInput, UndefinedMetric, check_array, check_count, check_fields, check_type
 from .policies import (
     AllocationPolicy,
     PolicyKind,
@@ -97,14 +97,7 @@ class CacheConfig:
     def __post_init__(self):
         if self.value_dim is None:
             object.__setattr__(self, "value_dim", self.dim)
-        for name, minimum in (
-            ("dim", 1),
-            ("value_dim", 1),
-            ("group_size", 1),
-            ("residual_len", 1),
-            ("sink_len", 0),
-        ):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, minimum))
+        check_fields(self, check_count, dim=1, value_dim=1, group_size=1, residual_len=1, sink_len=0)
         if self.residual_len % self.group_size != 0:
             raise InvalidInput(
                 f"residual_len {self.residual_len} is not a multiple of "

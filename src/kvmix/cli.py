@@ -40,7 +40,9 @@ directory). A kvmix error exits with its type's exit_code, 2 for invalid
 configuration or arguments and 1 for any other (a corrupt dump, including
 an unknown magic, version or dtype code, or an infeasible budget). Every
 failure prints one "error: <category>: <detail>" line to stderr, a kvmix
-error its type's category (kvmix.errors).
+error its type's category (kvmix.errors). A command that exits non-zero
+writes no report and prints nothing to stdout: search selects under
+--budget before its first print or write.
 
 For fixed seeds and flags the CSV/JSON outputs are byte-identical across
 runs, with one documented exception: the wall_time_s column of run
@@ -148,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--range", dest="range_", default="0.1,2.0",
                         help="lo,hi threshold range (negative lo: --range=-1,1)")
     search.add_argument("--budget", type=float, default=None, help="pick min fidelity with b_eff <= budget")
-    search.add_argument("--seeds", type=int, default=5, action=_Synthetic, help="synthetic instances per candidate")
-    search.add_argument("--steps", type=int, default=None, help="decode steps per instance")
+    search.add_argument("--seeds", type=int, default=5, action=_Synthetic,
+                        help="synthetic instances: seeds 0..N-1, each ingested twice for the whole grid")
     search.add_argument("--out", default="search_report", help="output base path")
     _add_geometry_flags(search)
     _add_instance_flags(search)
@@ -242,8 +244,9 @@ def _cmd_search(args) -> int:
     seeds = range(check_count(args.seeds, "--seeds", 1))
     instances = [inst for _, inst in _load_instances(args, seeds)]
     config = _config(args, instances[0])
-    log = evaluate_grid(instances, config, lo, hi, args.grid, args.steps)
+    log = evaluate_grid(instances, config, lo, hi, args.grid)
     frontier = pareto_frontier(log)
+    chosen = None if args.budget is None else select_under_budget(frontier, args.budget)
     names = ("dim", "value_dim", "group_size", "residual_len", "sink_len")
     geometry = {name: getattr(config, name) for name in names}
 
@@ -260,8 +263,7 @@ def _cmd_search(args) -> int:
             f"  b_eff {p.b_eff:7.4f}  fidelity {p.fidelity:12.6g}  "
             f"thresholds ({p.tau_full:.4f}, {p.tau_mid:.4f})"
         )
-    if args.budget is not None:
-        chosen = select_under_budget(frontier, args.budget)
+    if chosen is not None:
         payload["selected"] = asdict(chosen)
         print(
             f"under budget {args.budget}: thresholds "

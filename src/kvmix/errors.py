@@ -11,6 +11,7 @@ included), a NaN, an integer beyond float64 (an infinity passes), a non-real,
 non-finite or wrongly shaped array, or a non-iterable collection raises
 InvalidInput. A bool is not a number: no count, real or array check takes
 True, False, a numpy bool, a bool array or a list holding a bool.
+check_fields stores a frozen dataclass's fields through one of them.
 """
 
 import operator
@@ -71,6 +72,12 @@ def check_count(value, name: str, minimum: int) -> int:
     if count < minimum:
         raise InvalidInput(f"{name} must be at least {minimum}, got {count}")
     return count
+
+
+def check_fields(obj, check, **args) -> None:
+    """Store check(getattr(obj, name), name, arg) on each named field of `obj`, in order."""
+    for name, arg in args.items():
+        object.__setattr__(obj, name, check(getattr(obj, name), name, arg))
 
 
 def check_items(x, name: str) -> tuple:

@@ -13,8 +13,9 @@ in channel d leaks into attention logits. kvmix.policies cuts the scores
 into precision tiers.
 
 Scores are meaningful only on post-rotation tensors: callers must apply
-the rotary map (see apply_rope) to queries and keys before feeding them
-here, because that is the form in which keys are cached and attended to.
+the rotary map (apply_rope, at RoFormer's fixed base 10000) to queries
+and keys before feeding them here, because that is the form in which
+keys are cached and attended to.
 """
 
 from __future__ import annotations
@@ -136,14 +137,14 @@ def salience_score(importance, sensitivity) -> np.ndarray:
     return scores
 
 
-def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:
+def apply_rope(x, positions) -> np.ndarray:
     """Rotate channel pairs (2j, 2j+1) of each row by its position angle.
 
-    Row i is rotated by angles positions[i] * theta_base**(-2j / D) for
-    pair index j. The channel count D must be even, `positions` must
-    supply one finite entry per row, and theta_base must be finite and
-    positive; anything else, or an angle or rotated entry beyond float64,
-    raises InvalidInput.
+    Row i is rotated by angles positions[i] * 10000**(-2j / D) for pair
+    index j, RoFormer's base. The channel count D must be even and
+    `positions` must supply one finite entry per row; anything else raises
+    InvalidInput. No angle exceeds its position, so only a rotated entry
+    beyond float64 can overflow, and that raises InvalidInput too.
     """
     mat = _as_matrix(x, "x")
     rows, dim = mat.shape
@@ -152,19 +153,16 @@ def apply_rope(x, positions, theta_base: float = 10000.0) -> np.ndarray:
     pos = check_array(positions, "positions", (0, 1)).reshape(-1)
     if pos.shape[0] != rows:
         raise InvalidInput(f"{rows} rows need {rows} positions, got {pos.shape[0]}")
-    theta = check_array(theta_base, "theta_base", 0)
-    if theta <= 0:
-        raise InvalidInput("theta_base must be positive")
 
     pair_exp = np.arange(dim // 2, dtype=np.float64) * (-2.0 / dim)
     even, odd = mat[:, 0::2], mat[:, 1::2]
     out = np.empty_like(mat)
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = pos[:, None] * (theta ** pair_exp)[None, :]
+        angles = pos[:, None] * (10000.0 ** pair_exp)[None, :]
         cos, sin = np.cos(angles), np.sin(angles)
         out[:, 0::2] = even * cos - odd * sin
         out[:, 1::2] = even * sin + odd * cos
-    # an infinite angle makes NaN sines, an overflowing product infinities
+    # finite positions give finite angles, so only an overflowing product is infinite
     if not np.isfinite(out).all():
         raise InvalidInput("rotated entries overflow float64")
     return out

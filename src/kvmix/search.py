@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attention import AttentionInstance, _decode_rows, decode_simulation
+from .attention import AttentionInstance, decode_simulation
 from .cache import CacheConfig, MixedKVCache
 from .errors import (
     BudgetInfeasible, InvalidInput, check_array, check_count, check_items, check_real, check_type
@@ -89,7 +89,6 @@ def evaluate_candidate(
     tau_mid: float,
     instances,
     config: CacheConfig,
-    steps: int | None = None,
 ) -> ParetoPoint:
     """Score one threshold pair: mean fidelity and mean b_eff over AttentionInstances."""
     instances = check_items(instances, "instances")
@@ -102,7 +101,7 @@ def evaluate_candidate(
     b_eff = 0.0
     for inst in instances:
         check_type(inst, "instance", AttentionInstance)
-        report = decode_simulation(inst, candidate_config, policy, steps=steps)
+        report = decode_simulation(inst, candidate_config, policy)
         fidelity += report.e_attn_frobenius
         b_eff += report.effective_bits
     n = len(instances)
@@ -120,7 +119,6 @@ def evaluate_grid(
     lo: float = 0.1,
     hi: float = 2.0,
     grid_points: int = 20,
-    steps: int | None = None,
 ) -> list[ParetoPoint]:
     """Evaluate every threshold_grid(lo, hi, grid_points) candidate.
 
@@ -144,14 +142,16 @@ def evaluate_grid(
     if not instances:
         raise InvalidInput("need at least one instance to evaluate")
     # summed in instance order, then averaged, as evaluate_candidate does
-    mean = sum(_score_instance(inst, config, grid, steps) for inst in instances) / len(instances)
+    mean = sum(_score_instance(inst, config, grid) for inst in instances) / len(instances)
     pairs = zip(grid, mean.T.tolist())
     return [ParetoPoint(tau_full=tf, tau_mid=tm, b_eff=b, fidelity=f) for (tf, tm), (f, b) in pairs]
 
 
-def _score_instance(inst, config: CacheConfig, grid, steps) -> np.ndarray:
+def _score_instance(inst, config: CacheConfig, grid) -> np.ndarray:
     """The (2, candidates) float64 rows of fidelity and b_eff on one instance."""
-    queries, keys, values = _decode_rows(inst, config, steps)
+    check_type(inst, "instance", AttentionInstance)
+    check_type(config, "config", CacheConfig)
+    queries, keys, values = inst.queries, inst.keys, inst.values
     # (top, top) stores at 2 bits, and (top, bottom) at 4, every key channel
     # some candidate stores at that width, as bottom <= tau_mid <= tau_full <=
     # top, so they overflow exactly when some candidate's own key cache would.

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import kvmix.cli
-from kvmix import PlantedSpec, TensorDump, dump_from_instance
+from kvmix import AllocationPolicy, CacheConfig, PlantedSpec, TensorDump, decode_simulation, dump_from_instance
 from kvmix.cli import main
 from kvmix.errors import UndefinedMetric
 
@@ -115,6 +115,18 @@ class TestRunCommand:
             for rec in payload["records"]:
                 rec.pop("wall_time_s")
         assert one == two
+
+    def test_steps_cap_the_decode(self, tmp_path, capsys):
+        # 40 of a 64-token instance's steps, as decode_simulation replays them
+        assert main(run_args(tmp_path, "--length", "64", "--seeds", "1", "--steps", "40")) == 0
+        inst = PlantedSpec(dim=16, length=64, n_outlier_scale=2, n_outlier_query=2).materialize(0)
+        config = CacheConfig(dim=16, group_size=8, residual_len=16, sink_len=2)
+        report = decode_simulation(inst, config, AllocationPolicy.salience(), steps=40)
+        (record,) = json.loads((tmp_path / "rep.json").read_text())["records"]
+        assert (record["e_attn_frobenius"], record["b_eff"]) == (report.e_attn_frobenius, report.effective_bits)
+        capsys.readouterr()
+        assert main(run_args(tmp_path, "--length", "64", "--seeds", "1", "--steps", "65")) == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config:")
 
     def test_run_from_dump(self, tmp_path):
         inst = PlantedSpec(dim=16, length=32, n_outlier_scale=2, n_outlier_query=2).materialize(4)
@@ -266,12 +278,17 @@ class TestSearchCommand:
     def test_infeasible_budget_exits_1(self, tmp_path, capsys):
         code = main(search_args(tmp_path, "--budget", "0.5"))
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: budget-infeasible:")
+        out, err = capsys.readouterr()
+        assert err.startswith("error: budget-infeasible:")
+        # the budget is checked before the first print or write
+        assert out == "" and list(tmp_path.glob("srch_*")) == []
 
     def test_nan_budget_exits_2(self, tmp_path, capsys):
         code = main(search_args(tmp_path, "--budget", "nan"))
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: invalid-config:")
+        out, err = capsys.readouterr()
+        assert err.startswith("error: invalid-config:")
+        assert out == "" and list(tmp_path.glob("srch_*")) == []
 
     def test_search_deterministic(self, tmp_path):
         assert main(search_args(tmp_path, "--out", str(tmp_path / "s1"))) == 0
@@ -286,9 +303,9 @@ class TestSearchCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: invalid-config:")
 
-    @pytest.mark.parametrize("flag, value", [("--thresholds", "9,3"), ("--value-bits", "16")])
+    @pytest.mark.parametrize("flag, value", [("--thresholds", "9,3"), ("--value-bits", "16"), ("--steps", "5")])
     def test_tiering_flags_rejected_by_parser(self, tmp_path, capsys, flag, value):
-        # the grid sets both, so search does not take them
+        # the grid sets the tiers and scores whole instances, so search does not take these
         with pytest.raises(SystemExit) as exc:
             main(search_args(tmp_path, flag, value))
         assert exc.value.code == 2

@@ -54,7 +54,6 @@ PROBES = {
         np.ones((1, 2)), [[NAN, 0.0], [0.0, 0.0]], np.zeros((2, 2))
     ),
     "apply_rope_nan_position": lambda: apply_rope(np.ones((1, 4)), [NAN]),
-    "apply_rope_nan_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=NAN),
     "cache_config_fractional_dim": lambda: CacheConfig(dim=4.5),
     "planted_spec_fractional_length": lambda: PlantedSpec(dim=16, length=2.5),
     "threshold_grid_fractional_points": lambda: threshold_grid(0.1, 1.0, 2.5),
@@ -145,9 +144,8 @@ PROBES = {
     "attention_error_overflowing_logits": lambda: attention_error(*HUGE_ROWS),
     "salience_score_overflows": lambda: salience_score([1e200], [1e200]),
     "accumulator_add_sum_overflows": lambda: QueryAccumulator(2).add(np.full((2, 2), 1e308)),
-    # x cos - y sin of finite entries overflows, or an angle does and its sine is NaN
+    # x cos - y sin of finite entries overflows; a finite position gives a finite angle
     "apply_rope_rotation_overflows": lambda: apply_rope(np.full((1, 2), 1.5e308), [np.pi / 4]),
-    "apply_rope_angle_overflows": lambda: apply_rope(np.ones((1, 4)), [1e308], theta_base=1e-300),
     # hi - lo overflows: linspace would lose lo and return infinite thresholds
     "threshold_grid_range_overflows": lambda: threshold_grid(-1e308, 1e308, 3),
     # finite float64 values that a float32 section would store as +-inf
@@ -180,7 +178,6 @@ PROBES = {
     "resolve_assignment_error_only_empty": lambda: resolve_assignment(
         AllocationPolicy.error_only(), None, [], (1, 0.5)
     ),
-    "apply_rope_zero_theta": lambda: apply_rope(np.ones((1, 4)), [1.0], theta_base=0),
     "dump_add_name_beyond_u16": lambda: TensorDump().add("x" * 65536, [1.0]),
     # keys with no row or no channel: no softmax over them, no 1 / sqrt(0) scale
     "attention_exact_no_keys": lambda: attention_exact(

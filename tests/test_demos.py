@@ -174,11 +174,11 @@ def test_public_signatures():
         "PrecisionAssignment": ["bits"],
         "QueryAccumulator": ["dim"],
         "TensorDump": [],
-        "apply_rope": ["x", "positions", "theta_base"],
+        "apply_rope": ["x", "positions"],
         "attention_exact": ["queries", "keys", "values", "causal"],
         "decode_simulation": ["source", "config", "policy", "steps", "seed", "return_cache"],
         "dump_from_instance": ["inst"],
-        "evaluate_grid": ["instances", "config", "lo", "hi", "grid_points", "steps"],
+        "evaluate_grid": ["instances", "config", "lo", "hi", "grid_points"],
         "instance_from_dump": ["dump"],
         "pareto_frontier": ["points"],
         "resolve_assignment": ["policy", "importance", "sensitivity", "thresholds"],

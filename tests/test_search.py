@@ -223,15 +223,17 @@ class TestEvaluation:
         assert tight.fidelity <= loose.fidelity
 
 
-def per_candidate(instances, config, lo, hi, grid_points, steps=None):
+def per_candidate(instances, config, lo, hi, grid_points):
     """The grid as evaluate_candidate scores it, one replay per candidate."""
-    return [
-        evaluate_candidate(tf, tm, instances, config, steps=steps)
-        for tf, tm in threshold_grid(lo, hi, grid_points)
-    ]
+    return [evaluate_candidate(tf, tm, instances, config) for tf, tm in threshold_grid(lo, hi, grid_points)]
 
 
-def envelope(inst, cache, steps=None) -> float:
+def prefix(inst, steps):
+    """`inst` cut to its first `steps` rows, all of them for None."""
+    return AttentionInstance(inst.queries[:steps], inst.keys[:steps], inst.values[:steps])
+
+
+def envelope(inst, cache) -> float:
     """Rounding scale of a replay's squared logit error.
 
     The sum of (|q_t| . |delta_j|)^2 over each step t and token j that step
@@ -240,7 +242,7 @@ def envelope(inst, cache, steps=None) -> float:
     unlike that bound it does not change when a channel's keys and queries
     are scaled by reciprocal factors, which leaves every logit as it is.
     """
-    queries, keys = inst.queries[:steps], inst.keys[:steps]
+    queries, keys = inst.queries, inst.keys
     residual = cache.config.residual_len
     delta = keys - cache.reconstruct_keys()
     first = (np.arange(len(keys)) // residual + 1) * residual - 1
@@ -248,7 +250,7 @@ def envelope(inst, cache, steps=None) -> float:
     return float(np.sum(np.where(seen, np.abs(queries) @ np.abs(delta).T, 0.0) ** 2))
 
 
-def assert_grid_matches_replay(instances, config, lo, hi, grid_points, steps=None):
+def assert_grid_matches_replay(instances, config, lo, hi, grid_points):
     """evaluate_grid against a replay per candidate.
 
     Thresholds and b_eff are equal. On each instance alone, a candidate's
@@ -256,18 +258,16 @@ def assert_grid_matches_replay(instances, config, lo, hi, grid_points, steps=Non
     the replay's cache; over several, the grid averages those fidelities
     in instance order, as evaluate_candidate does.
     """
-    singles = [evaluate_grid([inst], config, lo, hi, grid_points, steps) for inst in instances]
+    singles = [evaluate_grid([inst], config, lo, hi, grid_points) for inst in instances]
     for inst, points in zip(instances, singles):
         for point in points:
             candidate = replace(config, tau_full=point.tau_full, tau_mid=point.tau_mid)
-            report, cache = decode_simulation(
-                inst, candidate, AllocationPolicy.salience(), steps=steps, return_cache=True
-            )
+            report, cache = decode_simulation(inst, candidate, AllocationPolicy.salience(), return_cache=True)
             assert point.b_eff == report.effective_bits
             gap = abs(point.fidelity**2 - report.e_attn_frobenius**2)
-            assert gap <= 1e-12 * envelope(inst, cache, steps)
-    points = evaluate_grid(instances, config, lo, hi, grid_points, steps)
-    replays = per_candidate(instances, config, lo, hi, grid_points, steps)
+            assert gap <= 1e-12 * envelope(inst, cache)
+    points = evaluate_grid(instances, config, lo, hi, grid_points)
+    replays = per_candidate(instances, config, lo, hi, grid_points)
     assert [(p.tau_full, p.tau_mid, p.b_eff) for p in points] == [
         (p.tau_full, p.tau_mid, p.b_eff) for p in replays
     ]
@@ -318,10 +318,11 @@ def search_cases(draw):
         exponents = st.lists(st.sampled_from(EXPONENTS), min_size=config.dim, max_size=config.dim)
         ratio = 10.0 ** np.array(draw(exponents))
         keys, queries = keys * ratio, queries / ratio
-        instances.append(AttentionInstance(queries, keys, values))
+        # the first `steps` rows, the prefix a replay of `steps` steps reads
+        instances.append(AttentionInstance(queries[:steps], keys[:steps], values[:steps]))
     lo = draw(st.floats(0.0, 2.0))
     hi = lo + draw(st.floats(0.0, 6.0))
-    return instances, config, lo, hi, draw(st.integers(1, 4)), steps
+    return instances, config, lo, hi, draw(st.integers(1, 4))
 
 
 class TestIngestOnceGrid:
@@ -397,7 +398,6 @@ class TestIngestOnceGrid:
             "no_instances",
             "inverted_range",
             "geometry_mismatch",
-            "steps_past_length",
             "not_an_instance",
             "planted_spec",
         ],
@@ -405,13 +405,12 @@ class TestIngestOnceGrid:
     def test_errors_match_per_candidate_path(self, case):
         inst = self.SPEC.materialize(0)
         args = {
-            "no_instances": ((), self.CFG, 0.1, 2.0, 3, None),
-            "inverted_range": ([inst], self.CFG, 2.0, 0.1, 3, None),
-            "geometry_mismatch": ([inst], CacheConfig(dim=8, group_size=8, residual_len=16), 0.1, 2.0, 3, None),
-            "steps_past_length": ([inst], self.CFG, 0.1, 2.0, 3, 41),
-            "not_an_instance": ([inst, "trace"], self.CFG, 0.1, 2.0, 3, None),
+            "no_instances": ((), self.CFG, 0.1, 2.0, 3),
+            "inverted_range": ([inst], self.CFG, 2.0, 0.1, 3),
+            "geometry_mismatch": ([inst], CacheConfig(dim=8, group_size=8, residual_len=16), 0.1, 2.0, 3),
+            "not_an_instance": ([inst, "trace"], self.CFG, 0.1, 2.0, 3),
             # a spec is not read as its seed-0 instance by either path
-            "planted_spec": ([self.SPEC], self.CFG, 0.1, 2.0, 3, None),
+            "planted_spec": ([self.SPEC], self.CFG, 0.1, 2.0, 3),
         }[case]
         expected = raised(lambda: per_candidate(*args))
         assert expected is not None and issubclass(expected, InvalidInput)
@@ -492,18 +491,18 @@ class TestIngestOnceGrid:
 
     @pytest.mark.parametrize("chunk, steps", [(7, None), (7, 33), (8, None), (1, 20)])
     def test_grid_equals_per_candidate_replay_across_chunks(self, chunk, steps):
-        # 40 rows, or `steps` of them, replayed in chunks of `chunk` query
-        # rows: chunks of 7 end in a partial chunk, the others in a full one
-        instances = [self.SPEC.materialize(seed) for seed in (0, 1)]
+        # 40 rows, or the first `steps` of them, replayed in chunks of `chunk`
+        # query rows: chunks of 7 end in a partial chunk, the others in a full one
+        instances = [prefix(self.SPEC.materialize(seed), steps) for seed in (0, 1)]
         with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
-            assert_grid_matches_replay(instances, self.CFG, 0.05, 3.0, 4, steps)
+            assert_grid_matches_replay(instances, self.CFG, 0.05, 3.0, 4)
 
     @pytest.mark.parametrize("chunk", [1, 7, 256])
     def test_grid_does_not_depend_on_the_decode_chunk(self, chunk):
-        instances = [self.SPEC.materialize(seed) for seed in (0, 1)]
-        points = evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33)
+        instances = [prefix(self.SPEC.materialize(seed), 33) for seed in (0, 1)]
+        points = evaluate_grid(instances, self.CFG, 0.05, 3.0, 6)
         with mock.patch.object(kvmix.attention, "_DECODE_CHUNK", chunk):
-            assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 6, 33) == points
+            assert evaluate_grid(instances, self.CFG, 0.05, 3.0, 6) == points
 
     def test_grid_ignores_reciprocal_powers_of_two_on_channels(self):
         # channel 0's keys times 2**565 and queries times 2**-565, channel 5
